@@ -7,6 +7,7 @@ description by environment-state overlaps (a d^2 x d^2 Gram matrix) is a
 constructor, not a storage format.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class LocalChannel:
 
     def __call__(self, m):
         """Apply to a dim x dim matrix."""
-        m = np.asarray(m, dtype=complex)
-        return np.einsum("mij,jk,mlk->il", self.kraus, m, self.kraus.conj())
+        return _apply_local(np.asarray(m, dtype=complex), liouville(self.kraus),
+                            (self.dim,), 0)
 
     def completeness_residual(self):
         comp = np.einsum("mij,mik->jk", self.kraus.conj(), self.kraus)
@@ -66,8 +67,8 @@ class AdjointMap:
     kraus: np.ndarray  # adjoints of the channel's Kraus operators
 
     def __call__(self, m):
-        m = np.asarray(m, dtype=complex)
-        return np.einsum("mij,jk,mlk->il", self.kraus, m, self.kraus.conj())
+        return _apply_local(np.asarray(m, dtype=complex), liouville(self.kraus),
+                            (self.dim,), 0)
 
 
 def adjoint_channel(c):
@@ -137,15 +138,48 @@ def environment_gram_from_channel(c):
 
 
 # ---------------------------------------------------------------------------
-# product-channel application
+# product-channel application: one local-Kraus kernel in Liouville form
 
 
-def _apply_local(t, k, kraus, n):
-    """Apply a Kraus stack on party k of a (dims + dims)-shaped tensor."""
-    t = np.tensordot(kraus, t, axes=([2], [k]))          # m, a, (rest)
-    t = np.moveaxis(t, 1, 1 + k)                          # m, ..., a at k, ...
-    t = np.tensordot(t, kraus.conj(), axes=([0, 1 + n + k], [0, 2]))
-    return np.moveaxis(t, -1, n + k)
+def liouville(kraus):
+    """Liouville matrix S = sum_m K_m (x) conj(K_m) of a (e, d, d) Kraus stack.
+
+    With operators flattened row-major, vec(sum_m K_m X K_m^dag) = S vec(X),
+    so S[(i,k),(j,l)] = sum_m K_m[i,j] conj(K_m[k,l]).  The adjoint map
+    X -> sum_m K_m^dag X K_m has Liouville matrix S^H.
+    """
+    e, d, _ = kraus.shape
+    a = kraus.transpose(1, 2, 0).reshape(d * d, e)      # [(i, j), m]
+    s = a @ a.conj().T                                   # [(i, j), (k, l)]
+    return s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _apply_local(mat, s, dims, k):
+    """Apply the Liouville matrix s of a channel on party k of a D x D operator.
+
+    The operator is viewed as (L, d, R, L, d, R), with L and R the
+    dimensions of the parties before and after k; a single matmul
+    contracts the (row_k, col_k) axis pair with s.
+    """
+    d = dims[k]
+    left, right = math.prod(dims[:k]), math.prod(dims[k + 1:])
+    big = left * d * right
+    t = mat.reshape(left, d, right, left, d, right).transpose(1, 4, 0, 2, 3, 5)
+    t = s @ t.reshape(d * d, -1)
+    t = t.reshape(d, d, left, right, left, right).transpose(2, 0, 3, 4, 1, 5)
+    return t.reshape(big, big)
+
+
+def _apply_product_channel_matrix(sups, mat, dims, skip=None):
+    """Apply one Liouville matrix per party to a raw D x D matrix.
+
+    Party `skip`, if given, is left untouched (the search uses this for
+    the other parties' part of the output).
+    """
+    for k, s in enumerate(sups):
+        if k != skip:
+            mat = _apply_local(mat, s, dims, k)
+    return mat
 
 
 def apply_product_channel(channels, rho):
@@ -157,30 +191,16 @@ def apply_product_channel(channels, rho):
         if c.dim != d:
             raise InvariantError(
                 f"channel on party {k} has dim {c.dim}, party has dim {d}")
-    out = _apply_product_channel_matrix(channels, rho.entries, dims)
+    out = _apply_product_channel_matrix([liouville(c.kraus) for c in channels],
+                                        rho.entries, dims)
     return DensityMatrix(rho.shape, out)
-
-
-def _apply_product_channel_matrix(channels, mat, dims, skip=None):
-    """Raw matrix version; optionally skip one party (used by the search)."""
-    n = len(dims)
-    t = np.asarray(mat, dtype=complex).reshape(dims + tuple(dims))
-    for k, c in enumerate(channels):
-        if skip is not None and k == skip:
-            continue
-        t = _apply_local(t, k, c.kraus, n)
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
 
 
 def apply_adjoint_product_channel(channels, mat, dims):
     """Tensor product of per-party adjoints applied to a raw matrix."""
-    n = len(dims)
-    t = np.asarray(mat, dtype=complex).reshape(dims + tuple(dims))
-    for k, c in enumerate(channels):
-        t = _apply_local(t, k, np.transpose(c.kraus, (0, 2, 1)).conj(), n)
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
+    sups = [liouville(c.kraus).conj().T for c in channels]
+    return _apply_product_channel_matrix(sups, np.asarray(mat, dtype=complex),
+                                         dims)
 
 
 def _minimal_kraus(kraus, d):

@@ -9,6 +9,7 @@ seed the outputs are byte-identical across runs (elapsed_ms aside).
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -79,6 +80,34 @@ def _parse_cut(spec):
         raise InvariantError(f"bad cut specification {spec!r}")
 
 
+SEARCH_OPTIONS = ("restarts", "max_iters", "master_seed", "tol", "env_dims")
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _search_options(opts):
+    """Validate an lc-search config object; returns it unchanged."""
+    if not isinstance(opts, dict):
+        raise InvariantError("search config must be a JSON object")
+    unknown = sorted(set(opts) - set(SEARCH_OPTIONS))
+    if unknown:
+        raise InvariantError(f"unknown search option(s) {unknown}")
+    for key in ("restarts", "max_iters", "master_seed"):
+        if key in opts and not _is_int(opts[key]):
+            raise InvariantError(f"search option {key!r} must be an integer")
+    if opts.get("master_seed", 0) < 0:
+        raise InvariantError("search option 'master_seed' must be non-negative")
+    tol = opts.get("tol", 0.0)
+    if not ((_is_int(tol) or isinstance(tol, float)) and math.isfinite(tol)):
+        raise InvariantError("search option 'tol' must be a finite number")
+    env = opts.get("env_dims", [])
+    if not (isinstance(env, list) and all(_is_int(e) for e in env)):
+        raise InvariantError("search option 'env_dims' must be a list of integers")
+    return opts
+
+
 def _as_pure(state):
     if hasattr(state, "amplitudes"):
         return state
@@ -140,7 +169,7 @@ def _dispatch(args):
     if cmd == "lc-search":
         rho = _as_density(serialize.load_state(args.target))
         with open(args.config) as fh:
-            opts = json.load(fh)
+            opts = _search_options(json.load(fh))
         result = reach.lc_distance_search(
             rho,
             env_dims=opts.get("env_dims"),

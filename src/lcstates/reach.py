@@ -19,14 +19,15 @@ and one GHZ-class state (not producible even with classical communication)
 and the universally-producible bipartite case.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (LocalChannel, _apply_local,
-                       apply_adjoint_product_channel,
-                       _apply_product_channel_matrix, haar_isometry,
-                       identity_channel)
+from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
+                       _apply_product_channel_matrix,
+                       apply_adjoint_product_channel, haar_isometry,
+                       identity_channel, liouville)
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import GHZ_CLASS, W_CLASS, classify_three_qubit
 from .states import (DensityMatrix, InvariantError, PureState, RANK_TOL,
@@ -61,7 +62,8 @@ class LCConfiguration:
         amps = self.precursor.amplitudes
         sigma = np.outer(amps, amps.conj())
         dims = self.precursor.shape.local_dims
-        out = _apply_product_channel_matrix(self.channels, sigma, dims)
+        sups = [liouville(c.kraus) for c in self.channels]
+        out = _apply_product_channel_matrix(sups, sigma, dims)
         return DensityMatrix(self.precursor.shape, out, symmetrize=True)
 
 
@@ -72,7 +74,10 @@ class SearchResult:
     trace_distance: float
     restarts_run: int
     master_seed: int
-    per_restart_log: tuple   # (seed, final objective, iterations) per restart
+    # (seed, final objective, len(trace)) per restart; the trace holds the
+    # initial objective plus n + 1 entries per iteration (precursor move,
+    # then one per party), so len(trace) = 1 + iters * (n + 1)
+    per_restart_log: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,62 +107,51 @@ def precursor_optimal_for_channels(channels, target):
         if c.dim != dims[k]:
             raise InvariantError(f"channel {k} dimension mismatch")
     h = apply_adjoint_product_channel(channels, target.entries, dims)
+    return _top_eigenstate(target.shape, h)
+
+
+def _top_eigenstate(shape, h):
+    """Normalized top eigenvector of the Hermitian part of h."""
     h = (h + h.conj().T) / 2
-    w, v = deterministic_eigh(h)
+    _, v = deterministic_eigh(h)
     top = v[:, -1]
-    return PureState(target.shape, top / np.linalg.norm(top))
+    return PureState(shape, top / np.linalg.norm(top))
 
 
-def _objective(channels, sigma, rho_mat, dims):
-    out = _apply_product_channel_matrix(channels, sigma, dims)
-    return float(np.linalg.norm(out - rho_mat) ** 2), out
+def _objective(x, rho_mat):
+    return float(np.linalg.norm(x - rho_mat) ** 2)
 
 
-def _party_gradient(channels, sigma, rho_mat, dims, k):
+def _party_gradient(d_mat, y, kraus, dims, k):
     """Gradient of the objective wrt the Kraus stack of party k.
 
     With Y the other parties' channels applied to sigma, X the full output
-    and D = X - rho:  G_m = Tr_{others}[ D K~_m Y ], K~_m the embedding of
-    K_m on party k.  Derived from d||X - rho||^2 = 2 Re Tr[D dX].
+    and D = X - rho:  G_m = 2 Tr_{others}[ D K~_m Y ], K~_m the embedding of
+    K_m on party k.  Derived from d||X - rho||^2 = 2 Re Tr[D dX].  The
+    partial trace is taken first: T[a,c,c',b] = Tr_{others} over
+    D[(.a.),(.c.)] Y[(.c'.),(.b.)], then G_m[a,b] = 2 sum K_m[c,c'] T[a,c,c',b].
     """
-    n = len(dims)
-    y = _apply_product_channel_matrix(channels, sigma, dims, skip=k)
-    x = _apply_one_party(channels[k], y, dims, k)
-    d_mat = x - rho_mat
-    left = int(np.prod(dims[:k]))
-    right = int(np.prod(dims[k + 1:]))
-    dk = dims[k]
-    grads = np.empty_like(channels[k].kraus)
-    for m in range(channels[k].env_dim):
-        emb = np.kron(np.kron(np.eye(left), channels[k].kraus[m]), np.eye(right))
-        prod = d_mat @ emb @ y
-        t = prod.reshape(left, dk, right, left, dk, right)
-        grads[m] = 2 * np.einsum("iajibj->ab", t)
-    return grads, x, d_mat
-
-
-def _apply_one_party(channel, mat, dims, k):
-    """Apply one local channel on party k of a raw matrix."""
-    n = len(dims)
-    t = np.asarray(mat, dtype=complex).reshape(dims + tuple(dims))
-    t = _apply_local(t, k, channel.kraus, n)
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
+    d = dims[k]
+    shape = (math.prod(dims[:k]), d, math.prod(dims[k + 1:]))
+    shape = shape + shape
+    # D axes (i, a, j, p, c, q) against Y axes (p, c', q, i, b, j)
+    t = np.tensordot(d_mat.reshape(shape), y.reshape(shape),
+                     axes=([0, 2, 3, 5], [3, 5, 0, 2]))
+    return 2 * np.einsum("acdb,mcd->mab", t, kraus)
 
 
 def _polar_retract(v):
-    """Nearest isometry in Frobenius norm: U W^dag from the thin SVD."""
+    """Nearest isometry in Frobenius norm: U W^dag from the thin SVD.
+
+    The result is checked like a LocalChannel's Kraus stack: V^dag V = I
+    to COMPLETENESS_ATOL, written so that NaN fails too.
+    """
     u, _, wh = np.linalg.svd(v, full_matrices=False)
-    return u @ wh
-
-
-def _isometry_of(channel):
-    e, d, _ = channel.kraus.shape
-    return channel.kraus.reshape(e * d, d)
-
-
-def _channel_of(v, d, e):
-    return LocalChannel(d, v.reshape(e, d, d))
+    iso = u @ wh
+    resid = np.max(np.abs(iso.conj().T @ iso - np.eye(iso.shape[1])))
+    if not resid <= COMPLETENESS_ATOL:
+        raise InvariantError("Kraus operators do not sum to the identity")
+    return iso
 
 
 def _random_configuration(target, env_dims, rng):
@@ -192,13 +186,19 @@ def _run_restart(target, config, env_dims, max_iters, tol):
     non-increasing: a precursor move is kept only if it does not increase
     the objective, and channel moves halve the step until non-increase
     (step underflow below 1e-8 ends the restart).
+
+    The loop works on raw Kraus stacks and their Liouville matrices.  For
+    each party k the other parties' part Y_k of the output is computed
+    once; the gradient and every trial step reuse it, so a trial costs one
+    retraction and one single-party kernel call.
     """
     dims = target.shape.local_dims
     rho_mat = target.entries
-    channels = list(config.channels)
+    kraus = [c.kraus for c in config.channels]
+    sups = [liouville(kr) for kr in kraus]
     phi = config.precursor
     sigma = np.outer(phi.amplitudes, phi.amplitudes.conj())
-    obj, _ = _objective(channels, sigma, rho_mat, dims)
+    obj = _objective(_apply_product_channel_matrix(sups, sigma, dims), rho_mat)
     trace = [obj]
     step = INITIAL_STEP
     for _ in range(max_iters):
@@ -206,27 +206,29 @@ def _run_restart(target, config, env_dims, max_iters, tol):
 
         # precursor move (guarded: the eigenvector maximizes only the
         # overlap term, so accept it only when the full objective drops)
-        cand = precursor_optimal_for_channels(channels, target)
+        h = _apply_product_channel_matrix([s.conj().T for s in sups],
+                                          rho_mat, dims)
+        cand = _top_eigenstate(target.shape, h)
         cand_sigma = np.outer(cand.amplitudes, cand.amplitudes.conj())
-        cand_obj, _ = _objective(channels, cand_sigma, rho_mat, dims)
+        cand_obj = _objective(
+            _apply_product_channel_matrix(sups, cand_sigma, dims), rho_mat)
         if cand_obj <= obj:
             phi, sigma, obj = cand, cand_sigma, cand_obj
         trace.append(obj)
 
         # channel moves, one party at a time
         dead = False
-        for k in range(len(dims)):
-            grads, _, _ = _party_gradient(channels, sigma, rho_mat, dims, k)
-            d, e = channels[k].dim, channels[k].env_dim
-            g = grads.reshape(e * d, d)
-            v0 = _isometry_of(channels[k])
+        for k, d in enumerate(dims):
+            y = _apply_product_channel_matrix(sups, sigma, dims, skip=k)
+            x = _apply_local(y, sups[k], dims, k)
+            g = _party_gradient(x - rho_mat, y, kraus[k], dims, k).reshape(-1, d)
+            v0 = kraus[k].reshape(-1, d)
             while True:
-                cand_ch = _channel_of(_polar_retract(v0 - step * g), d, e)
-                trial = channels.copy()
-                trial[k] = cand_ch
-                t_obj, _ = _objective(trial, sigma, rho_mat, dims)
+                cand_k = _polar_retract(v0 - step * g).reshape(kraus[k].shape)
+                cand_s = liouville(cand_k)
+                t_obj = _objective(_apply_local(y, cand_s, dims, k), rho_mat)
                 if t_obj <= obj + 1e-15:
-                    channels, obj = trial, min(obj, t_obj)
+                    kraus[k], sups[k], obj = cand_k, cand_s, min(obj, t_obj)
                     # accepted: let the step recover so progress stays fast
                     step = min(step * STEP_GROWTH, STEP_CAP)
                     break
@@ -241,7 +243,8 @@ def _run_restart(target, config, env_dims, max_iters, tol):
             break
         if prev - obj < tol:
             break
-    return LCConfiguration(phi, tuple(channels)), trace
+    channels = tuple(LocalChannel(d, kr) for d, kr in zip(dims, kraus))
+    return LCConfiguration(phi, channels), trace
 
 
 def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
@@ -250,10 +253,14 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
 
     Restart 0 always starts from the identity-like configuration (precursor
     = top eigenvector of the target, identity channels padded to env_dims),
-    so pure and near-pure targets converge immediately.  Remaining restarts
-    draw seeded Haar-random configurations; per-restart seeds derive from
-    the master seed, making the result schedule-independent.  The best
-    restart wins, ties broken by lowest index.
+    so pure targets converge immediately.  For mixed targets that start is
+    stationary: the output is quadratic in each Kraus operator, so the
+    zero-padded ones get zero gradient, and restart 0 typically stops after
+    one iteration at the objective of the top-eigenvector precursor.
+    Remaining restarts draw seeded Haar-random configurations; per-restart
+    seeds derive from the master seed, making the result
+    schedule-independent.  The best restart wins, ties broken by lowest
+    index.
     """
     dims = target.shape.local_dims
     if env_dims is None:

@@ -47,7 +47,10 @@ class SystemShape:
 
 
 def _as_complex(a):
-    return np.ascontiguousarray(np.asarray(a, dtype=complex))
+    out = np.ascontiguousarray(np.asarray(a, dtype=complex))
+    if not np.isfinite(out).all():
+        raise InvariantError("entries must be finite")
+    return out
 
 
 @dataclass(frozen=True, eq=False)

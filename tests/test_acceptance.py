@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The two search-based
-criteria (5 and 6) dominate the runtime (a few minutes total).
+criteria (5 and 6) dominate the runtime (under a minute total).
 """
 
 import json

@@ -8,6 +8,7 @@ from lcstates import (DensityMatrix, EnvironmentGram, InvariantError,
                       environment_gram_from_channel, ghz_state,
                       identity_channel, parameter_counts, partial_trace,
                       random_local_channel, standard_noise)
+from lcstates.channels import apply_adjoint_product_channel
 from conftest import random_density, random_pure, random_unitary
 
 
@@ -21,6 +22,12 @@ class TestLocalChannel:
     def test_env_dim_cap(self):
         with pytest.raises(InvariantError):
             LocalChannel(2, np.zeros((5, 2, 2)))
+
+    def test_non_finite_rejected(self):
+        bad = np.stack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(InvariantError, match="finite"):
+            LocalChannel(2, bad)
 
     def test_unitary_preserves_purity(self, rng):
         for seed in range(20):
@@ -119,6 +126,64 @@ class TestApplyProductChannel:
     def test_wrong_channel_count(self):
         with pytest.raises(InvariantError):
             apply_product_channel([identity_channel(2)], ghz_state().density())
+
+
+KERNEL_SHAPES = ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3))
+
+
+def _embedded_kraus(kraus, dims, k):
+    """Kraus operators of channel k as explicit D x D Kronecker products."""
+    left = np.eye(int(np.prod(dims[:k])))
+    right = np.eye(int(np.prod(dims[k + 1:])))
+    return [np.kron(np.kron(left, km), right) for km in kraus]
+
+
+def _kron_reference(channels, mat, dims, adjoint=False):
+    out = mat
+    for k, c in enumerate(channels):
+        ops = _embedded_kraus(c.kraus, dims, k)
+        if adjoint:
+            out = sum(op.conj().T @ out @ op for op in ops)
+        else:
+            out = sum(op @ out @ op.conj().T for op in ops)
+    return out
+
+
+def _kernel_cases(seed):
+    """(dims, channels) at every kernel shape with e in {1, d, d^2}."""
+    for dims in KERNEL_SHAPES:
+        d = dims[0]
+        for e in (1, d, d * d):
+            chans = [random_local_channel(d, e, seed + 10 * k + e)
+                     for k in range(len(dims))]
+            yield dims, chans
+
+
+class TestKernel:
+    def test_forward_matches_kronecker_reference(self, rng):
+        for dims, chans in _kernel_cases(100):
+            rho = random_density(SystemShape(dims), rng)
+            got = apply_product_channel(chans, rho).entries
+            ref = _kron_reference(chans, rho.entries, dims)
+            assert np.max(np.abs(got - ref)) < 1e-12, dims
+
+    def test_adjoint_matches_kronecker_reference(self, rng):
+        for dims, chans in _kernel_cases(200):
+            d = int(np.prod(dims))
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            got = apply_adjoint_product_channel(chans, x, dims)
+            ref = _kron_reference(chans, x, dims, adjoint=True)
+            assert np.max(np.abs(got - ref)) < 1e-12, dims
+
+    def test_trace_duality(self, rng):
+        for dims, chans in _kernel_cases(300):
+            shape = SystemShape(dims)
+            rho = random_density(shape, rng)
+            sig = random_density(shape, rng)
+            lhs = np.trace(rho.entries @ apply_product_channel(chans, sig).entries)
+            rhs = np.trace(apply_adjoint_product_channel(chans, rho.entries, dims)
+                           @ sig.entries)
+            assert abs(lhs - rhs) < 1e-12, dims
 
 
 class TestAdjoint:

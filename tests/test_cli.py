@@ -127,6 +127,38 @@ class TestCli:
         assert code == 0
         assert report["outputs"]["trace_distance"] <= 1e-8
 
+    def test_nan_state_is_validation_failure(self, tmp_path):
+        f = tmp_path / "nan.json"
+        data = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
+        data[3][0] = float("nan")
+        f.write_text(json.dumps({"shape": [2, 2, 2], "kind": "pure",
+                                 "data": data}))
+        code, report = self._run("classify", "--in", str(f))
+        assert code == 2
+        assert report is None
+
+    @pytest.mark.parametrize("opts", [
+        {"restarts": "3"},
+        {"restarts": True},
+        {"max_iters": 2.5},
+        {"master_seed": -1},
+        {"tol": float("nan")},
+        {"tol": "1e-9"},
+        {"env_dims": 4},
+        {"env_dims": [4, 4, "4"]},
+        {"restart": 3},
+        [1, 2],
+    ])
+    def test_bad_search_config_is_validation_failure(self, tmp_path, opts):
+        tf = str(tmp_path / "ghz.json")
+        serialize.save_state(ghz_state().density(), tf)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(opts))
+        code, report = self._run("lc-search", "--target", tf,
+                                 "--config", str(cfg))
+        assert code == 2
+        assert report is None
+
     def test_reports_reproducible(self, tmp_path):
         f = str(tmp_path / "bell.json")
         serialize.save_state(max_entangled(2).density(), f)

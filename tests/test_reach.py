@@ -7,8 +7,10 @@ from lcstates import (DensityMatrix, InvariantError, SystemShape,
                       lc_distance_search, lccc_obstruction_check,
                       max_entangled, precursor_optimal_for_channels,
                       random_local_channel, tensor_product, z_mixture)
+from lcstates.channels import _apply_local, _apply_product_channel_matrix, liouville
 from lcstates.reach import (LCConfiguration, _identity_configuration,
-                            _run_restart, NOT_LCCC, LCCC_BIPARTITE, UNKNOWN)
+                            _party_gradient, _run_restart, NOT_LCCC,
+                            LCCC_BIPARTITE, UNKNOWN)
 from lcstates.slocc import classify_three_qubit
 from conftest import random_density, random_pure
 
@@ -48,6 +50,35 @@ class TestPrecursorStep:
                                            z_mixture(0.5))
 
 
+class TestPartyGradient:
+    def _objective(self, kraus, k, y, rho, dims):
+        x = _apply_local(y, liouville(kraus), dims, k)
+        return np.linalg.norm(x - rho) ** 2
+
+    def test_finite_difference(self, rng):
+        # d f(K + eps E)/d eps = 2 Re sum_m <E_m, G_m> for any complex E
+        for dims in ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3)):
+            shape = SystemShape(dims)
+            d = dims[0]
+            chans = [random_local_channel(d, d, 7 * j + len(dims))
+                     for j in range(len(dims))]
+            sups = [liouville(c.kraus) for c in chans]
+            sigma = random_pure(shape, rng).density().entries
+            rho = random_density(shape, rng).entries
+            for k in range(len(dims)):
+                y = _apply_product_channel_matrix(sups, sigma, dims, skip=k)
+                kraus = chans[k].kraus
+                x = _apply_local(y, sups[k], dims, k)
+                g = _party_gradient(x - rho, y, kraus, dims, k)
+                e = rng.standard_normal(kraus.shape) \
+                    + 1j * rng.standard_normal(kraus.shape)
+                eps = 1e-6
+                fd = (self._objective(kraus + eps * e, k, y, rho, dims)
+                      - self._objective(kraus - eps * e, k, y, rho, dims)) / (2 * eps)
+                analytic = 2 * np.real(np.vdot(e, g))
+                assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(analytic)), (dims, k)
+
+
 class TestSearch:
     def test_pure_target_converges_instantly(self):
         res = lc_distance_search(ghz_state().density(), restarts=1,
@@ -71,6 +102,18 @@ class TestSearch:
                                master_seed=42)
         assert a.per_restart_log == b.per_restart_log
         assert a.trace_distance == b.trace_distance
+
+    def test_seeded_search_pinned(self):
+        # per-restart results of a seeded search; the kernel and loop may
+        # only move them at rounding level
+        res = lc_distance_search(noisy_ghz(), restarts=4, max_iters=40,
+                                 master_seed=2026)
+        finals = [obj for _, obj, _ in res.per_restart_log]
+        lengths = [n for _, _, n in res.per_restart_log]
+        assert finals == pytest.approx(
+            [0.10680000000000014, 0.00015934657013000922,
+             0.007153319732124939, 6.521818569649346e-06], rel=1e-8)
+        assert lengths == [5, 161, 161, 161]
 
     def test_objective_monotone_within_restart(self):
         target = noisy_ghz()

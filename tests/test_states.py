@@ -32,6 +32,14 @@ class TestInvariants:
         with pytest.raises(InvariantError):
             DensityMatrix(Q1, np.eye(2))                             # trace 2
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(InvariantError, match="finite"):
+            PureState(Q1, np.array([np.nan, 0.0]))
+        with pytest.raises(InvariantError, match="finite"):
+            PureState(Q1, np.array([np.inf, 0.0]))
+        with pytest.raises(InvariantError, match="finite"):
+            DensityMatrix(Q1, np.full((2, 2), np.nan))
+
     def test_states_immutable(self):
         psi = ghz_state()
         with pytest.raises(ValueError):
