@@ -11,14 +11,28 @@ get anywhere near the target, while a genuinely noisy GHZ state (a
 positive control) is matched to high precision.
 """
 
-from lcstates import (apply_product_channel, dephasing_channel, ghz_state,
-                      identity_channel, lc_distance_search,
+import numpy as np
+
+from lcstates import (DensityMatrix, apply_product_channel, dephasing_channel,
+                      ghz_state, identity_channel, lc_distance_search,
                       lccc_obstruction_check, z_mixture)
+from lcstates.channels import haar_isometry
 
 rho = z_mixture(0.5)
 cert = lccc_obstruction_check(rho)
 print("verdict:", cert.verdict)
 print("eigenvector classes:", sorted(c.label for c in cert.classes))
+
+# the same state in another local frame: a local unitary changes no
+# entanglement class, so the certificate must not change either
+rng = np.random.default_rng(0)
+ua, ub, uc = (haar_isometry(2, 2, rng) for _ in range(3))
+u = np.kron(np.kron(ua, ub), uc)
+rotated = DensityMatrix(rho.shape, u @ rho.entries @ u.conj().T,
+                        symmetrize=True)
+cert = lccc_obstruction_check(rotated)
+print("locally rotated copy:", cert.verdict,
+      sorted(c.label for c in cert.classes))
 
 print("\nsearch residuals (trace distance):")
 res = lc_distance_search(rho, restarts=4, max_iters=1500, master_seed=0)

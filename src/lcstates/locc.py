@@ -9,6 +9,7 @@ announces it, and both parties steer the maximally entangled precursor to
 the sampled pure state).
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,49 +250,30 @@ def build_synthesis_plan(rho):
     return SynthesisPlan(ensemble=ens, protocols=protocols, target=rho)
 
 
-_CHUNK = 1 << 14
-
-
 def simulate_synthesis(plan, n_samples, seed):
     """Monte-Carlo run of the synthesis protocol.
 
-    Draws the shared random variable mu ~ p_mu and Alice's measurement
-    outcome for each shot, accumulates the empirical mixture of corrected
-    output states, and reports its trace distance to the target.  Sampling
-    is chunked with per-chunk seeds derived from the master seed, so serial
-    and parallel schedules give identical results.
+    Every shot draws the shared random variable mu ~ p_mu and one of
+    Alice's k_mu equiprobable measurement outcomes, so the shot counts per
+    (mu, outcome) pair are one multinomial draw of n_samples over the
+    probabilities p_mu / k_mu from ``default_rng(seed)``.  The empirical
+    state is the count-weighted mixture of the corrected outcome states;
+    its cost grows with the number of outcomes, not with n_samples.
+    Returns the empirical state and its trace distance to the target.
     """
-    probs = plan.ensemble.probabilities
-    n_el = len(probs)
-    d_out = plan.target.shape.total_dim
-    # corrected output states per (element, outcome); outcome-independent
-    # in exact arithmetic but accumulated per outcome anyway
-    outcome_states = []
-    for proto in plan.protocols:
-        outcome_states.append([proto.outcome_state(m)[1].amplitudes
-                               for m in range(proto.n_outcomes)])
-
-    counts = [np.zeros(len(states), dtype=np.int64) for states in outcome_states]
-    ss = np.random.SeedSequence(seed)
-    n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
-    children = ss.spawn(n_chunks)
-    done = 0
-    for c in range(n_chunks):
-        size = min(_CHUNK, n_samples - done)
-        done += size
-        rng = np.random.default_rng(children[c])
-        mus = rng.choice(n_el, size=size, p=probs)
-        outs = rng.random(size)
-        for mu in range(n_el):
-            k = len(outcome_states[mu])
-            sel = outs[mus == mu]
-            counts[mu] += np.bincount((sel * k).astype(np.int64), minlength=k)
-
-    emp = np.zeros((d_out, d_out), dtype=complex)
-    for mu in range(n_el):
-        for m, amp in enumerate(outcome_states[mu]):
-            if counts[mu][m]:
-                emp += (counts[mu][m] / n_samples) * np.outer(amp, amp.conj())
+    if (not isinstance(n_samples, numbers.Integral) or isinstance(n_samples, bool)
+            or not 1 <= n_samples <= np.iinfo(np.int64).max):
+        raise InvariantError(f"sample count must be an integer in [1, 2^63), got {n_samples!r}")
+    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
+            or seed < 0):
+        raise InvariantError(f"seed must be a non-negative integer, got {seed!r}")
+    amps = np.array([proto.outcome_state(m)[1].amplitudes
+                     for proto in plan.protocols for m in range(proto.n_outcomes)])
+    probs = np.concatenate([np.full(proto.n_outcomes, p / proto.n_outcomes)
+                            for p, proto in zip(plan.ensemble.probabilities,
+                                                plan.protocols)])
+    counts = np.random.default_rng(seed).multinomial(n_samples, probs)
+    emp = (amps.T * (counts / n_samples)) @ amps.conj()
     empirical = DensityMatrix(plan.target.shape, emp, symmetrize=True)
     return empirical, distance("trace", empirical, plan.target)
 

@@ -29,7 +29,8 @@ from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
                        apply_adjoint_product_channel, haar_isometry,
                        identity_channel, liouville)
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
-from .slocc import GHZ_CLASS, W_CLASS, classify_three_qubit
+from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
+                    hyperdeterminant)
 from .states import (DensityMatrix, InvariantError, PureState, RANK_TOL,
                      deterministic_eigh, distance)
 
@@ -303,7 +304,6 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
 
 
 DEGENERACY_BAND = 1e-9
-_GRID_STEPS = 8   # 8 x 8 rotations of a degenerate eigenspace
 
 
 def _try_basis(rho, p, psi_a, psi_b):
@@ -326,8 +326,11 @@ def lccc_obstruction_check(rho):
     Bipartite targets are always producible (synthesis plan attached).
     A rank-2 three-qubit target whose spectral decomposition mixes one
     W-class and one GHZ-class state cannot be produced even with classical
-    communication; for a degenerate (p = 1/2) spectrum a fixed 64-point
-    grid of eigenspace bases is scanned for that pattern.  Everything else
+    communication.  For a degenerate (p = 1/2) spectrum every orthonormal
+    basis of the eigenspace is a decomposition; the W-class candidates are
+    the zero-tangle directions, the exact roots of the binary quartic
+    Hdet(x va + y vb), and each is tried with its orthogonal complement, so
+    the verdict does not depend on a local-unitary frame.  Everything else
     is Unknown - never an error.
     """
     if rho.shape.n_parties == 2:
@@ -346,19 +349,24 @@ def lccc_obstruction_check(rho):
             return cert
         return Certificate(verdict=UNKNOWN, reason="argument inapplicable")
 
-    # degenerate spectrum: any orthonormal basis of the eigenspace is a
-    # valid decomposition; scan a fixed rotation grid for a W/GHZ pair
+    # degenerate spectrum: every orthonormal basis of the eigenspace is a
+    # decomposition.  Hdet is homogeneous of degree 4, so f(t) = Hdet(va + t vb)
+    # is a quartic whose coefficients are the DFT of its values at the fifth
+    # roots of unity, over 5.  Each root t gives u1 = va + t vb and its in-span
+    # complement u2 = -conj(t) va + vb; a vanishing Hdet(vb) is the root at
+    # infinity, tried as u1 = vb rather than as a huge finite root.
     va, vb = psi_a.amplitudes, psi_b.amplitudes
-    thetas = np.linspace(0.0, np.pi / 2, _GRID_STEPS, endpoint=False)
-    phis = np.linspace(0.0, 2 * np.pi, _GRID_STEPS, endpoint=False)
-    for th in thetas:
-        for ph in phis:
-            c, s = np.cos(th), np.sin(th) * np.exp(1j * ph)
-            u1 = c * va + s * vb
-            u2 = -np.conj(s) * va + c * vb
-            cert = _try_basis(rho, 0.5,
-                              PureState(rho.shape, u1 / np.linalg.norm(u1)),
-                              PureState(rho.shape, u2 / np.linalg.norm(u2)))
-            if cert is not None:
-                return cert
+    omega = np.exp(2j * np.pi * np.arange(5) / 5)
+    coeffs = np.fft.fft([hyperdeterminant(va + w * vb) for w in omega]) / 5
+    pairs = []
+    if 4 * abs(coeffs[4]) <= TANGLE_TOL:
+        pairs, coeffs = [(vb, va)], coeffs[:4]
+    pairs += [(va + t * vb, -np.conj(t) * va + vb)
+              for t in np.roots(coeffs[::-1])]
+    for u1, u2 in pairs:
+        cert = _try_basis(rho, 0.5,
+                          PureState(rho.shape, u1 / np.linalg.norm(u1)),
+                          PureState(rho.shape, u2 / np.linalg.norm(u2)))
+        if cert is not None:
+            return cert
     return Certificate(verdict=UNKNOWN, reason="argument inapplicable")

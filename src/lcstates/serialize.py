@@ -138,8 +138,9 @@ def search_result_to_dict(result):
             "restarts_run": result.restarts_run,
             "master_seed": result.master_seed,
             "per_restart_log": [
-                {"seed": int(s), "final_objective": float(o), "iterations": int(i)}
-                for s, o, i in result.per_restart_log]}
+                {"seed": int(s), "final_objective": float(o),
+                 "trace_length": int(n)}
+                for s, o, n in result.per_restart_log]}
 
 
 def certificate_to_dict(cert):

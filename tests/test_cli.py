@@ -109,6 +109,18 @@ class TestCli:
         assert code == 0
         assert report["outputs"]["report"]["trace_distance"] <= 1e-9
 
+    @pytest.mark.parametrize("flag,value", [("--samples", "0"),
+                                            ("--samples", "-5"),
+                                            ("--samples", str(2 ** 63)),
+                                            ("--seed", "-1")])
+    def test_bad_synthesize_numbers_are_validation_failure(self, tmp_path,
+                                                          flag, value):
+        f = str(tmp_path / "bell.json")
+        serialize.save_state(max_entangled(2).density(), f)
+        code, report = self._run("synthesize", "--target", f, flag, value)
+        assert code == 2
+        assert report is None
+
     def test_obstruct(self, tmp_path):
         f = str(tmp_path / "z.json")
         self._run("state", "--kind", "z", "--p", "0.3", "--out", f)
@@ -126,6 +138,22 @@ class TestCli:
         code, report = self._run("lc-search", "--target", tf, "--config", cfg)
         assert code == 0
         assert report["outputs"]["trace_distance"] <= 1e-8
+
+    def test_lc_search_reports_trace_length(self, tmp_path):
+        # the initial objective plus n + 1 entries per completed iteration
+        tf = str(tmp_path / "z.json")
+        self._run("state", "--kind", "z", "--p", "0.3", "--out", tf)
+        cfg = str(tmp_path / "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"restarts": 2, "max_iters": 3, "master_seed": 1,
+                       "tol": 0.0}, fh)
+        code, report = self._run("lc-search", "--target", tf, "--config", cfg)
+        assert code == 0
+        log = report["outputs"]["per_restart_log"]
+        assert len(log) == 2
+        for entry in log:
+            assert set(entry) == {"seed", "final_objective", "trace_length"}
+        assert log[1]["trace_length"] == 1 + 3 * 4   # random start, 3 iterations
 
     def test_nan_state_is_validation_failure(self, tmp_path):
         f = tmp_path / "nan.json"

@@ -155,17 +155,46 @@ class TestSynthesis:
     def test_simulation_deterministic(self, rng):
         rho = random_density(SystemShape((2, 2)), rng)
         plan = build_synthesis_plan(rho)
-        _, td1 = simulate_synthesis(plan, 30000, 99)
-        _, td2 = simulate_synthesis(plan, 30000, 99)
+        emp1, td1 = simulate_synthesis(plan, 30000, 99)
+        emp2, td2 = simulate_synthesis(plan, 30000, 99)
         assert td1 == td2
+        assert np.array_equal(emp1.entries, emp2.entries)
 
     def test_chunking_invariant(self, rng):
-        # one draw count straddling several chunks equals the same run again
+        # a large, odd draw count gives the same empirical state again, bit
+        # for bit, now that the counts come from one multinomial draw
         rho = random_density(SystemShape((2, 2)), rng)
         plan = build_synthesis_plan(rho)
         emp1, _ = simulate_synthesis(plan, (1 << 14) + 17, 3)
         emp2, _ = simulate_synthesis(plan, (1 << 14) + 17, 3)
         assert np.array_equal(emp1.entries, emp2.entries)
+
+    def test_counts_are_one_multinomial_draw(self, rng):
+        # the empirical state is the count-weighted mixture of the corrected
+        # outcome states, with counts from one multinomial draw
+        rho = random_density(SystemShape((2, 3)), rng)
+        plan = build_synthesis_plan(rho)
+        emp, _ = simulate_synthesis(plan, 5000, 17)
+        states, probs = [], []
+        for p, proto in zip(plan.ensemble.probabilities, plan.protocols):
+            for m in range(proto.n_outcomes):
+                states.append(proto.outcome_state(m)[1].density().entries)
+                probs.append(p / proto.n_outcomes)
+        counts = np.random.default_rng(17).multinomial(5000, probs)
+        expected = sum(c / 5000 * s for c, s in zip(counts, states))
+        assert np.max(np.abs(emp.entries - expected)) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, -5, 2 ** 63, 2.5, True, "100"])
+    def test_bad_sample_count_rejected(self, n):
+        plan = build_synthesis_plan(max_entangled(2).density())
+        with pytest.raises(InvariantError):
+            simulate_synthesis(plan, n, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_bad_seed_rejected(self, seed):
+        plan = build_synthesis_plan(max_entangled(2).density())
+        with pytest.raises(InvariantError):
+            simulate_synthesis(plan, 100, seed)
 
     def test_not_bipartite(self):
         with pytest.raises(InvariantError):

@@ -12,9 +12,15 @@ from lcstates.reach import (LCConfiguration, _identity_configuration,
                             _party_gradient, _run_restart, NOT_LCCC,
                             LCCC_BIPARTITE, UNKNOWN)
 from lcstates.slocc import classify_three_qubit
-from conftest import random_density, random_pure
+from conftest import random_density, random_pure, random_unitary
 
 Q3 = SystemShape((2, 2, 2))
+
+
+def tensor_unitary(rng):
+    """A random local unitary U_A (x) U_B (x) U_C on three qubits."""
+    a, b, c = (random_unitary(2, rng) for _ in range(3))
+    return np.kron(np.kron(a, b), c)
 
 
 def noisy_ghz():
@@ -156,6 +162,38 @@ class TestObstruction:
             relabeled = {classify_three_qubit(psi_a).label,
                          classify_three_qubit(psi_b).label}
             assert relabeled == {"W", "GHZ"}
+
+    def test_verdict_invariant_under_local_unitaries(self):
+        # SLOCC classes, hence the certificate, ignore local unitaries; the
+        # degenerate p = 1/2 eigenspace is then an arbitrary basis of span{W, GHZ}
+        rng = np.random.default_rng(33)
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for _ in range(20):
+                u = tensor_unitary(rng)
+                rho = DensityMatrix(Q3, u @ z_mixture(p).entries @ u.conj().T,
+                                    symmetrize=True)
+                cert = lccc_obstruction_check(rho)
+                assert cert.verdict == NOT_LCCC, p
+                assert {c.label for c in cert.classes} == {"W", "GHZ"}
+                q, psi_a, psi_b = cert.decomposition
+                assert abs(psi_a.overlap(psi_b)) <= 1e-9
+                recon = q * psi_a.density().entries + (1 - q) * psi_b.density().entries
+                assert np.max(np.abs(recon - rho.entries)) < 1e-9
+
+    def test_ghz_plus_minus_mixture_unknown(self):
+        # span{GHZ+, GHZ-} = span{|000>, |111>}: the quartic's roots are the
+        # two product states, so no W-class direction exists
+        g = ghz_state().amplitudes
+        gm = g * np.array([1, 0, 0, 0, 0, 0, 0, -1])
+        mix = DensityMatrix(Q3, 0.5 * np.outer(g, g.conj())
+                            + 0.5 * np.outer(gm, gm.conj()))
+        assert lccc_obstruction_check(mix).verdict == UNKNOWN
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            u = tensor_unitary(rng)
+            rotated = DensityMatrix(Q3, u @ mix.entries @ u.conj().T,
+                                    symmetrize=True)
+            assert lccc_obstruction_check(rotated).verdict == UNKNOWN
 
     def test_bipartite_always_lccc(self, rng):
         for _ in range(10):
