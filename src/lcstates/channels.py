@@ -142,16 +142,30 @@ def environment_gram_from_channel(c):
 
 
 def liouville(kraus):
-    """Liouville matrix S = sum_m K_m (x) conj(K_m) of a (e, d, d) Kraus stack.
+    """Liouville matrix S = sum_m K_m (x) conj(K_m) of a (..., e, d, d) Kraus stack.
 
     With operators flattened row-major, vec(sum_m K_m X K_m^dag) = S vec(X),
     so S[(i,k),(j,l)] = sum_m K_m[i,j] conj(K_m[k,l]).  The adjoint map
-    X -> sum_m K_m^dag X K_m has Liouville matrix S^H.
+    X -> sum_m K_m^dag X K_m has Liouville matrix S^H.  Leading axes are a
+    batch: one S per stack.
     """
-    e, d, _ = kraus.shape
-    a = kraus.transpose(1, 2, 0).reshape(d * d, e)      # [(i, j), m]
-    s = a @ a.conj().T                                   # [(i, j), (k, l)]
-    return s.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    *batch, e, d, _ = kraus.shape
+    a = np.moveaxis(kraus, -3, -1).reshape(*batch, d * d, e)    # [(i, j), m]
+    s = (a @ np.swapaxes(a.conj(), -1, -2)).reshape(*batch, d, d, d, d)
+    return np.swapaxes(s, -3, -2).reshape(*batch, d * d, d * d)
+
+
+def _permute(t, order):
+    """Permute the trailing len(order) axes of t; leading batch axes stay."""
+    nb = t.ndim - len(order)
+    return t.transpose(*range(nb), *(nb + a for a in order))
+
+
+def _local_view(mat, dims, k):
+    """A (..., D, D) operator viewed as (..., L, d, R, L, d, R) around party k."""
+    d = dims[k]
+    left, right = math.prod(dims[:k]), math.prod(dims[k + 1:])
+    return mat.reshape(*mat.shape[:-2], left, d, right, left, d, right)
 
 
 def _apply_local(mat, s, dims, k):
@@ -159,22 +173,23 @@ def _apply_local(mat, s, dims, k):
 
     The operator is viewed as (L, d, R, L, d, R), with L and R the
     dimensions of the parties before and after k; a single matmul
-    contracts the (row_k, col_k) axis pair with s.
+    contracts the (row_k, col_k) axis pair with s.  Leading axes of mat
+    and s are a batch (broadcast against each other): element b gets the
+    same arithmetic as the unbatched call on mat[b] and s[b].
     """
-    d = dims[k]
-    left, right = math.prod(dims[:k]), math.prod(dims[k + 1:])
-    big = left * d * right
-    t = mat.reshape(left, d, right, left, d, right).transpose(1, 4, 0, 2, 3, 5)
-    t = s @ t.reshape(d * d, -1)
-    t = t.reshape(d, d, left, right, left, right).transpose(2, 0, 3, 4, 1, 5)
-    return t.reshape(big, big)
+    t = _local_view(mat, dims, k)
+    left, d, right = t.shape[-3:]
+    t = s @ _permute(t, (1, 4, 0, 2, 3, 5)).reshape(*t.shape[:-6], d * d, -1)
+    t = t.reshape(*t.shape[:-2], d, d, left, right, left, right)
+    return _permute(t, (2, 0, 3, 4, 1, 5)).reshape(*t.shape[:-6], *mat.shape[-2:])
 
 
 def _apply_product_channel_matrix(sups, mat, dims, skip=None):
     """Apply one Liouville matrix per party to a raw D x D matrix.
 
     Party `skip`, if given, is left untouched (the search uses this for
-    the other parties' part of the output).
+    the other parties' part of the output).  mat and the Liouville
+    matrices may carry a leading batch axis, as in `_apply_local`.
     """
     for k, s in enumerate(sups):
         if k != skip:

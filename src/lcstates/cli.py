@@ -3,7 +3,8 @@
 Every invocation prints a single JSON report on standard output:
 {"command", "inputs", "outputs", "seed", "elapsed_ms"}.  Diagnostics go to
 standard error.  Exit codes: 0 success, 1 unknown command, 2 input
-validation failure, 3 unsupported request.  Given identical inputs and
+validation failure (a failed linear-algebra routine included), 3
+unsupported request.  Given identical inputs and
 seed the outputs are byte-identical across runs (elapsed_ms aside).
 """
 
@@ -12,6 +13,8 @@ import json
 import math
 import sys
 import time
+
+import numpy as np
 
 from . import reach, serialize
 from .channels import apply_product_channel, parameter_counts
@@ -207,7 +210,8 @@ def run_command(argv):
     except UnsupportedError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED, None
-    except (InvariantError, OSError, json.JSONDecodeError) as exc:
+    except (InvariantError, OSError, json.JSONDecodeError,
+            np.linalg.LinAlgError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID, None
 

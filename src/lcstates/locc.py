@@ -71,11 +71,13 @@ def _to_cut_order(psi, left, right):
 
 
 def _from_cut_order(vec, shape, left, right):
+    """Inverse of _to_cut_order; leading axes of vec are a batch."""
     dims = shape.local_dims
     perm = left + right
-    t = vec.reshape([dims[k] for k in perm])
-    inv = np.argsort(perm)
-    return np.transpose(t, inv).reshape(-1)
+    batch = vec.shape[:-1]
+    t = vec.reshape(*batch, *[dims[k] for k in perm])
+    inv = [len(batch) + int(i) for i in np.argsort(perm)]
+    return np.transpose(t, [*range(len(batch)), *inv]).reshape(*batch, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,17 +108,24 @@ class ConversionProtocol:
         return PureState(self.target.shape,
                          _from_cut_order(vec, self.target.shape, left, right))
 
-    def outcome_state(self, m):
-        """(probability, corrected PureState) for outcome m, computed exactly."""
+    def outcome_states(self):
+        """[(probability, corrected PureState)] for every outcome, computed
+        exactly in one pass from one precursor; each outcome state is
+        validated."""
         left, right, dl, dr = _cut_views(self.target.shape, self.cut)
         src = _to_cut_order(self.precursor(), left, right).reshape(dl, dr)
-        post = self.alice_kraus[m] @ src
-        prob = float(np.linalg.norm(post) ** 2)
-        post = post / np.linalg.norm(post)
-        a, b = self.corrections[m]
-        post = a @ post @ b.T
-        amps = _from_cut_order(post.reshape(-1), self.target.shape, left, right)
-        return prob, PureState(self.target.shape, amps)
+        post = self.alice_kraus @ src
+        norms = np.array([np.linalg.norm(p) for p in post])
+        a, b = (np.stack(c) for c in zip(*self.corrections))
+        post = a @ (post / norms[:, None, None]) @ np.swapaxes(b, -1, -2)
+        amps = _from_cut_order(post.reshape(len(post), -1), self.target.shape,
+                               left, right)
+        return [(float(n ** 2), PureState(self.target.shape, v))
+                for n, v in zip(norms, amps)]
+
+    def outcome_state(self, m):
+        """(probability, corrected PureState) for outcome m."""
+        return self.outcome_states()[m]
 
     def verify(self, tol=ATOL):
         """Raise unless completeness, uniform outcomes, and unit fidelity hold."""
@@ -124,8 +133,7 @@ class ConversionProtocol:
         comp = np.einsum("mij,mik->jk", self.alice_kraus.conj(), self.alice_kraus)
         if np.max(np.abs(comp - np.eye(comp.shape[0]))) > 1e-10:
             raise InvariantError("Alice's measurement is not complete")
-        for m in range(d):
-            prob, state = self.outcome_state(m)
+        for m, (prob, state) in enumerate(self.outcome_states()):
             if abs(prob - 1 / d) > tol:
                 raise InvariantError(f"outcome {m} has probability {prob}, not 1/{d}")
             if abs(abs(state.overlap(self.target)) ** 2 - 1.0) > tol:
@@ -267,8 +275,8 @@ def simulate_synthesis(plan, n_samples, seed):
     if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
             or seed < 0):
         raise InvariantError(f"seed must be a non-negative integer, got {seed!r}")
-    amps = np.array([proto.outcome_state(m)[1].amplitudes
-                     for proto in plan.protocols for m in range(proto.n_outcomes)])
+    amps = np.array([state.amplitudes for proto in plan.protocols
+                     for _, state in proto.outcome_states()])
     probs = np.concatenate([np.full(proto.n_outcomes, p / proto.n_outcomes)
                             for p, proto in zip(plan.ensemble.probabilities,
                                                 plan.protocols)])

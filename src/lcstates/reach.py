@@ -19,19 +19,18 @@ and one GHZ-class state (not producible even with classical communication)
 and the universally-producible bipartite case.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
-                       _apply_product_channel_matrix,
+                       _apply_product_channel_matrix, _local_view, _permute,
                        apply_adjoint_product_channel, haar_isometry,
                        identity_channel, liouville)
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
-from .states import (DensityMatrix, InvariantError, PureState, RANK_TOL,
+from .states import (ATOL, DensityMatrix, InvariantError, PureState,
                      deterministic_eigh, distance)
 
 NOT_LCCC = "NotLCCC"
@@ -79,6 +78,8 @@ class SearchResult:
     # initial objective plus n + 1 entries per iteration (precursor move,
     # then one per party), so len(trace) = 1 + iters * (n + 1)
     per_restart_log: tuple
+    # one RestartDiagnostics per restart, in the same order
+    diagnostics: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,19 +109,38 @@ def precursor_optimal_for_channels(channels, target):
         if c.dim != dims[k]:
             raise InvariantError(f"channel {k} dimension mismatch")
     h = apply_adjoint_product_channel(channels, target.entries, dims)
-    return _top_eigenstate(target.shape, h)
+    return PureState(target.shape, _top_eigenvectors(h[None])[0])
 
 
-def _top_eigenstate(shape, h):
-    """Normalized top eigenvector of the Hermitian part of h."""
-    h = (h + h.conj().T) / 2
-    _, v = deterministic_eigh(h)
-    top = v[:, -1]
-    return PureState(shape, top / np.linalg.norm(top))
+def _top_eigenvectors(h):
+    """Normalized top eigenvectors of the Hermitian parts of a (B, D, D) stack.
+
+    One stacked eigh; where the top gap exceeds deterministic_eigh's
+    degeneracy tolerance, v[..., -1] with its largest-magnitude entry made
+    real positive is exactly what deterministic_eigh returns, otherwise
+    that element goes through deterministic_eigh for the same tie-break.
+    The candidates get PureState's checks in raw form (finite, unit norm).
+    """
+    h = (h + np.swapaxes(h.conj(), -1, -2)) / 2
+    w, v = np.linalg.eigh(h)
+    top = v[..., -1]
+    peak = np.take_along_axis(top, np.argmax(np.abs(top), axis=-1)[:, None], -1)
+    top = top / (peak / np.abs(peak))
+    gap = w[:, -1] - w[:, -2] if w.shape[-1] > 1 else np.inf   # D = 1: no tie
+    for b in np.flatnonzero(~(gap > 1e-9)):
+        top[b] = deterministic_eigh(h[b])[1][:, -1]
+    top = top / np.linalg.norm(top, axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise InvariantError("entries must be finite")
+    if not np.all(np.abs(np.linalg.norm(top, axis=-1) - 1.0) <= ATOL):
+        raise InvariantError("state vector is not normalized")
+    return top
 
 
 def _objective(x, rho_mat):
-    return float(np.linalg.norm(x - rho_mat) ** 2)
+    """Squared Frobenius distance ||x - rho||^2, one value per batch element."""
+    r = (x - rho_mat).reshape(*x.shape[:-2], -1)
+    return (r.real ** 2 + r.imag ** 2).sum(axis=-1)
 
 
 def _party_gradient(d_mat, y, kraus, dims, k):
@@ -129,28 +149,34 @@ def _party_gradient(d_mat, y, kraus, dims, k):
     With Y the other parties' channels applied to sigma, X the full output
     and D = X - rho:  G_m = 2 Tr_{others}[ D K~_m Y ], K~_m the embedding of
     K_m on party k.  Derived from d||X - rho||^2 = 2 Re Tr[D dX].  The
-    partial trace is taken first: T[a,c,c',b] = Tr_{others} over
-    D[(.a.),(.c.)] Y[(.c'.),(.b.)], then G_m[a,b] = 2 sum K_m[c,c'] T[a,c,c',b].
+    partial trace is taken first, as one matmul of D viewed as
+    ((a, c), (i, j, p, q)) with Y viewed as ((i, j, p, q), (c', b)):
+    T[a,c,c',b] = sum D[(i a j),(p c q)] Y[(p c' q),(i b j)]; then
+    G_m[a,b] = 2 sum K_m[c,c'] T[a,c,c',b] is one matmul with the Kraus
+    stack.  All arguments may carry a leading batch axis.
     """
+    dv = _local_view(d_mat, dims, k)
+    yv = _local_view(y, dims, k)
     d = dims[k]
-    shape = (math.prod(dims[:k]), d, math.prod(dims[k + 1:]))
-    shape = shape + shape
-    # D axes (i, a, j, p, c, q) against Y axes (p, c', q, i, b, j)
-    t = np.tensordot(d_mat.reshape(shape), y.reshape(shape),
-                     axes=([0, 2, 3, 5], [3, 5, 0, 2]))
-    return 2 * np.einsum("acdb,mcd->mab", t, kraus)
+    t = (_permute(dv, (1, 4, 0, 2, 3, 5)).reshape(*dv.shape[:-6], d * d, -1)
+         @ _permute(yv, (3, 5, 0, 2, 1, 4)).reshape(*yv.shape[:-6], -1, d * d))
+    t = _permute(t.reshape(*t.shape[:-2], d, d, d, d), (1, 2, 0, 3))
+    g = kraus.reshape(*kraus.shape[:-2], d * d) @ t.reshape(*t.shape[:-4], d * d, d * d)
+    return 2 * g.reshape(kraus.shape)
 
 
 def _polar_retract(v):
     """Nearest isometry in Frobenius norm: U W^dag from the thin SVD.
 
-    The result is checked like a LocalChannel's Kraus stack: V^dag V = I
-    to COMPLETENESS_ATOL, written so that NaN fails too.
+    Leading axes are a batch.  Each result is checked like a LocalChannel's
+    Kraus stack: V^dag V = I to COMPLETENESS_ATOL, written so that NaN
+    fails too.
     """
     u, _, wh = np.linalg.svd(v, full_matrices=False)
     iso = u @ wh
-    resid = np.max(np.abs(iso.conj().T @ iso - np.eye(iso.shape[1])))
-    if not resid <= COMPLETENESS_ATOL:
+    gram = np.swapaxes(iso.conj(), -1, -2) @ iso
+    resid = np.abs(gram - np.eye(iso.shape[-1])).max(axis=(-2, -1))
+    if not np.all(resid <= COMPLETENESS_ATOL):
         raise InvariantError("Kraus operators do not sum to the identity")
     return iso
 
@@ -179,73 +205,132 @@ STEP_FLOOR = 1e-8
 STEP_GROWTH = 1.3
 STEP_CAP = 10.0
 
+CONVERGED = "converged"
+STEP_UNDERFLOW = "step_underflow"
+MAX_ITERS = "max_iters"
 
-def _run_restart(target, config, env_dims, max_iters, tol):
-    """Alternating minimization from one starting configuration.
 
-    Returns (config, objective trace).  The recorded objective sequence is
-    non-increasing: a precursor move is kept only if it does not increase
-    the objective, and channel moves halve the step until non-increase
-    (step underflow below 1e-8 ends the restart).
+@dataclass(frozen=True)
+class RestartDiagnostics:
+    """How one restart of the search ran.
 
-    The loop works on raw Kraus stacks and their Liouville matrices.  For
-    each party k the other parties' part Y_k of the output is computed
-    once; the gradient and every trial step reuse it, so a trial costs one
-    retraction and one single-party kernel call.
+    iterations: iterations started (each begins with the precursor move);
+    stop_reason: CONVERGED (an iteration lowered the objective by less
+    than tol), STEP_UNDERFLOW (a channel move's step fell below STEP_FLOOR)
+    or MAX_ITERS; accepted_steps / rejected_steps: channel-move trials
+    that were kept / that halved the step.
+    """
+
+    iterations: int
+    stop_reason: str
+    accepted_steps: int
+    rejected_steps: int
+
+
+def _run_lock_step(target, configs, max_iters, tol):
+    """Alternating minimization of every starting configuration, in lock step.
+
+    All restarts advance together through stacked raw arrays: one Kraus
+    stack (B, e, d, d) and Liouville matrix (B, d^2, d^2) per party, the
+    precursor states sigma (B, D, D), and obj and step of shape (B,); each
+    kernel call serves every live restart at once.  Each restart still
+    follows its own serial algorithm, with its own step size:
+
+      * precursor move, kept only if it does not increase the objective;
+      * per party k, Y_k (the other parties applied to sigma) is computed
+        once, then the gradient; every restart still pending tries a step,
+        an accepted one grows its step by STEP_GROWTH (capped at
+        STEP_CAP), a rejected one halves it, and below STEP_FLOOR the
+        restart dies: it records this party's objective and skips the rest;
+      * a restart leaves the live set on step underflow, when an iteration
+        lowers its objective by less than tol, or after max_iters.
+
+    The recorded objective sequence of each restart is non-increasing, and
+    element b's arithmetic does not depend on the other elements, so a
+    restart's result does not depend on how restarts are batched.
+
+    Returns (kraus, phis, traces, diagnostics): the final Kraus stacks per
+    party, the final precursor amplitudes (B, D), each restart's objective
+    trace and its RestartDiagnostics.
     """
     dims = target.shape.local_dims
     rho_mat = target.entries
-    kraus = [c.kraus for c in config.channels]
+    kraus = [np.stack([c.channels[k].kraus for c in configs])
+             for k in range(len(dims))]
     sups = [liouville(kr) for kr in kraus]
-    phi = config.precursor
-    sigma = np.outer(phi.amplitudes, phi.amplitudes.conj())
+    phis = np.stack([c.precursor.amplitudes for c in configs])
+    sigma = phis[:, :, None] * phis[:, None, :].conj()
     obj = _objective(_apply_product_channel_matrix(sups, sigma, dims), rho_mat)
-    trace = [obj]
-    step = INITIAL_STEP
+    n = len(configs)
+    traces = [[o] for o in obj.tolist()]
+    step = np.full(n, INITIAL_STEP)
+    iters, accepted, rejected = (np.zeros(n, dtype=int) for _ in range(3))
+    reasons = [MAX_ITERS] * n
+    live = np.arange(n)
     for _ in range(max_iters):
-        prev = obj
+        if not live.size:
+            break
+        iters[live] += 1
+        prev = obj.copy()
 
         # precursor move (guarded: the eigenvector maximizes only the
         # overlap term, so accept it only when the full objective drops)
-        h = _apply_product_channel_matrix([s.conj().T for s in sups],
-                                          rho_mat, dims)
-        cand = _top_eigenstate(target.shape, h)
-        cand_sigma = np.outer(cand.amplitudes, cand.amplitudes.conj())
-        cand_obj = _objective(
-            _apply_product_channel_matrix(sups, cand_sigma, dims), rho_mat)
-        if cand_obj <= obj:
-            phi, sigma, obj = cand, cand_sigma, cand_obj
-        trace.append(obj)
+        own = [s[live] for s in sups]
+        h = _apply_product_channel_matrix(
+            [np.swapaxes(s.conj(), -1, -2) for s in own], rho_mat, dims)
+        cand = _top_eigenvectors(h)
+        cand_sigma = cand[:, :, None] * cand[:, None, :].conj()
+        cand_obj = _objective(_apply_product_channel_matrix(own, cand_sigma, dims),
+                              rho_mat)
+        keep = cand_obj <= obj[live]
+        rows = live[keep]
+        phis[rows], sigma[rows], obj[rows] = cand[keep], cand_sigma[keep], cand_obj[keep]
+        for r, o in zip(live, obj[live].tolist()):
+            traces[r].append(o)
 
         # channel moves, one party at a time
-        dead = False
+        act = live
         for k, d in enumerate(dims):
-            y = _apply_product_channel_matrix(sups, sigma, dims, skip=k)
-            x = _apply_local(y, sups[k], dims, k)
-            g = _party_gradient(x - rho_mat, y, kraus[k], dims, k).reshape(-1, d)
-            v0 = kraus[k].reshape(-1, d)
-            while True:
-                cand_k = _polar_retract(v0 - step * g).reshape(kraus[k].shape)
-                cand_s = liouville(cand_k)
-                t_obj = _objective(_apply_local(y, cand_s, dims, k), rho_mat)
-                if t_obj <= obj + 1e-15:
-                    kraus[k], sups[k], obj = cand_k, cand_s, min(obj, t_obj)
-                    # accepted: let the step recover so progress stays fast
-                    step = min(step * STEP_GROWTH, STEP_CAP)
-                    break
-                step /= 2
-                if step < STEP_FLOOR:
-                    dead = True
-                    break
-            trace.append(obj)
-            if dead:
+            if not act.size:
                 break
-        if dead:
-            break
-        if prev - obj < tol:
-            break
-    channels = tuple(LocalChannel(d, kr) for d, kr in zip(dims, kraus))
-    return LCConfiguration(phi, channels), trace
+            y = _apply_product_channel_matrix([s[act] for s in sups], sigma[act],
+                                              dims, skip=k)
+            x = _apply_local(y, sups[k][act], dims, k)
+            own_k = kraus[k][act]
+            v0 = own_k.reshape(len(act), -1, d)
+            g = _party_gradient(x - rho_mat, y, own_k, dims, k).reshape(v0.shape)
+            pend = np.arange(len(act))   # positions in act still trying
+            while pend.size:
+                rows = act[pend]
+                cand_k = _polar_retract(v0[pend] - step[rows, None, None] * g[pend])
+                cand_k = cand_k.reshape(-1, *kraus[k].shape[1:])
+                cand_s = liouville(cand_k)
+                t_obj = _objective(_apply_local(y[pend], cand_s, dims, k), rho_mat)
+                ok = t_obj <= obj[rows] + 1e-15
+                # accepted: let the step recover so progress stays fast
+                up = rows[ok]
+                kraus[k][up], sups[k][up] = cand_k[ok], cand_s[ok]
+                obj[up] = np.minimum(obj[up], t_obj[ok])
+                step[up] = np.minimum(step[up] * STEP_GROWTH, STEP_CAP)
+                accepted[up] += 1
+                down = rows[~ok]
+                step[down] /= 2
+                rejected[down] += 1
+                pend = pend[~ok][step[down] >= STEP_FLOOR]
+            for r, o in zip(act, obj[act].tolist()):
+                traces[r].append(o)
+            # a step only drops below STEP_FLOOR by the halving that kills
+            dead = step[act] < STEP_FLOOR
+            for r in act[dead]:
+                reasons[r] = STEP_UNDERFLOW
+            act = act[~dead]
+        done = prev[act] - obj[act] < tol
+        for r in act[done]:
+            reasons[r] = CONVERGED
+        live = act[~done]
+    diags = tuple(RestartDiagnostics(int(i), why, int(a), int(j))
+                  for i, why, a, j in zip(iters, reasons, accepted, rejected))
+    return kraus, phis, traces, diags
 
 
 def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
@@ -259,9 +344,12 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     zero-padded ones get zero gradient, and restart 0 typically stops after
     one iteration at the objective of the top-eigenvector precursor.
     Remaining restarts draw seeded Haar-random configurations; per-restart
-    seeds derive from the master seed, making the result
-    schedule-independent.  The best restart wins, ties broken by lowest
-    index.
+    seeds derive from the master seed.  All restarts then run in lock step
+    on one batch axis (`_run_lock_step`); a restart's arithmetic does not
+    depend on the others, so its result is the same however many restarts
+    run beside it.  The best restart wins, ties broken by lowest index.
+    Per restart, `per_restart_log` holds (seed, final objective, trace
+    length) and `diagnostics` its RestartDiagnostics.
     """
     dims = target.shape.local_dims
     if env_dims is None:
@@ -275,28 +363,26 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     if restarts < 1:
         raise InvariantError("need at least one restart")
 
-    log = []
-    best = None
-    best_obj = np.inf
-    for r in range(restarts):
-        seed = int(np.random.SeedSequence([int(master_seed), r]).generate_state(1)[0])
-        if r == 0:
-            config = _identity_configuration(target, env_dims)
-        else:
-            config = _random_configuration(target, env_dims,
-                                           np.random.default_rng(seed))
-        final, trace = _run_restart(target, config, env_dims, max_iters, tol)
-        log.append((seed, trace[-1], len(trace)))
-        if trace[-1] < best_obj:
-            best, best_obj = final, trace[-1]
-
+    seeds = [int(np.random.SeedSequence([int(master_seed), r]).generate_state(1)[0])
+             for r in range(restarts)]
+    configs = [_identity_configuration(target, env_dims)]
+    configs += [_random_configuration(target, env_dims, np.random.default_rng(s))
+                for s in seeds[1:]]
+    kraus, phis, traces, diags = _run_lock_step(target, configs, max_iters, tol)
+    finals = [trace[-1] for trace in traces]
+    b = int(np.argmin(finals))
+    best = LCConfiguration(
+        PureState(target.shape, phis[b]),
+        tuple(LocalChannel(d, kr[b]) for d, kr in zip(dims, kraus)))
     out = best.output()
     return SearchResult(best=best,
                         hs_distance=distance("hilbert_schmidt", out, target),
                         trace_distance=distance("trace", out, target),
                         restarts_run=restarts,
                         master_seed=int(master_seed),
-                        per_restart_log=tuple(log))
+                        per_restart_log=tuple(
+                            (s, f, len(t)) for s, f, t in zip(seeds, finals, traces)),
+                        diagnostics=diags)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +390,12 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
 
 
 DEGENERACY_BAND = 1e-9
+# Just outside DEGENERACY_BAND the spectral eigenvectors are ill-conditioned
+# (their error grows like rounding / |2p - 1|) and can mix W into GHZ; up to
+# this distance from 1/2 the zero-tangle pairs are tried as well, each kept
+# only if it reconstructs rho with the spectral weights to RECONSTRUCTION_ATOL.
+NEAR_DEGENERACY_BAND = 1e-3
+RECONSTRUCTION_ATOL = 1e-9
 
 
 def _try_basis(rho, p, psi_a, psi_b):
@@ -320,6 +412,30 @@ def _try_basis(rho, p, psi_a, psi_b):
                        classes=(ca, cb))
 
 
+def _zero_tangle_pairs(va, vb):
+    """Orthonormal pairs (u1, u2) of span{va, vb} with Hdet(u1) = 0.
+
+    Hdet is homogeneous of degree 4, so f(t) = Hdet(va + t vb) is a quartic
+    whose coefficients are the DFT of its values at the fifth roots of
+    unity, over 5.  Each root t gives u1 = va + t vb and its in-span
+    complement u2 = -conj(t) va + vb; a vanishing Hdet(vb) is the root at
+    infinity, returned as u1 = vb rather than as a huge finite root.
+    """
+    omega = np.exp(2j * np.pi * np.arange(5) / 5)
+    coeffs = np.fft.fft([hyperdeterminant(va + w * vb) for w in omega]) / 5
+    pairs = []
+    if 4 * abs(coeffs[4]) <= TANGLE_TOL:
+        pairs, coeffs = [(vb, va)], coeffs[:4]
+    pairs += [(va + t * vb, -np.conj(t) * va + vb)
+              for t in np.roots(coeffs[::-1])]
+    return [(u1 / np.linalg.norm(u1), u2 / np.linalg.norm(u2)) for u1, u2 in pairs]
+
+
+def _reconstructs(rho, p, a, b):
+    recon = p * np.outer(a, a.conj()) + (1 - p) * np.outer(b, b.conj())
+    return np.max(np.abs(recon - rho.entries)) <= RECONSTRUCTION_ATOL
+
+
 def lccc_obstruction_check(rho):
     """Decide what is known about LCCC membership of rho.
 
@@ -330,8 +446,11 @@ def lccc_obstruction_check(rho):
     basis of the eigenspace is a decomposition; the W-class candidates are
     the zero-tangle directions, the exact roots of the binary quartic
     Hdet(x va + y vb), and each is tried with its orthogonal complement, so
-    the verdict does not depend on a local-unitary frame.  Everything else
-    is Unknown - never an error.
+    the verdict does not depend on a local-unitary frame.  Within
+    NEAR_DEGENERACY_BAND of 1/2, where the computed eigenvectors are
+    ill-conditioned, the same pairs are tried when the spectral basis fails,
+    in whichever order reconstructs rho with the weights (p, 1 - p).
+    Everything else is Unknown - never an error.
     """
     if rho.shape.n_parties == 2:
         return Certificate(verdict=LCCC_BIPARTITE, plan=build_synthesis_plan(rho))
@@ -342,31 +461,24 @@ def lccc_obstruction_check(rho):
         return Certificate(verdict=UNKNOWN, reason="no implemented criterion")
     p = float(ens.probabilities[0])
     psi_a, psi_b = ens.states
-
-    if abs(p - 0.5) > DEGENERACY_BAND:
+    gap = abs(p - 0.5)
+    if gap > DEGENERACY_BAND:
         cert = _try_basis(rho, p, psi_a, psi_b)
         if cert is not None:
             return cert
-        return Certificate(verdict=UNKNOWN, reason="argument inapplicable")
+        if gap > NEAR_DEGENERACY_BAND:
+            return Certificate(verdict=UNKNOWN, reason="argument inapplicable")
 
-    # degenerate spectrum: every orthonormal basis of the eigenspace is a
-    # decomposition.  Hdet is homogeneous of degree 4, so f(t) = Hdet(va + t vb)
-    # is a quartic whose coefficients are the DFT of its values at the fifth
-    # roots of unity, over 5.  Each root t gives u1 = va + t vb and its in-span
-    # complement u2 = -conj(t) va + vb; a vanishing Hdet(vb) is the root at
-    # infinity, tried as u1 = vb rather than as a huge finite root.
-    va, vb = psi_a.amplitudes, psi_b.amplitudes
-    omega = np.exp(2j * np.pi * np.arange(5) / 5)
-    coeffs = np.fft.fft([hyperdeterminant(va + w * vb) for w in omega]) / 5
-    pairs = []
-    if 4 * abs(coeffs[4]) <= TANGLE_TOL:
-        pairs, coeffs = [(vb, va)], coeffs[:4]
-    pairs += [(va + t * vb, -np.conj(t) * va + vb)
-              for t in np.roots(coeffs[::-1])]
-    for u1, u2 in pairs:
-        cert = _try_basis(rho, 0.5,
-                          PureState(rho.shape, u1 / np.linalg.norm(u1)),
-                          PureState(rho.shape, u2 / np.linalg.norm(u2)))
-        if cert is not None:
-            return cert
+    for u1, u2 in _zero_tangle_pairs(psi_a.amplitudes, psi_b.amplitudes):
+        if gap <= DEGENERACY_BAND:
+            # degenerate spectrum: every orthonormal basis is a decomposition
+            candidates = [(0.5, u1, u2)]
+        else:
+            candidates = [(p, a, b) for a, b in ((u1, u2), (u2, u1))
+                          if _reconstructs(rho, p, a, b)]
+        for q, a, b in candidates:
+            cert = _try_basis(rho, q, PureState(rho.shape, a),
+                              PureState(rho.shape, b))
+            if cert is not None:
+                return cert
     return Certificate(verdict=UNKNOWN, reason="argument inapplicable")

@@ -140,7 +140,12 @@ def search_result_to_dict(result):
             "per_restart_log": [
                 {"seed": int(s), "final_objective": float(o),
                  "trace_length": int(n)}
-                for s, o, n in result.per_restart_log]}
+                for s, o, n in result.per_restart_log],
+            "diagnostics": [
+                {"iterations": d.iterations, "stop_reason": d.stop_reason,
+                 "accepted_steps": d.accepted_steps,
+                 "rejected_steps": d.rejected_steps}
+                for d in result.diagnostics]}
 
 
 def certificate_to_dict(cert):

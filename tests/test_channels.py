@@ -8,7 +8,8 @@ from lcstates import (DensityMatrix, EnvironmentGram, InvariantError,
                       environment_gram_from_channel, ghz_state,
                       identity_channel, parameter_counts, partial_trace,
                       random_local_channel, standard_noise)
-from lcstates.channels import apply_adjoint_product_channel
+from lcstates.channels import (_apply_local, _apply_product_channel_matrix,
+                               apply_adjoint_product_channel, liouville)
 from conftest import random_density, random_pure, random_unitary
 
 
@@ -184,6 +185,34 @@ class TestKernel:
             rhs = np.trace(apply_adjoint_product_channel(chans, rho.entries, dims)
                            @ sig.entries)
             assert abs(lhs - rhs) < 1e-12, dims
+
+
+    def test_batched_equals_per_element(self, rng):
+        # a leading batch axis on the operator and the Liouville matrices
+        # gives each element exactly what the unbatched call gives it
+        for dims in KERNEL_SHAPES:
+            d, big = dims[0], int(np.prod(dims))
+            kraus = np.stack([random_local_channel(d, d, 40 + b).kraus
+                              for b in range(3)])
+            sups = liouville(kraus)
+            mats = np.stack([random_density(SystemShape(dims), rng).entries
+                             for _ in range(3)])
+            assert sups.shape == (3, d * d, d * d)
+            for k in range(len(dims)):
+                got = _apply_local(mats, sups, dims, k)
+                shared = _apply_local(mats[0], sups, dims, k)
+                assert got.shape == shared.shape == (3, big, big)
+                for b in range(3):
+                    assert np.array_equal(sups[b], liouville(kraus[b]))
+                    one = _apply_local(mats[b], sups[b], dims, k)
+                    assert np.array_equal(got[b], one), (dims, k, b)
+                    assert np.array_equal(shared[b],
+                                          _apply_local(mats[0], sups[b], dims, k))
+            full = _apply_product_channel_matrix([sups] * len(dims), mats, dims)
+            for b in range(3):
+                one = _apply_product_channel_matrix([sups[b]] * len(dims),
+                                                    mats[b], dims)
+                assert np.array_equal(full[b], one), (dims, b)
 
 
 class TestAdjoint:

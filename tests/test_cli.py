@@ -5,7 +5,7 @@ import pytest
 
 from lcstates import (SystemShape, dephasing_channel, ghz_state,
                       identity_channel, max_entangled, w_state, z_mixture)
-from lcstates import serialize
+from lcstates import reach, serialize
 from lcstates.cli import run_command
 from conftest import random_density
 
@@ -154,6 +154,28 @@ class TestCli:
         for entry in log:
             assert set(entry) == {"seed", "final_objective", "trace_length"}
         assert log[1]["trace_length"] == 1 + 3 * 4   # random start, 3 iterations
+        diags = report["outputs"]["diagnostics"]
+        assert len(diags) == 2
+        assert diags[1] == {"iterations": 3, "stop_reason": "max_iters",
+                            "accepted_steps": 9,
+                            "rejected_steps": diags[1]["rejected_steps"]}
+        assert diags[0]["stop_reason"] in ("converged", "max_iters",
+                                           "step_underflow")
+
+    def test_linalg_error_is_validation_failure(self, tmp_path, monkeypatch,
+                                                capsys):
+        def fail(rho):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(reach, "lccc_obstruction_check", fail)
+        f = str(tmp_path / "z.json")
+        self._run("state", "--kind", "z", "--p", "0.3", "--out", f)
+        code, report = self._run("obstruct", "--in", f)
+        assert code == 2
+        assert report is None
+        err = capsys.readouterr().err
+        assert "Eigenvalues did not converge" in err
+        assert "Traceback" not in err
 
     def test_nan_state_is_validation_failure(self, tmp_path):
         f = tmp_path / "nan.json"

@@ -184,6 +184,32 @@ class TestSynthesis:
         expected = sum(c / 5000 * s for c, s in zip(counts, states))
         assert np.max(np.abs(emp.entries - expected)) < 1e-12
 
+    @pytest.mark.parametrize("d, td, e00, e01", [
+        (2, 0.0014680927850130503, 0.10425216982291692,
+         -0.08490756391988091 + 0.08468741509493333j),
+        (3, 0.0038758790094078847, 0.07146975868711898,
+         -0.01823764233729007 + 0.0087322879804426j),
+        (4, 0.005210265288093168, 0.0750819070608714,
+         -0.009131891660486337 - 0.012845214598501561j),
+    ], ids=("2x2", "3x3", "4x4"))
+    def test_seeded_synthesis_pinned(self, d, td, e00, e01):
+        # values of the per-outcome implementation; computing all outcome
+        # states of a protocol in one pass leaves them unchanged bit for bit
+        rho = random_density(SystemShape((d, d)), np.random.default_rng(50 + d))
+        emp, got = simulate_synthesis(build_synthesis_plan(rho), 100003, 7)
+        assert got == td
+        assert emp.entries[0, 0] == e00
+        assert emp.entries[0, 1] == e01
+
+    def test_outcome_states_match_single_outcomes(self, rng):
+        proto = build_conversion(random_pure(SystemShape((3, 3)), rng), CUT)
+        states = proto.outcome_states()
+        assert len(states) == 3
+        for m, (prob, state) in enumerate(states):
+            one_prob, one = proto.outcome_state(m)
+            assert prob == one_prob
+            assert np.array_equal(state.amplitudes, one.amplitudes)
+
     @pytest.mark.parametrize("n", [0, -5, 2 ** 63, 2.5, True, "100"])
     def test_bad_sample_count_rejected(self, n):
         plan = build_synthesis_plan(max_entangled(2).density())

@@ -8,9 +8,11 @@ from lcstates import (DensityMatrix, InvariantError, SystemShape,
                       max_entangled, precursor_optimal_for_channels,
                       random_local_channel, tensor_product, z_mixture)
 from lcstates.channels import _apply_local, _apply_product_channel_matrix, liouville
+from lcstates import reach
 from lcstates.reach import (LCConfiguration, _identity_configuration,
-                            _party_gradient, _run_restart, NOT_LCCC,
-                            LCCC_BIPARTITE, UNKNOWN)
+                            _party_gradient, _run_lock_step, CONVERGED,
+                            MAX_ITERS, NOT_LCCC, STEP_UNDERFLOW, LCCC_BIPARTITE,
+                            UNKNOWN)
 from lcstates.slocc import classify_three_qubit
 from conftest import random_density, random_pure, random_unitary
 
@@ -27,6 +29,12 @@ def noisy_ghz():
     chans = [dephasing_channel(2, 0.3), depolarizing_channel(2, 0.2),
              identity_channel(2)]
     return apply_product_channel(chans, ghz_state().density())
+
+
+def noisy_qutrit_ghz():
+    chans = [dephasing_channel(3, 0.3), depolarizing_channel(3, 0.2),
+             identity_channel(3)]
+    return apply_product_channel(chans, ghz_state(3, 3).density())
 
 
 class TestPrecursorStep:
@@ -124,9 +132,62 @@ class TestSearch:
     def test_objective_monotone_within_restart(self):
         target = noisy_ghz()
         cfg = _identity_configuration(target, (2, 2, 2))
-        _, trace = _run_restart(target, cfg, (2, 2, 2), 200, 1e-14)
-        diffs = np.diff(np.asarray(trace))
+        _, _, traces, _ = _run_lock_step(target, [cfg], 200, 1e-14)
+        diffs = np.diff(np.asarray(traces[0]))
         assert np.all(diffs <= 1e-12)
+
+    @pytest.mark.parametrize("target", [noisy_ghz, noisy_qutrit_ghz])
+    def test_batch_composition_invariant(self, target):
+        # each restart's arithmetic is independent of the others in the
+        # batch, so the first three of six restarts repeat bit for bit
+        small = lc_distance_search(target(), restarts=3, max_iters=30,
+                                   master_seed=2026)
+        large = lc_distance_search(target(), restarts=6, max_iters=30,
+                                   master_seed=2026)
+        assert small.per_restart_log == large.per_restart_log[:3]
+        assert small.diagnostics == large.diagnostics[:3]
+
+    def test_diagnostics_match_traces(self):
+        res = lc_distance_search(noisy_ghz(), restarts=4, max_iters=40,
+                                 master_seed=2026)
+        n = 3
+        assert len(res.diagnostics) == 4
+        for (_, _, length), diag in zip(res.per_restart_log, res.diagnostics):
+            assert diag.stop_reason in (CONVERGED, MAX_ITERS)
+            # every party's channel move ends in exactly one accepted trial
+            assert length == 1 + diag.iterations * (n + 1)
+            assert diag.accepted_steps == diag.iterations * n
+            assert diag.rejected_steps >= 0
+        assert [d.stop_reason for d in res.diagnostics] == \
+            [CONVERGED, MAX_ITERS, MAX_ITERS, MAX_ITERS]
+        assert [d.iterations for d in res.diagnostics] == [1, 40, 40, 40]
+
+    def test_step_underflow_ends_restart(self, monkeypatch):
+        # every objective after the first is inflated, so every precursor
+        # and channel trial is rejected: the step halves from 0.1 until it
+        # falls below 1e-8 (24 halvings) during party 0 of iteration 1,
+        # which still records its trace entry
+        calls = []
+        true_objective = reach._objective
+
+        def rejecting(x, rho_mat):
+            calls.append(None)
+            return true_objective(x, rho_mat) + (len(calls) > 1)
+
+        monkeypatch.setattr(reach, "_objective", rejecting)
+        res = lc_distance_search(noisy_ghz(), restarts=2, max_iters=10,
+                                 master_seed=5)
+        for (_, _, length), diag in zip(res.per_restart_log, res.diagnostics):
+            assert diag.stop_reason == STEP_UNDERFLOW
+            assert diag.iterations == 1
+            assert (diag.accepted_steps, diag.rejected_steps) == (0, 24)
+            assert length == 3
+
+    def test_total_dimension_one(self):
+        # one eigenvalue, so the precursor move has no gap to test
+        target = DensityMatrix(SystemShape((1,)), np.array([[1.0]]))
+        res = lc_distance_search(target, restarts=2, max_iters=5, master_seed=0)
+        assert res.trace_distance <= 1e-12
 
     def test_intermediate_configs_are_valid_channels(self):
         res = lc_distance_search(noisy_ghz(), restarts=2, max_iters=200,
@@ -179,6 +240,23 @@ class TestObstruction:
                 assert abs(psi_a.overlap(psi_b)) <= 1e-9
                 recon = q * psi_a.density().entries + (1 - q) * psi_b.density().entries
                 assert np.max(np.abs(recon - rho.entries)) < 1e-9
+
+    @pytest.mark.parametrize("dp", [1e-8, 1e-7, 1e-6, -1e-7])
+    def test_near_degenerate_certified(self, dp):
+        # just outside DEGENERACY_BAND the spectral eigenvectors mix W into
+        # GHZ; the zero-tangle pairs still give the exact decomposition
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            u = tensor_unitary(rng)
+            rho = DensityMatrix(Q3, u @ z_mixture(0.5 + dp).entries @ u.conj().T,
+                                symmetrize=True)
+            cert = lccc_obstruction_check(rho)
+            assert cert.verdict == NOT_LCCC, dp
+            assert {c.label for c in cert.classes} == {"W", "GHZ"}
+            q, psi_a, psi_b = cert.decomposition
+            assert q == pytest.approx(0.5 + abs(dp), abs=1e-12)
+            recon = q * psi_a.density().entries + (1 - q) * psi_b.density().entries
+            assert np.max(np.abs(recon - rho.entries)) <= 1e-9
 
     def test_ghz_plus_minus_mixture_unknown(self):
         # span{GHZ+, GHZ-} = span{|000>, |111>}: the quartic's roots are the
