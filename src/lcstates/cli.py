@@ -9,6 +9,7 @@ seed the outputs are byte-identical across runs (elapsed_ms aside).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,8 +21,8 @@ from . import reach, serialize
 from .channels import apply_product_channel, parameter_counts
 from .locc import build_conversion, lccc_synthesize_bipartite
 from .slocc import classify_three_qubit, three_tangle
-from .states import (InvariantError, UnsupportedError, canonical_state,
-                     z_mixture)
+from .states import (InvariantError, UnsupportedError, _is_int,
+                     canonical_state, z_mixture)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,6 +33,7 @@ COMMANDS = ("state", "noise-apply", "classify", "tangle", "param-count",
             "convert", "synthesize", "lc-search", "obstruct")
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(prog="lcstates", add_help=True)
     sub = p.add_subparsers(dest="command")
@@ -84,10 +86,6 @@ def _parse_cut(spec):
 
 
 SEARCH_OPTIONS = ("restarts", "max_iters", "master_seed", "tol", "env_dims")
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _search_options(opts):
@@ -227,8 +225,7 @@ def run_command(argv):
 def main(argv=None):
     code, report = run_command(sys.argv[1:] if argv is None else list(argv))
     if report is not None:
-        json.dump(report, sys.stdout)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(report) + "\n")
     return code
 
 

@@ -12,63 +12,63 @@ import json
 import numpy as np
 
 from .channels import LocalChannel
-from .states import DensityMatrix, InvariantError, PureState, SystemShape
+from .states import (DensityMatrix, InvariantError, PureState, SystemShape,
+                     _is_int)
 
 
-def _encode_complex(z):
-    return [float(np.real(z)), float(np.imag(z))]
+def _encode(a):
+    """Complex array of any rank -> the same nesting of [re, im] pairs."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _encode_vector(v):
-    return [_encode_complex(z) for z in np.asarray(v).reshape(-1)]
+def _decode(data, rank):
+    """Nested [re, im] pairs -> complex array of the given rank.
 
-
-def _encode_matrix(m):
-    return [[_encode_complex(z) for z in row] for row in np.asarray(m)]
-
-
-def _decode_complex(pair):
-    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-        raise InvariantError("complex numbers must be [re, im] pairs")
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def _decode_vector(data):
-    return np.array([_decode_complex(p) for p in data], dtype=complex)
-
-
-def _decode_matrix(data):
-    return np.array([[_decode_complex(p) for p in row] for row in data],
-                    dtype=complex)
+    The pairs are viewed as complex rather than combined as re + 1j*im,
+    which would turn a real part of -0.0 into 0.0.
+    """
+    try:
+        pairs = np.ascontiguousarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvariantError(f"malformed complex array: {exc}")
+    if pairs.ndim != rank + 1 or pairs.shape[-1] != 2:
+        raise InvariantError(f"expected rank-{rank} [re, im] pairs, "
+                             f"got shape {pairs.shape}")
+    return pairs.view(complex)[..., 0]
 
 
 def state_to_dict(state):
     if isinstance(state, PureState):
         return {"shape": list(state.shape.local_dims), "kind": "pure",
-                "data": _encode_vector(state.amplitudes)}
+                "data": _encode(state.amplitudes)}
     if isinstance(state, DensityMatrix):
         return {"shape": list(state.shape.local_dims), "kind": "density",
-                "data": _encode_matrix(state.entries)}
+                "data": _encode(state.entries)}
     raise InvariantError(f"not a state: {type(state).__name__}")
 
 
 def state_from_dict(doc):
     try:
-        shape = SystemShape(tuple(int(d) for d in doc["shape"]))
+        dims = doc["shape"]
         kind = doc["kind"]
         data = doc["data"]
     except (KeyError, TypeError) as exc:
         raise InvariantError(f"malformed state document: {exc}")
+    if not (isinstance(dims, list) and all(_is_int(d) for d in dims)):
+        raise InvariantError(
+            f"state shape must be a list of integers, got {dims!r}")
+    shape = SystemShape(tuple(dims))
     if kind == "pure":
-        return PureState(shape, _decode_vector(data))
+        return PureState(shape, _decode(data, 1))
     if kind == "density":
-        return DensityMatrix(shape, _decode_matrix(data))
+        return DensityMatrix(shape, _decode(data, 2))
     raise InvariantError(f"unknown state kind {kind!r}")
 
 
 def save_state(state, path):
     with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh)
+        fh.write(json.dumps(state_to_dict(state)))
 
 
 def load_state(path):
@@ -77,25 +77,23 @@ def load_state(path):
 
 
 def channel_to_dict(channel):
-    return {"dim": channel.dim,
-            "kraus": [_encode_matrix(k) for k in channel.kraus]}
+    return {"dim": channel.dim, "kraus": _encode(channel.kraus)}
 
 
 def channel_from_dict(doc):
     try:
-        dim = int(doc["dim"])
-        kraus = np.stack([_decode_matrix(k) for k in doc["kraus"]])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = doc["dim"]
+        kraus = doc["kraus"]
+    except (KeyError, TypeError) as exc:
         raise InvariantError(f"malformed channel document: {exc}")
-    c = LocalChannel(dim, kraus)
-    if c.completeness_residual() > 1e-7:
-        raise InvariantError("channel file violates completeness")
-    return c
+    if not _is_int(dim):
+        raise InvariantError(f"channel dim must be an integer, got {dim!r}")
+    return LocalChannel(dim, _decode(kraus, 3))
 
 
 def save_channel(channel, path):
     with open(path, "w") as fh:
-        json.dump(channel_to_dict(channel), fh)
+        fh.write(json.dumps(channel_to_dict(channel)))
 
 
 def load_channel(path):
@@ -115,8 +113,8 @@ def ensemble_to_dict(ens):
 def protocol_to_dict(proto):
     return {"cut": [list(proto.cut[0]), list(proto.cut[1])],
             "target": state_to_dict(proto.target),
-            "alice_kraus": [_encode_matrix(k) for k in proto.alice_kraus],
-            "corrections": [{"alice": _encode_matrix(a), "bob": _encode_matrix(b)}
+            "alice_kraus": _encode(proto.alice_kraus),
+            "corrections": [{"alice": _encode(a), "bob": _encode(b)}
                             for a, b in proto.corrections]}
 
 

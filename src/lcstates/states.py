@@ -46,6 +46,11 @@ class SystemShape:
         return SystemShape(self.local_dims + other.local_dims)
 
 
+def _is_int(v):
+    """A Python (JSON) integer, not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _as_complex(a):
     out = np.ascontiguousarray(np.asarray(a, dtype=complex))
     if not np.isfinite(out).all():

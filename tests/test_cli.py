@@ -6,7 +6,7 @@ import pytest
 from lcstates import (SystemShape, dephasing_channel, ghz_state,
                       identity_channel, max_entangled, w_state, z_mixture)
 from lcstates import reach, serialize
-from lcstates.cli import run_command
+from lcstates.cli import main, run_command
 from conftest import random_density
 
 
@@ -186,6 +186,78 @@ class TestCli:
         code, report = self._run("classify", "--in", str(f))
         assert code == 2
         assert report is None
+
+    MALFORMED_DATA = {
+        "string": ("pure", [["x", 0.0]] + [[0.0, 0.0]] * 7),
+        "null_entry": ("pure", [[None, 0.0]] + [[0.0, 0.0]] * 7),
+        "scalar": ("pure", 5),
+        "null": ("pure", None),
+        "huge_int": ("pure", [[10 ** 400, 0.0]] + [[0.0, 0.0]] * 7),
+        "ragged_rows": ("density",
+                        [[[0.125, 0.0]] * 8] * 7 + [[[0.125, 0.0]] * 7]),
+    }
+
+    @pytest.mark.parametrize("command", ["classify", "obstruct", "noise-apply"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DATA))
+    def test_malformed_numbers_are_validation_failure(self, tmp_path, capsys,
+                                                      command, case):
+        kind, data = self.MALFORMED_DATA[case]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"shape": [2, 2, 2], "kind": kind,
+                                 "data": data}))
+        argv = [command, "--in", str(f)]
+        if command == "noise-apply":
+            cf = str(tmp_path / "id.json")
+            serialize.save_channel(identity_channel(2), cf)
+            argv += ["--channel", ",".join([cf] * 3),
+                     "--out", str(tmp_path / "out.json")]
+        code, report = self._run(*argv)
+        assert code == 2
+        assert report is None
+        err = capsys.readouterr().err
+        assert "invalid input" in err
+        assert "Traceback" not in err
+
+    def test_parser_keeps_no_state_between_commands(self, tmp_path):
+        f = str(tmp_path / "bell.json")
+        serialize.save_state(max_entangled(2).density(), f)
+        code, report = self._run("synthesize", "--target", f,
+                                 "--samples", "100", "--seed", "7")
+        assert code == 0
+        assert report["inputs"]["seed"] == 7
+        code, report = self._run("synthesize", "--target", f,
+                                 "--samples", "100")
+        assert code == 0
+        assert report["inputs"]["seed"] == 0
+        assert report["seed"] == 0
+
+    def test_failed_parse_then_valid_command(self, tmp_path):
+        f = str(tmp_path / "bell.json")
+        serialize.save_state(max_entangled(2).density(), f)
+        for argv in (["synthesize", "--samples", "100"],
+                     ["synthesize", "--target", f, "--samples", "many"]):
+            code, report = self._run(*argv)
+            assert code == 1
+            assert report is None
+        code, report = self._run("synthesize", "--target", f,
+                                 "--samples", "100")
+        assert code == 0
+        assert report["inputs"] == {"target": f, "samples": 100, "seed": 0}
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_exits_zero(self, capsys, flag):
+        assert self._run("param-count", "--n", "3", "--d", "2")[0] == 0
+        for _ in range(2):
+            code, report = self._run(flag)
+            assert code == 0
+            assert report is None
+            assert capsys.readouterr().out.startswith("usage: lcstates")
+
+    def test_main_prints_one_json_line(self, capsys):
+        assert main(["param-count", "--n", "3", "--d", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("}\n") and out.count("\n") == 1
+        assert json.loads(out)["outputs"]["mixed_dim"] == 63
 
     @pytest.mark.parametrize("opts", [
         {"restarts": "3"},
