@@ -171,14 +171,8 @@ def _dispatch(args):
         rho = _as_density(serialize.load_state(args.target))
         with open(args.config) as fh:
             opts = _search_options(json.load(fh))
-        result = reach.lc_distance_search(
-            rho,
-            env_dims=opts.get("env_dims"),
-            restarts=opts.get("restarts", 8),
-            max_iters=opts.get("max_iters", 2000),
-            tol=opts.get("tol", 1e-14),
-            master_seed=opts.get("master_seed", 0))
-        return serialize.search_result_to_dict(result), opts.get("master_seed", 0)
+        result = reach.lc_distance_search(rho, **opts)
+        return serialize.search_result_to_dict(result), result.master_seed
 
     if cmd == "obstruct":
         rho = _as_density(serialize.load_state(args.infile))
@@ -199,8 +193,8 @@ def run_command(argv):
         return EXIT_USAGE, None
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return EXIT_USAGE, None
+    except SystemExit as exc:   # code 0 after a subcommand's --help
+        return (EXIT_OK if exc.code == 0 else EXIT_USAGE), None
 
     start = time.monotonic()
     try:

@@ -23,9 +23,12 @@ from .states import (ATOL, DensityMatrix, InvariantError, PureState,
 # majorization
 
 
-def majorizes(x, y, slack=1e-12):
+MAJORIZATION_SLACK = 1e-12
+
+
+def majorizes(x, y):
     """True iff x majorizes y: every prefix sum of sorted-descending x
-    dominates the corresponding prefix sum of y (within slack)."""
+    dominates the corresponding prefix sum of y (within MAJORIZATION_SLACK)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if (x < 0).any() or (y < 0).any():
@@ -35,7 +38,7 @@ def majorizes(x, y, slack=1e-12):
     m = max(len(x), len(y))
     xs = np.sort(np.concatenate([x, np.zeros(m - len(x))]))[::-1]
     ys = np.sort(np.concatenate([y, np.zeros(m - len(y))]))[::-1]
-    return bool(np.all(np.cumsum(xs) >= np.cumsum(ys) - slack))
+    return bool(np.all(np.cumsum(xs) >= np.cumsum(ys) - MAJORIZATION_SLACK))
 
 
 def can_convert(psi, phi, cut):
@@ -127,16 +130,16 @@ class ConversionProtocol:
         """(probability, corrected PureState) for outcome m."""
         return self.outcome_states()[m]
 
-    def verify(self, tol=ATOL):
+    def verify(self):
         """Raise unless completeness, uniform outcomes, and unit fidelity hold."""
         d = self.n_outcomes
         comp = np.einsum("mij,mik->jk", self.alice_kraus.conj(), self.alice_kraus)
         if np.max(np.abs(comp - np.eye(comp.shape[0]))) > 1e-10:
             raise InvariantError("Alice's measurement is not complete")
         for m, (prob, state) in enumerate(self.outcome_states()):
-            if abs(prob - 1 / d) > tol:
+            if abs(prob - 1 / d) > ATOL:
                 raise InvariantError(f"outcome {m} has probability {prob}, not 1/{d}")
-            if abs(abs(state.overlap(self.target)) ** 2 - 1.0) > tol:
+            if abs(abs(state.overlap(self.target)) ** 2 - 1.0) > ATOL:
                 raise InvariantError(f"outcome {m} does not reproduce the target")
 
 
@@ -216,8 +219,9 @@ class Ensemble:
         return DensityMatrix(shape, m)
 
 
-def spectral_ensemble(rho, tol=RANK_TOL):
-    """Eigendecomposition of rho as an Ensemble, eigenvalues descending.
+def spectral_ensemble(rho):
+    """Eigendecomposition of rho as an Ensemble, eigenvalues descending;
+    eigenvalues at or below RANK_TOL are dropped.
 
     Degenerate eigenspaces are resolved by the package-wide deterministic
     disambiguation, so the output depends only on the input bits.
@@ -225,7 +229,7 @@ def spectral_ensemble(rho, tol=RANK_TOL):
     w, v = deterministic_eigh(rho.entries)
     order = np.argsort(-w, kind="stable")  # descending, ties keep their order
     w, v = w[order], v[:, order]
-    keep = w > tol
+    keep = w > RANK_TOL
     w, v = w[keep], v[:, keep]
     states = tuple(PureState(rho.shape, v[:, i] / np.linalg.norm(v[:, i]))
                    for i in range(len(w)))
@@ -240,9 +244,9 @@ class SynthesisPlan:
     protocols: tuple
     target: DensityMatrix
 
-    def verify(self, tol=ATOL):
+    def verify(self):
         recon = self.ensemble.mixture()
-        if np.max(np.abs(recon.entries - self.target.entries)) > tol:
+        if np.max(np.abs(recon.entries - self.target.entries)) > ATOL:
             raise InvariantError("ensemble does not reconstruct the target")
         for proto in self.protocols:
             proto.verify()

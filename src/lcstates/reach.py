@@ -30,8 +30,8 @@ from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
-from .states import (ATOL, DensityMatrix, InvariantError, PureState,
-                     deterministic_eigh, distance)
+from .states import (ATOL, DEGENERACY_TOL, DensityMatrix, InvariantError,
+                     PureState, deterministic_eigh, distance)
 
 NOT_LCCC = "NotLCCC"
 LCCC_BIPARTITE = "LCCCBipartite"
@@ -87,7 +87,9 @@ class Certificate:
     """Outcome of LCCC analysis for a target density matrix."""
 
     verdict: str
-    decomposition: tuple = None    # (p, psi_a, psi_b) for NotLCCC
+    # (q, heavier state, lighter state) for NotLCCC; always reconstructs
+    # rho to RECONSTRUCTION_ATOL
+    decomposition: tuple = None
     classes: tuple = None          # pair of SloccClass labels for NotLCCC
     plan: SynthesisPlan = None     # for LCCCBipartite
     reason: str = None             # for Unknown
@@ -115,10 +117,10 @@ def precursor_optimal_for_channels(channels, target):
 def _top_eigenvectors(h):
     """Normalized top eigenvectors of the Hermitian parts of a (B, D, D) stack.
 
-    One stacked eigh; where the top gap exceeds deterministic_eigh's
-    degeneracy tolerance, v[..., -1] with its largest-magnitude entry made
-    real positive is exactly what deterministic_eigh returns, otherwise
-    that element goes through deterministic_eigh for the same tie-break.
+    One stacked eigh; where the top gap exceeds DEGENERACY_TOL, v[..., -1]
+    with its largest-magnitude entry made real positive is exactly what
+    deterministic_eigh returns, otherwise that element goes through
+    deterministic_eigh for the same tie-break.
     The candidates get PureState's checks in raw form (finite, unit norm).
     """
     h = (h + np.swapaxes(h.conj(), -1, -2)) / 2
@@ -127,7 +129,7 @@ def _top_eigenvectors(h):
     peak = np.take_along_axis(top, np.argmax(np.abs(top), axis=-1)[:, None], -1)
     top = top / (peak / np.abs(peak))
     gap = w[:, -1] - w[:, -2] if w.shape[-1] > 1 else np.inf   # D = 1: no tie
-    for b in np.flatnonzero(~(gap > 1e-9)):
+    for b in np.flatnonzero(~(gap > DEGENERACY_TOL)):
         top[b] = deterministic_eigh(h[b])[1][:, -1]
     top = top / np.linalg.norm(top, axis=-1, keepdims=True)
     if not np.isfinite(top).all():
@@ -204,6 +206,11 @@ INITIAL_STEP = 0.1
 STEP_FLOOR = 1e-8
 STEP_GROWTH = 1.3
 STEP_CAP = 10.0
+
+# caps on one search's size: a restart at (3,3,3) with env 9 holds about
+# 0.33 MB of stacked arrays, so RESTART_LIMIT restarts stay near 85 MB
+RESTART_LIMIT = 256
+ITERATION_LIMIT = 10 ** 6
 
 CONVERGED = "converged"
 STEP_UNDERFLOW = "step_underflow"
@@ -360,8 +367,10 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     for d, e in zip(dims, env_dims):
         if not 1 <= e <= d * d:
             raise InvariantError("environment dimensions must satisfy 1 <= e <= d^2")
-    if restarts < 1:
-        raise InvariantError("need at least one restart")
+    if not 1 <= restarts <= RESTART_LIMIT:
+        raise InvariantError(f"restarts must lie in [1, {RESTART_LIMIT}]")
+    if not 0 <= max_iters <= ITERATION_LIMIT:
+        raise InvariantError(f"max_iters must lie in [0, {ITERATION_LIMIT}]")
 
     seeds = [int(np.random.SeedSequence([int(master_seed), r]).generate_state(1)[0])
              for r in range(restarts)]
@@ -389,16 +398,10 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
 # structural LCCC certificate
 
 
-DEGENERACY_BAND = 1e-9
-# Just outside DEGENERACY_BAND the spectral eigenvectors are ill-conditioned
-# (their error grows like rounding / |2p - 1|) and can mix W into GHZ; up to
-# this distance from 1/2 the zero-tangle pairs are tried as well, each kept
-# only if it reconstructs rho with the spectral weights to RECONSTRUCTION_ATOL.
-NEAR_DEGENERACY_BAND = 1e-3
 RECONSTRUCTION_ATOL = 1e-9
 
 
-def _try_basis(rho, p, psi_a, psi_b):
+def _try_basis(q, psi_a, psi_b):
     """Check one rank-2 decomposition for the W/GHZ obstruction pattern."""
     try:
         ca = classify_three_qubit(psi_a)
@@ -408,7 +411,7 @@ def _try_basis(rho, p, psi_a, psi_b):
     if {ca.label, cb.label} != {W_CLASS, GHZ_CLASS}:
         return None
     return Certificate(verdict=NOT_LCCC,
-                       decomposition=(p, psi_a, psi_b),
+                       decomposition=(q, psi_a, psi_b),
                        classes=(ca, cb))
 
 
@@ -440,17 +443,16 @@ def lccc_obstruction_check(rho):
     """Decide what is known about LCCC membership of rho.
 
     Bipartite targets are always producible (synthesis plan attached).
-    A rank-2 three-qubit target whose spectral decomposition mixes one
-    W-class and one GHZ-class state cannot be produced even with classical
-    communication.  For a degenerate (p = 1/2) spectrum every orthonormal
-    basis of the eigenspace is a decomposition; the W-class candidates are
-    the zero-tangle directions, the exact roots of the binary quartic
-    Hdet(x va + y vb), and each is tried with its orthogonal complement, so
-    the verdict does not depend on a local-unitary frame.  Within
-    NEAR_DEGENERACY_BAND of 1/2, where the computed eigenvectors are
-    ill-conditioned, the same pairs are tried when the spectral basis fails,
-    in whichever order reconstructs rho with the weights (p, 1 - p).
-    Everything else is Unknown - never an error.
+    A rank-2 three-qubit target that mixes one W-class and one GHZ-class
+    state cannot be produced even with classical communication.  Each
+    zero-tangle direction u1 of the support (a root of the binary quartic
+    Hdet(x va + y vb)) is paired with its orthogonal complement u2 in the
+    support, weighted q = <u1|rho|u1>, put heavier state first, and kept
+    only if q|u1><u1| + (1-q)|u2><u2| reconstructs rho to
+    RECONSTRUCTION_ATOL: off p = 1/2 only the eigenbasis does, at p = 1/2
+    every orthonormal pair does.  The support stays well conditioned where
+    the eigenvectors do not (p near 1/2), so the verdict does not depend on
+    a local-unitary frame.  Everything else is Unknown - never an error.
     """
     if rho.shape.n_parties == 2:
         return Certificate(verdict=LCCC_BIPARTITE, plan=build_synthesis_plan(rho))
@@ -459,26 +461,14 @@ def lccc_obstruction_check(rho):
     ens = spectral_ensemble(rho)
     if len(ens.states) != 2:
         return Certificate(verdict=UNKNOWN, reason="no implemented criterion")
-    p = float(ens.probabilities[0])
-    psi_a, psi_b = ens.states
-    gap = abs(p - 0.5)
-    if gap > DEGENERACY_BAND:
-        cert = _try_basis(rho, p, psi_a, psi_b)
-        if cert is not None:
-            return cert
-        if gap > NEAR_DEGENERACY_BAND:
-            return Certificate(verdict=UNKNOWN, reason="argument inapplicable")
-
-    for u1, u2 in _zero_tangle_pairs(psi_a.amplitudes, psi_b.amplitudes):
-        if gap <= DEGENERACY_BAND:
-            # degenerate spectrum: every orthonormal basis is a decomposition
-            candidates = [(0.5, u1, u2)]
-        else:
-            candidates = [(p, a, b) for a, b in ((u1, u2), (u2, u1))
-                          if _reconstructs(rho, p, a, b)]
-        for q, a, b in candidates:
-            cert = _try_basis(rho, q, PureState(rho.shape, a),
-                              PureState(rho.shape, b))
+    va, vb = (psi.amplitudes for psi in ens.states)
+    for u1, u2 in _zero_tangle_pairs(va, vb):
+        q = float(np.vdot(u1, rho.entries @ u1).real)
+        if q < 0.5:
+            q, u1, u2 = 1 - q, u2, u1
+        if _reconstructs(rho, q, u1, u2):
+            cert = _try_basis(q, PureState(rho.shape, u1),
+                              PureState(rho.shape, u2))
             if cert is not None:
                 return cert
     return Certificate(verdict=UNKNOWN, reason="argument inapplicable")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import InvariantError, RANK_TOL, partial_trace
+from .states import InvariantError, partial_trace
 
 TANGLE_TOL = 1e-10
 
@@ -69,14 +69,14 @@ def marginal_ranks(psi):
     """(r_A, r_B, r_C): ranks of the three single-party marginals."""
     _require_three_qubits(psi)
     rho = psi.density()
-    return tuple(partial_trace(rho, {k}).rank(RANK_TOL) for k in range(3))
+    return tuple(partial_trace(rho, {k}).rank() for k in range(3))
 
 
-def classify_three_qubit(psi, tangle_tol=TANGLE_TOL):
+def classify_three_qubit(psi):
     """Assign the SLOCC class of a pure three-qubit state.
 
     All marginal ranks 1 -> Product; exactly one rank 1 -> the matching
-    biseparable class; all ranks 2 -> GHZ if tau > tangle_tol else W.
+    biseparable class; all ranks 2 -> GHZ if tau > TANGLE_TOL else W.
     Near-threshold states classify as GHZ: the W class is a measure-zero
     boundary, and a false W would invalidate downstream certificates.
     """
@@ -92,4 +92,4 @@ def classify_three_qubit(psi, tangle_tol=TANGLE_TOL):
         label = (BISEPARABLE_A, BISEPARABLE_B, BISEPARABLE_C)[ranks.index(1)]
         return SloccClass(label)
     tau = three_tangle(psi)
-    return SloccClass(GHZ_CLASS if tau > tangle_tol else W_CLASS)
+    return SloccClass(GHZ_CLASS if tau > TANGLE_TOL else W_CLASS)

@@ -12,6 +12,8 @@ import numpy as np
 
 ATOL = 1e-9
 RANK_TOL = 1e-10
+# eigenvalues closer than this form one degenerate cluster
+DEGENERACY_TOL = 1e-9
 
 
 class InvariantError(ValueError):
@@ -85,11 +87,11 @@ class PureState:
         """<self|other> (complex)."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def equals_up_to_phase(self, other, tol=ATOL):
-        """Physical equality: |<self|other>| = 1 within tol."""
+    def equals_up_to_phase(self, other):
+        """Physical equality: |<self|other>| = 1 within ATOL."""
         if self.shape != other.shape:
             return False
-        return abs(abs(self.overlap(other)) - 1.0) <= tol
+        return abs(abs(self.overlap(other)) - 1.0) <= ATOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,8 +124,8 @@ class DensityMatrix:
         w, v = deterministic_eigh(self.entries)
         return w[::-1], v[:, ::-1]
 
-    def rank(self, tol=RANK_TOL):
-        return int(np.sum(np.linalg.eigvalsh(self.entries) > tol))
+    def rank(self):
+        return int(np.sum(np.linalg.eigvalsh(self.entries) > RANK_TOL))
 
     def purity(self):
         return float(np.trace(self.entries @ self.entries).real)
@@ -144,10 +146,10 @@ def _fix_phases(vecs):
     return out
 
 
-def deterministic_eigh(h, degeneracy_tol=1e-9):
+def deterministic_eigh(h):
     """eigh with a reproducible choice of basis inside degenerate eigenspaces.
 
-    Within each cluster of eigenvalues closer than degeneracy_tol the
+    Within each cluster of eigenvalues closer than DEGENERACY_TOL the
     eigenvectors are re-diagonalized against the basis-index operator
     diag(0, 1, ..., D-1), ordered by ascending expectation of that operator,
     and phase-fixed.  The same input bits always give the same basis.
@@ -158,7 +160,7 @@ def deterministic_eigh(h, degeneracy_tol=1e-9):
     i = 0
     while i < len(w):
         j = i + 1
-        while j < len(w) and abs(w[j] - w[j - 1]) <= degeneracy_tol:
+        while j < len(w) and abs(w[j] - w[j - 1]) <= DEGENERACY_TOL:
             j += 1
         if j - i > 1:
             block = v[:, i:j]
@@ -254,8 +256,8 @@ class SchmidtForm:
     left_parties: tuple
     right_parties: tuple
 
-    def rank(self, tol=RANK_TOL):
-        return int(np.sum(self.coefficients > np.sqrt(tol)))
+    def rank(self):
+        return int(np.sum(self.coefficients > np.sqrt(RANK_TOL)))
 
 
 def _cut_permutation(shape, cut):

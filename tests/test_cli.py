@@ -244,11 +244,11 @@ class TestCli:
         assert code == 0
         assert report["inputs"] == {"target": f, "samples": 100, "seed": 0}
 
-    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    @pytest.mark.parametrize("flag", ["--help", "-h", "synthesize --help"])
     def test_help_exits_zero(self, capsys, flag):
         assert self._run("param-count", "--n", "3", "--d", "2")[0] == 0
         for _ in range(2):
-            code, report = self._run(flag)
+            code, report = self._run(*flag.split())
             assert code == 0
             assert report is None
             assert capsys.readouterr().out.startswith("usage: lcstates")
@@ -270,6 +270,8 @@ class TestCli:
         {"env_dims": [4, 4, "4"]},
         {"restart": 3},
         [1, 2],
+        {"restarts": 10 ** 9},
+        {"max_iters": 10 ** 9},
     ])
     def test_bad_search_config_is_validation_failure(self, tmp_path, opts):
         tf = str(tmp_path / "ghz.json")

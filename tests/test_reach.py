@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from lcstates import (DensityMatrix, InvariantError, SystemShape,
+from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       apply_product_channel, basis_state, dephasing_channel,
                       depolarizing_channel, ghz_state, identity_channel,
                       lc_distance_search, lccc_obstruction_check,
                       max_entangled, precursor_optimal_for_channels,
-                      random_local_channel, tensor_product, z_mixture)
+                      random_local_channel, tensor_product, w_state,
+                      z_mixture)
 from lcstates.channels import _apply_local, _apply_product_channel_matrix, liouville
 from lcstates import reach
 from lcstates.reach import (LCConfiguration, _identity_configuration,
@@ -200,6 +201,11 @@ class TestSearch:
             lc_distance_search(z_mixture(0.5), env_dims=(5, 4, 4))
         with pytest.raises(InvariantError):
             lc_distance_search(z_mixture(0.5), restarts=0)
+        # size limits are checked before any restart configuration is built
+        for opts in ({"restarts": reach.RESTART_LIMIT + 1},
+                     {"max_iters": reach.ITERATION_LIMIT + 1}, {"max_iters": -1}):
+            with pytest.raises(InvariantError):
+                lc_distance_search(z_mixture(0.5), **opts)
 
 
 class TestObstruction:
@@ -228,7 +234,11 @@ class TestObstruction:
         # SLOCC classes, hence the certificate, ignore local unitaries; the
         # degenerate p = 1/2 eigenspace is then an arbitrary basis of span{W, GHZ}
         rng = np.random.default_rng(33)
-        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        # and p just inside and outside 1e-9 and 1e-3 of 1/2, where the
+        # computed eigenvectors are ill-conditioned to different degrees
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9, 0.5 - 1e-9, 0.5 + 1e-9,
+                  0.5 - 3e-9, 0.5 + 3e-9, 0.5 - 1e-3, 0.5 + 1e-3,
+                  0.5 - 1.1e-3, 0.5 + 1.1e-3):
             for _ in range(20):
                 u = tensor_unitary(rng)
                 rho = DensityMatrix(Q3, u @ z_mixture(p).entries @ u.conj().T,
@@ -243,8 +253,8 @@ class TestObstruction:
 
     @pytest.mark.parametrize("dp", [1e-8, 1e-7, 1e-6, -1e-7])
     def test_near_degenerate_certified(self, dp):
-        # just outside DEGENERACY_BAND the spectral eigenvectors mix W into
-        # GHZ; the zero-tangle pairs still give the exact decomposition
+        # this close to p = 1/2 the spectral eigenvectors mix W into GHZ;
+        # the zero-tangle pairs still give the exact decomposition
         rng = np.random.default_rng(35)
         for _ in range(20):
             u = tensor_unitary(rng)
@@ -291,10 +301,37 @@ class TestObstruction:
         cert = lccc_obstruction_check(random_density(Q3, rng))
         assert cert.verdict == UNKNOWN
 
+    def test_generic_rank_two_unknown(self, rng):
+        # both eigenvectors of a generic rank-2 state are GHZ-class; the other
+        # zero-tangle pairs of its support fail the reconstruction check
+        for _ in range(40):
+            assert lccc_obstruction_check(random_density(Q3, rng, rank=2)).verdict == UNKNOWN
+
     def test_four_party_unknown(self, rng):
         cert = lccc_obstruction_check(random_density(SystemShape((2, 2, 2, 2)), rng))
         assert cert.verdict == UNKNOWN
         assert cert.reason == "no implemented criterion"
+
+    def test_lc_made_rank_two_never_obstructed(self):
+        # soundness on the rank-2 states the certificate examines: a pure
+        # precursor (Haar-random, or W or GHZ under a random GL x GL x GL)
+        # with a random 2-Kraus channel on one random party is LC by
+        # construction, so it must never be certified NotLCCC
+        rng = np.random.default_rng(37)
+        for i in range(300):
+            if i % 3 == 0:
+                amps = random_pure(Q3, rng).amplitudes
+            else:
+                g = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                     for _ in range(3)]
+                base = (w_state(), ghz_state())[i % 3 - 1].amplitudes
+                amps = np.kron(np.kron(g[0], g[1]), g[2]) @ base
+            chans = [identity_channel(2)] * 3
+            chans[rng.integers(3)] = random_local_channel(2, 2, int(rng.integers(2 ** 32)))
+            rho = apply_product_channel(
+                chans, PureState(Q3, amps / np.linalg.norm(amps)).density())
+            assert rho.rank() == 2
+            assert lccc_obstruction_check(rho).verdict != NOT_LCCC, i
 
     def test_lc_implies_not_obstructed(self):
         # consistency between engines on states the search can reach
