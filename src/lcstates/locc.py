@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
-                     RANK_TOL, SystemShape, deterministic_eigh, distance,
-                     max_entangled, schmidt_decompose)
+                     RANK_TOL, _cut_permutation, deterministic_eigh, distance,
+                     schmidt_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -67,20 +67,21 @@ def _cut_views(shape, cut):
     return left, right, dl, dr
 
 
-def _to_cut_order(psi, left, right):
-    dims = psi.shape.local_dims
-    t = psi.amplitudes.reshape(dims)
-    return np.transpose(t, left + right).reshape(-1)
-
-
 def _from_cut_order(vec, shape, left, right):
-    """Inverse of _to_cut_order; leading axes of vec are a batch."""
+    """Cut-ordered amplitudes -> party order; leading axes of vec are a batch."""
     dims = shape.local_dims
     perm = left + right
     batch = vec.shape[:-1]
     t = vec.reshape(*batch, *[dims[k] for k in perm])
     inv = [len(batch) + int(i) for i in np.argsort(perm)]
     return np.transpose(t, [*range(len(batch)), *inv]).reshape(*batch, -1)
+
+
+def _precursor_matrix(d, dl, dr):
+    """|Phi+> on the first d levels of each side, as a dl x dr matrix."""
+    src = np.zeros((dl, dr), dtype=complex)
+    src[np.arange(d), np.arange(d)] = 1 / np.sqrt(d)
+    return src
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +105,7 @@ class ConversionProtocol:
     def precursor(self):
         """The maximally entangled precursor, embedded across the cut."""
         left, right, dl, dr = _cut_views(self.target.shape, self.cut)
-        d = self.n_outcomes
-        vec = np.zeros(dl * dr, dtype=complex)
-        for i in range(d):
-            vec[i * dr + i] = 1 / np.sqrt(d)
+        vec = _precursor_matrix(self.n_outcomes, dl, dr).reshape(-1)
         return PureState(self.target.shape,
                          _from_cut_order(vec, self.target.shape, left, right))
 
@@ -115,14 +113,7 @@ class ConversionProtocol:
         """[(probability, corrected PureState)] for every outcome, computed
         exactly in one pass from one precursor; each outcome state is
         validated."""
-        left, right, dl, dr = _cut_views(self.target.shape, self.cut)
-        src = _to_cut_order(self.precursor(), left, right).reshape(dl, dr)
-        post = self.alice_kraus @ src
-        norms = np.array([np.linalg.norm(p) for p in post])
-        a, b = (np.stack(c) for c in zip(*self.corrections))
-        post = a @ (post / norms[:, None, None]) @ np.swapaxes(b, -1, -2)
-        amps = _from_cut_order(post.reshape(len(post), -1), self.target.shape,
-                               left, right)
+        norms, amps = _outcome_amplitudes((self,))
         return [(float(n ** 2), PureState(self.target.shape, v))
                 for n, v in zip(norms, amps)]
 
@@ -143,52 +134,90 @@ class ConversionProtocol:
                 raise InvariantError(f"outcome {m} does not reproduce the target")
 
 
-def _shift_unitary(dim, d, m):
-    """|i> -> |(i+m) mod d> on the first d levels, identity above."""
-    u = np.zeros((dim, dim), dtype=complex)
-    for i in range(d):
-        u[(i + m) % d, i] = 1.0
-    for i in range(d, dim):
-        u[i, i] = 1.0
-    return u
+def _outcome_amplitudes(protocols):
+    """Corrected outcome amplitudes of protocols that share one shape, cut
+    and outcome count, in one pass from one precursor.
+
+    Returns the outcome norms, shape (M*d,), and the normalised corrected
+    amplitudes, shape (M*d, D), protocol-major.  The amplitudes get
+    PureState's checks in raw form (finite, unit norm).
+    """
+    first = protocols[0]
+    shape, cut, d = first.target.shape, first.cut, first.n_outcomes
+    if any(p.target.shape != shape or p.cut != cut or p.n_outcomes != d
+           for p in protocols):
+        raise InvariantError("protocols must share one shape, cut and outcome count")
+    left, right, dl, dr = _cut_views(shape, cut)
+    post = np.stack([p.alice_kraus for p in protocols]) @ _precursor_matrix(d, dl, dr)
+    # each outcome's Frobenius norm, summed as np.linalg.norm sums it (one
+    # real and one imaginary dot product), so the bits match per-outcome calls
+    flat = post.reshape(-1, 1, dl * dr)
+    re, im = flat.real, flat.imag
+    norms = np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1)
+    a, b = (np.stack([[c[side] for c in p.corrections] for p in protocols])
+            for side in (0, 1))
+    post = a @ (post / norms.reshape(-1, d, 1, 1)) @ np.swapaxes(b, -1, -2)
+    amps = _from_cut_order(post.reshape(len(norms), -1), shape, left, right)
+    if not np.isfinite(amps).all():
+        raise InvariantError("entries must be finite")
+    if not np.all(np.abs(np.linalg.norm(amps, axis=-1) - 1.0) <= ATOL):
+        raise InvariantError("state vector is not normalized")
+    return norms, amps
+
+
+def _shifted_columns(w, shift):
+    """(M, n, n) unitaries -> (M, d, n, n): for each m, column i < d of w
+    replaced by column shift[m, i] = (i + m) mod d, the columns from d on
+    kept; that is w times the modular shift by m, as a gather."""
+    n, d = w.shape[-1], len(shift)
+    cols = np.concatenate([shift, np.broadcast_to(np.arange(d, n), (d, n - d))],
+                          axis=1)
+    return np.ascontiguousarray(np.swapaxes(w[:, :, cols], 1, 2))
+
+
+def _build_conversions(targets, cut):
+    """build_conversion for every target of a sequence over one shape: the
+    cut is validated once and one stacked SVD serves all targets."""
+    shape = targets[0].shape
+    checked = _cut_permutation(shape, cut)
+    left, right, dl, dr = _cut_views(shape, cut)
+    if (sorted(left), sorted(right)) != checked:
+        raise InvariantError("cut must list each party once")
+    d = min(dl, dr)
+    dims = shape.local_dims
+    t = np.stack([psi.amplitudes for psi in targets]).reshape(-1, *dims)
+    t = np.transpose(t, [0, *(1 + k for k in left + right)]).reshape(-1, dl, dr)
+    u, s, vh = np.linalg.svd(t)
+    lam = s ** 2
+    lam = lam / lam.sum(axis=-1, keepdims=True)
+
+    shift = (np.arange(d)[:, None] + np.arange(d)) % d     # shift[m, i]
+    diag = np.full((len(targets), d, dl), 1 / np.sqrt(d))
+    diag[:, :, :d] = np.sqrt(lam[:, shift])
+    kraus = np.zeros((len(targets), d, dl, dl), dtype=complex)
+    kraus[:, :, np.arange(dl), np.arange(dl)] = diag
+    ua = _shifted_columns(u, shift)
+    ub = _shifted_columns(np.swapaxes(vh, -1, -2), shift)
+    return tuple(ConversionProtocol(target=psi, cut=(left, right),
+                                    alice_kraus=kraus[j],
+                                    corrections=tuple(zip(ua[j], ub[j])))
+                 for j, psi in enumerate(targets))
 
 
 def build_conversion(target, cut):
     """Protocol producing `target` from the maximally entangled state with
     probability one.
 
-    With target squared Schmidt coefficients (lam_0, ..., lam_{d-1}) padded
-    by zeros, Alice's m-th Kraus operator is diag(sqrt(lam_{(i+m) mod d}));
-    completeness follows from sum_i lam_i = 1 and every outcome norm is
-    exactly 1/d.  The corrections compose a modular shift with the change
-    from the computational to the Schmidt bases on each side.
+    One SVD U diag(s) V^T of the target's dl x dr unfolding across the cut
+    gives everything.  With squared Schmidt coefficients lam_i = s_i^2
+    over the d = min(dl, dr) levels, Alice's m-th Kraus operator is
+    diag(sqrt(lam_{(i+m) mod d})) on the first d levels and 1/sqrt(d)
+    above; completeness follows from sum_i lam_i = 1 and every outcome
+    occurs with probability exactly 1/d.  The corrections for outcome m
+    are U and V^T with their first d columns shifted cyclically by m
+    (a column gather), which undoes the shift the outcome leaves.
     """
-    left, right, dl, dr = _cut_views(target.shape, cut)
-    d = min(dl, dr)
-    sf = schmidt_decompose(target, cut)
-    if sf.rank() > d:
-        raise InvariantError("target Schmidt rank exceeds the cut dimension")
-    lam = np.zeros(d)
-    lam[:len(sf.coefficients)] = sf.coefficients ** 2
-    lam = lam / lam.sum()
-
-    # full unitaries whose first columns are the Schmidt bases
-    t = _to_cut_order(target, left, right).reshape(dl, dr)
-    u, s, vh = np.linalg.svd(t)
-    ua = u                      # dl x dl
-    ub = vh.T                   # dr x dr, columns are the right Schmidt vectors
-
-    kraus = np.zeros((d, dl, dl), dtype=complex)
-    corrections = []
-    for m in range(d):
-        diag = np.full(dl, 1 / np.sqrt(d))
-        diag[:d] = np.sqrt(lam[(np.arange(d) + m) % d])
-        kraus[m] = np.diag(diag)
-        corrections.append((ua @ _shift_unitary(dl, d, m),
-                            ub @ _shift_unitary(dr, d, m)))
-    return ConversionProtocol(target=target, cut=(left, right),
-                              alice_kraus=kraus,
-                              corrections=tuple(corrections))
+    return _build_conversions((target,), cut)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +287,7 @@ def build_synthesis_plan(rho):
         raise InvariantError("synthesis is defined for bipartite states")
     ens = spectral_ensemble(rho)
     cut = ((0,), (1,))
-    protocols = tuple(build_conversion(psi, cut) for psi in ens.states)
+    protocols = _build_conversions(ens.states, cut)
     return SynthesisPlan(ensemble=ens, protocols=protocols, target=rho)
 
 
@@ -266,11 +295,13 @@ def simulate_synthesis(plan, n_samples, seed):
     """Monte-Carlo run of the synthesis protocol.
 
     Every shot draws the shared random variable mu ~ p_mu and one of
-    Alice's k_mu equiprobable measurement outcomes, so the shot counts per
+    Alice's d equiprobable measurement outcomes, so the shot counts per
     (mu, outcome) pair are one multinomial draw of n_samples over the
-    probabilities p_mu / k_mu from ``default_rng(seed)``.  The empirical
-    state is the count-weighted mixture of the corrected outcome states;
-    its cost grows with the number of outcomes, not with n_samples.
+    probabilities p_mu / d from ``default_rng(seed)``.  The empirical
+    state is the count-weighted mixture of the corrected outcome states,
+    computed for all protocols in one stacked pass (they must share one
+    shape, cut and outcome count, else InvariantError); its cost grows
+    with the number of outcomes, not with n_samples.
     Returns the empirical state and its trace distance to the target.
     """
     if (not isinstance(n_samples, numbers.Integral) or isinstance(n_samples, bool)
@@ -279,11 +310,9 @@ def simulate_synthesis(plan, n_samples, seed):
     if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
             or seed < 0):
         raise InvariantError(f"seed must be a non-negative integer, got {seed!r}")
-    amps = np.array([state.amplitudes for proto in plan.protocols
-                     for _, state in proto.outcome_states()])
-    probs = np.concatenate([np.full(proto.n_outcomes, p / proto.n_outcomes)
-                            for p, proto in zip(plan.ensemble.probabilities,
-                                                plan.protocols)])
+    _, amps = _outcome_amplitudes(plan.protocols)
+    d = plan.protocols[0].n_outcomes
+    probs = np.repeat(plan.ensemble.probabilities / d, d)
     counts = np.random.default_rng(seed).multinomial(n_samples, probs)
     emp = (amps.T * (counts / n_samples)) @ amps.conj()
     empirical = DensityMatrix(plan.target.shape, emp, symmetrize=True)

@@ -434,9 +434,9 @@ def _zero_tangle_pairs(va, vb):
     return [(u1 / np.linalg.norm(u1), u2 / np.linalg.norm(u2)) for u1, u2 in pairs]
 
 
-def _reconstructs(rho, p, a, b):
+def _reconstruction_error(rho, p, a, b):
     recon = p * np.outer(a, a.conj()) + (1 - p) * np.outer(b, b.conj())
-    return np.max(np.abs(recon - rho.entries)) <= RECONSTRUCTION_ATOL
+    return np.max(np.abs(recon - rho.entries))
 
 
 def lccc_obstruction_check(rho):
@@ -450,7 +450,9 @@ def lccc_obstruction_check(rho):
     support, weighted q = <u1|rho|u1>, put heavier state first, and kept
     only if q|u1><u1| + (1-q)|u2><u2| reconstructs rho to
     RECONSTRUCTION_ATOL: off p = 1/2 only the eigenbasis does, at p = 1/2
-    every orthonormal pair does.  The support stays well conditioned where
+    every orthonormal pair does.  The kept pairs are tried in order of
+    increasing reconstruction error, so the certificate carries the pair
+    that fits rho best.  The support stays well conditioned where
     the eigenvectors do not (p near 1/2), so the verdict does not depend on
     a local-unitary frame.  Everything else is Unknown - never an error.
     """
@@ -462,13 +464,16 @@ def lccc_obstruction_check(rho):
     if len(ens.states) != 2:
         return Certificate(verdict=UNKNOWN, reason="no implemented criterion")
     va, vb = (psi.amplitudes for psi in ens.states)
+    candidates = []
     for u1, u2 in _zero_tangle_pairs(va, vb):
         q = float(np.vdot(u1, rho.entries @ u1).real)
         if q < 0.5:
             q, u1, u2 = 1 - q, u2, u1
-        if _reconstructs(rho, q, u1, u2):
-            cert = _try_basis(q, PureState(rho.shape, u1),
-                              PureState(rho.shape, u2))
-            if cert is not None:
-                return cert
+        err = _reconstruction_error(rho, q, u1, u2)
+        if err <= RECONSTRUCTION_ATOL:
+            candidates.append((err, q, u1, u2))
+    for _, q, u1, u2 in sorted(candidates, key=lambda c: c[0]):
+        cert = _try_basis(q, PureState(rho.shape, u1), PureState(rho.shape, u2))
+        if cert is not None:
+            return cert
     return Certificate(verdict=UNKNOWN, reason="argument inapplicable")

@@ -7,6 +7,7 @@ rows.  A channel file is {"dim": d, "kraus": [matrix, ...]}.  Writers emit
 full double precision; loaders re-validate every invariant.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -25,8 +26,9 @@ def _encode(a):
 def _decode(data, rank):
     """Nested [re, im] pairs -> complex array of the given rank.
 
-    The pairs are viewed as complex rather than combined as re + 1j*im,
-    which would turn a real part of -0.0 into 0.0.
+    Every leaf must be a JSON number: numpy would read "1.5" as 1.5 and
+    true as 1.0.  The pairs are viewed as complex rather than combined as
+    re + 1j*im, which would turn a real part of -0.0 into 0.0.
     """
     try:
         pairs = np.ascontiguousarray(data, dtype=float)
@@ -35,17 +37,32 @@ def _decode(data, rank):
     if pairs.ndim != rank + 1 or pairs.shape[-1] != 2:
         raise InvariantError(f"expected rank-{rank} [re, im] pairs, "
                              f"got shape {pairs.shape}")
+    leaves = data
+    for _ in range(rank):       # regular nesting, rank + 1 deep, as pairs shows
+        leaves = itertools.chain.from_iterable(leaves)
+    bad = sorted(k.__name__ for k in set(map(type, leaves))
+                 if issubclass(k, bool) or not issubclass(k, (int, float)))
+    if bad:
+        raise InvariantError(f"complex array entries must be numbers, got {bad}")
     return pairs.view(complex)[..., 0]
+
+
+def _state_doc(shape, kind, data):
+    return {"shape": list(shape.local_dims), "kind": kind, "data": data}
 
 
 def state_to_dict(state):
     if isinstance(state, PureState):
-        return {"shape": list(state.shape.local_dims), "kind": "pure",
-                "data": _encode(state.amplitudes)}
+        return _state_doc(state.shape, "pure", _encode(state.amplitudes))
     if isinstance(state, DensityMatrix):
-        return {"shape": list(state.shape.local_dims), "kind": "density",
-                "data": _encode(state.entries)}
+        return _state_doc(state.shape, "density", _encode(state.entries))
     raise InvariantError(f"not a state: {type(state).__name__}")
+
+
+def _pure_docs(states):
+    """Documents of pure states over one shape, encoded as one stack."""
+    data = _encode(np.stack([s.amplitudes for s in states]))
+    return [_state_doc(s.shape, "pure", x) for s, x in zip(states, data)]
 
 
 def state_from_dict(doc):
@@ -106,21 +123,32 @@ def load_channel(path):
 
 
 def ensemble_to_dict(ens):
-    return {"probabilities": [float(p) for p in ens.probabilities],
-            "states": [state_to_dict(s) for s in ens.states]}
+    return {"probabilities": ens.probabilities.tolist(),
+            "states": _pure_docs(ens.states)}
+
+
+def _protocol_docs(protocols):
+    """Documents of protocols over one shape and outcome count; targets,
+    Kraus operators and each side's corrections are encoded as one stack."""
+    targets = _pure_docs([p.target for p in protocols])
+    kraus = _encode(np.stack([p.alice_kraus for p in protocols]))
+    alice, bob = (_encode(np.stack([[c[side] for c in p.corrections]
+                                    for p in protocols]))
+                  for side in (0, 1))
+    return [{"cut": [list(p.cut[0]), list(p.cut[1])],
+             "target": t,
+             "alice_kraus": k,
+             "corrections": [{"alice": a, "bob": b} for a, b in zip(pa, pb)]}
+            for p, t, k, pa, pb in zip(protocols, targets, kraus, alice, bob)]
 
 
 def protocol_to_dict(proto):
-    return {"cut": [list(proto.cut[0]), list(proto.cut[1])],
-            "target": state_to_dict(proto.target),
-            "alice_kraus": _encode(proto.alice_kraus),
-            "corrections": [{"alice": _encode(a), "bob": _encode(b)}
-                            for a, b in proto.corrections]}
+    return _protocol_docs([proto])[0]
 
 
 def plan_to_dict(plan):
     return {"ensemble": ensemble_to_dict(plan.ensemble),
-            "protocols": [protocol_to_dict(p) for p in plan.protocols],
+            "protocols": _protocol_docs(plan.protocols),
             "target": state_to_dict(plan.target)}
 
 

@@ -101,6 +101,17 @@ class TestCli:
         assert code == 0
         assert len(report["outputs"]["alice_kraus"]) == 2
 
+    @pytest.mark.parametrize("cut", ["0|1,1,2", "0,0|1,2", "0|1", "0,1|2,3"])
+    def test_bad_cut_is_validation_failure(self, tmp_path, capsys, cut):
+        # a repeated party used to pass the partition check and then fail
+        # inside numpy's transpose with a traceback
+        f = str(tmp_path / "ghz.json")
+        serialize.save_state(ghz_state(), f)
+        code, report = self._run("convert", "--target", f, "--cut", cut)
+        assert code == 2
+        assert report is None
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_synthesize(self, tmp_path):
         f = str(tmp_path / "bell.json")
         serialize.save_state(max_entangled(2).density(), f)
@@ -193,6 +204,11 @@ class TestCli:
         "scalar": ("pure", 5),
         "null": ("pure", None),
         "huge_int": ("pure", [[10 ** 400, 0.0]] + [[0.0, 0.0]] * 7),
+        # each of these three reads as the valid state |000> if strings and
+        # booleans pass for numbers
+        "number_string": ("pure", [["1.0", 0.0]] + [[0.0, 0.0]] * 7),
+        "booleans": ("pure", [[True, False]] + [[False, False]] * 7),
+        "boolean_among_numbers": ("pure", [[1.0, False]] + [[0.0, 0.0]] * 7),
         "ragged_rows": ("density",
                         [[[0.125, 0.0]] * 8] * 7 + [[[0.125, 0.0]] * 7]),
     }

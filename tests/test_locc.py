@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,16 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       basis_state, build_conversion, can_convert, ghz_state,
                       lccc_synthesize_bipartite, majorizes, max_entangled,
                       spectral_ensemble, w_state, z_mixture)
+from lcstates import locc, serialize
 from lcstates.locc import build_synthesis_plan, simulate_synthesis
 from conftest import random_density, random_pure
 
 CUT = ((0,), (1,))
+
+
+def _same_bits(a, b):
+    a, b = (np.ascontiguousarray(x, dtype=complex) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestMajorizes:
@@ -209,6 +218,68 @@ class TestSynthesis:
             one_prob, one = proto.outcome_state(m)
             assert prob == one_prob
             assert np.array_equal(state.amplitudes, one.amplitudes)
+
+    @pytest.mark.parametrize("dims, seed, digest", [
+        ((3, 3), 71,
+         "1767d46f638412970575599ea2724d748124be68d6056784216237543ab9650c"),
+        ((2, 4), 72,
+         "66a8a8fcbd86f78a1bf6dabc0bbd59a3270b6ddcb6536d8153464353632c8c2e"),
+    ], ids=("3x3", "2x4"))
+    def test_seeded_plan_document_pinned(self, dims, seed, digest):
+        # SHA-256 of the plan document's JSON text as the per-protocol
+        # builder and per-matrix encoder wrote it; building and encoding
+        # every protocol of a plan as one stack leaves the bytes unchanged
+        rho = random_density(SystemShape(dims), np.random.default_rng(seed))
+        text = json.dumps(serialize.plan_to_dict(build_synthesis_plan(rho)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("dims, cut", [
+        ((2, 2), CUT), ((2, 3), CUT), ((4, 4), CUT),
+        ((2, 2, 2), ((0, 1), (2,))),
+    ], ids=("2x2", "2x3", "4x4", "2x2x2_01|2"))
+    def test_stacked_protocols_match_single_builds(self, dims, cut, rng):
+        # a plan's protocols, built as one stack, equal the one-target
+        # builds bit for bit; their outcome states equal the per-outcome
+        # reference (one np.linalg.norm per outcome) bit for bit.  Synthesis
+        # plans cut 0|1, so the 0,1|2 case stacks a spectral ensemble
+        for _ in range(8):
+            rho = random_density(SystemShape(dims), rng)
+            if cut == CUT:
+                plan = build_synthesis_plan(rho)
+                states, stacked = plan.ensemble.states, plan.protocols
+            else:
+                states = spectral_ensemble(rho).states
+                stacked = locc._build_conversions(states, cut)
+            assert len(stacked) == len(states) > 1
+            norms, amps = locc._outcome_amplitudes(stacked)
+            d = stacked[0].n_outcomes
+            for j, (psi, proto) in enumerate(zip(states, stacked, strict=True)):
+                one = build_conversion(psi, cut)
+                assert one.cut == proto.cut
+                assert _same_bits(one.alice_kraus, proto.alice_kraus)
+                for (a1, b1), (a2, b2) in zip(one.corrections, proto.corrections,
+                                              strict=True):
+                    assert _same_bits(a1, a2) and _same_bits(b1, b2)
+                left, right, dl, dr = locc._cut_views(psi.shape, cut)
+                post = one.alice_kraus @ locc._precursor_matrix(d, dl, dr)
+                ref_norms = np.array([np.linalg.norm(p) for p in post])
+                a, b = (np.stack(side) for side in zip(*one.corrections))
+                ref = a @ (post / ref_norms[:, None, None]) @ np.swapaxes(b, -1, -2)
+                ref = locc._from_cut_order(ref.reshape(d, -1), psi.shape, left, right)
+                assert np.array_equal(norms[j * d:(j + 1) * d], ref_norms)
+                assert _same_bits(amps[j * d:(j + 1) * d], ref)
+                for m, (prob, state) in enumerate(one.outcome_states()):
+                    assert prob == float(ref_norms[m] ** 2)
+                    assert _same_bits(state.amplitudes, ref[m])
+
+    def test_mixed_protocols_rejected(self, rng):
+        # one outcome pass needs one shape, cut and outcome count
+        a = build_conversion(random_pure(SystemShape((2, 2)), rng), CUT)
+        for b in (build_conversion(random_pure(SystemShape((3, 3)), rng), CUT),
+                  build_conversion(random_pure(SystemShape((2, 2)), rng),
+                                   ((1,), (0,)))):
+            with pytest.raises(InvariantError, match="share one shape"):
+                locc._outcome_amplitudes((a, b))
 
     @pytest.mark.parametrize("n", [0, -5, 2 ** 63, 2.5, True, "100"])
     def test_bad_sample_count_rejected(self, n):

@@ -268,6 +268,24 @@ class TestObstruction:
             recon = q * psi_a.density().entries + (1 - q) * psi_b.density().entries
             assert np.max(np.abs(recon - rho.entries)) <= 1e-9
 
+    @pytest.mark.parametrize("dp", [1e-9, 3e-9])
+    def test_best_pair_certified(self, dp):
+        # within a few 1e-9 of p = 1/2 a zero-tangle pair off the exact
+        # (W, GHZ) one still passes the 1e-9 reconstruction check; the pair
+        # that fits rho best is the exact one
+        rng = np.random.default_rng(36)
+        p = 0.5 + dp
+        for _ in range(20):
+            u = tensor_unitary(rng)
+            rho = DensityMatrix(Q3, u @ z_mixture(p).entries @ u.conj().T,
+                                symmetrize=True)
+            cert = lccc_obstruction_check(rho)
+            assert cert.verdict == NOT_LCCC
+            q, psi_a, psi_b = cert.decomposition
+            recon = q * psi_a.density().entries + (1 - q) * psi_b.density().entries
+            assert np.max(np.abs(recon - rho.entries)) <= 1e-14
+            assert abs(q - p) <= 1e-14
+
     def test_ghz_plus_minus_mixture_unknown(self):
         # span{GHZ+, GHZ-} = span{|000>, |111>}: the quartic's roots are the
         # two product states, so no W-class direction exists

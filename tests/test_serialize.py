@@ -186,6 +186,23 @@ class TestStrictDocuments:
         with pytest.raises(InvariantError):
             serialize.state_from_dict(doc)
 
+    @pytest.mark.parametrize("data", [
+        [["1.5", 0.0], [0.0, 0.0]],
+        [["0.6", 0.0], [0.0, "-0.8"]],
+        [[True, False], [False, False]],
+        [[1.0, False], [0.0, 0.0]],
+        [[1.5, True], [0.0, 0.0]],
+    ], ids=("string", "strings_of_a_unit_vector", "booleans",
+            "boolean_among_numbers", "number_and_boolean"))
+    def test_strings_and_booleans_are_not_numbers(self, data):
+        # numpy reads "1.5" as 1.5 and true as 1.0; the file formats hold
+        # numbers only, so each of these fails even where the values would
+        # make a valid state
+        with pytest.raises(InvariantError, match="must be numbers"):
+            serialize._decode(data, 1)
+        with pytest.raises(InvariantError, match="must be numbers"):
+            serialize.state_from_dict({"shape": [2], "kind": "pure", "data": data})
+
     def test_completeness_checked_at_construction_tolerance(self):
         # error 1e-8: inside the old loader's 1e-7, outside LocalChannel's 1e-9
         doc = serialize.channel_to_dict(LocalChannel(2, np.eye(2)[None]))

@@ -3,9 +3,10 @@ import pytest
 
 from lcstates import (InvariantError, PureState, SystemShape, basis_state,
                       classify_three_qubit, ghz_state, marginal_ranks,
-                      max_entangled, tensor_product, three_tangle, w_state)
+                      max_entangled, partial_trace, tensor_product,
+                      three_tangle, w_state)
 from lcstates.slocc import hyperdeterminant
-from conftest import random_unitary
+from conftest import random_pure, random_unitary
 
 Q3 = SystemShape((2, 2, 2))
 
@@ -55,6 +56,37 @@ class TestMarginalRanks:
 
     def test_product(self):
         assert marginal_ranks(basis_state(Q3, 0)) == (1, 1, 1)
+
+    def test_matches_partial_trace_ranks(self, rng):
+        # GHZ and W under local GL and local unitaries, products, the
+        # three biseparable cuts and Haar states: the ranks from one SVD of
+        # the unfoldings equal the ranks of the partial-trace marginals
+        def amps(*dims):
+            return random_pure(SystemShape(dims), rng).amplitudes
+
+        def gl():
+            return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+        states = []
+        for _ in range(20):
+            for base in (ghz_state(), w_state()):
+                for op in (_local_op(gl(), gl(), gl()),
+                           _local_op(*(random_unitary(2, rng) for _ in range(3)))):
+                    v = op @ base.amplitudes
+                    states.append(v / np.linalg.norm(v))
+            a, bc = amps(2), amps(2, 2)
+            states.append(np.kron(np.kron(amps(2), amps(2)), amps(2)))
+            states.append(np.kron(a, bc))
+            states.append(np.kron(bc, a))
+            states.append(np.kron(a, bc).reshape(2, 2, 2).transpose(1, 0, 2).reshape(-1))
+            states.append(random_pure(Q3, rng).amplitudes)
+        seen = set()
+        for v in states:
+            psi = PureState(Q3, v)
+            expect = tuple(partial_trace(psi.density(), {k}).rank() for k in range(3))
+            assert marginal_ranks(psi) == expect
+            seen.add(expect)
+        assert seen == {(2, 2, 2), (1, 1, 1), (1, 2, 2), (2, 2, 1), (2, 1, 2)}
 
 
 class TestClassify:
