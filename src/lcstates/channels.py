@@ -161,25 +161,33 @@ def _permute(t, order):
     return t.transpose(*range(nb), *(nb + a for a in order))
 
 
-def _local_view(mat, dims, k):
-    """A (..., D, D) operator viewed as (..., L, d, R, L, d, R) around party k."""
+def _column_view(mat, dims, k):
+    """A (..., D, D) operator as the (..., d^2, M) matrix a Liouville matrix
+    of party k acts on.
+
+    The operator is viewed as (L, d, R, L, d, R), with L and R the
+    dimensions of the parties before and after k; rows are the
+    (row_k, col_k) pair and columns the other parties' row and column
+    indices (a, b, a', b'), so M = (L R)^2.
+    """
     d = dims[k]
     left, right = math.prod(dims[:k]), math.prod(dims[k + 1:])
-    return mat.reshape(*mat.shape[:-2], left, d, right, left, d, right)
+    t = mat.reshape(*mat.shape[:-2], left, d, right, left, d, right)
+    return _permute(t, (1, 4, 0, 2, 3, 5)).reshape(*mat.shape[:-2], d * d, -1)
 
 
 def _apply_local(mat, s, dims, k):
     """Apply the Liouville matrix s of a channel on party k of a D x D operator.
 
-    The operator is viewed as (L, d, R, L, d, R), with L and R the
-    dimensions of the parties before and after k; a single matmul
-    contracts the (row_k, col_k) axis pair with s.  Leading axes of mat
-    and s are a batch (broadcast against each other): element b gets the
-    same arithmetic as the unbatched call on mat[b] and s[b].
+    A single matmul contracts s with the operator's column view around
+    party k.  Leading axes of mat and s are a batch (broadcast against
+    each other): element b gets the same arithmetic as the unbatched call
+    on mat[b] and s[b].
     """
-    t = _local_view(mat, dims, k)
-    left, d, right = t.shape[-3:]
-    t = s @ _permute(t, (1, 4, 0, 2, 3, 5)).reshape(*t.shape[:-6], d * d, -1)
+    d = dims[k]
+    left = math.prod(dims[:k])
+    right = mat.shape[-1] // (left * d)
+    t = s @ _column_view(mat, dims, k)
     t = t.reshape(*t.shape[:-2], d, d, left, right, left, right)
     return _permute(t, (2, 0, 3, 4, 1, 5)).reshape(*t.shape[:-6], *mat.shape[-2:])
 

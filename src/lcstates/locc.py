@@ -9,14 +9,14 @@ announces it, and both parties steer the maximally entangled precursor to
 the sampled pure state).
 """
 
-import numbers
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
-                     RANK_TOL, _cut_permutation, deterministic_eigh, distance,
-                     schmidt_decompose)
+                     RANK_TOL, _cut_permutation, _is_int, deterministic_eigh,
+                     distance, schmidt_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -31,9 +31,11 @@ def majorizes(x, y):
     dominates the corresponding prefix sum of y (within MAJORIZATION_SLACK)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvariantError("probability vectors must be finite")
     if (x < 0).any() or (y < 0).any():
         raise InvariantError("probability vectors must be non-negative")
-    if abs(x.sum() - 1) > ATOL or abs(y.sum() - 1) > ATOL:
+    if not (abs(x.sum() - 1) <= ATOL and abs(y.sum() - 1) <= ATOL):
         raise InvariantError("probability vectors must sum to 1")
     m = max(len(x), len(y))
     xs = np.sort(np.concatenate([x, np.zeros(m - len(x))]))[::-1]
@@ -62,8 +64,8 @@ def _cut_views(shape, cut):
     left, right = cut
     left, right = tuple(left), tuple(right)
     dims = shape.local_dims
-    dl = int(np.prod([dims[k] for k in left]))
-    dr = int(np.prod([dims[k] for k in right]))
+    dl = math.prod(dims[k] for k in left)
+    dr = math.prod(dims[k] for k in right)
     return left, right, dl, dr
 
 
@@ -233,7 +235,7 @@ class Ensemble:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
-        if (p < 0).any() or abs(p.sum() - 1) > ATOL:
+        if not (np.isfinite(p).all() and (p >= 0).all() and abs(p.sum() - 1) <= ATOL):
             raise InvariantError("ensemble probabilities must be a distribution")
         shapes = {s.shape for s in self.states}
         if len(self.states) != len(p) or len(shapes) != 1:
@@ -304,11 +306,9 @@ def simulate_synthesis(plan, n_samples, seed):
     with the number of outcomes, not with n_samples.
     Returns the empirical state and its trace distance to the target.
     """
-    if (not isinstance(n_samples, numbers.Integral) or isinstance(n_samples, bool)
-            or not 1 <= n_samples <= np.iinfo(np.int64).max):
+    if not (_is_int(n_samples) and 1 <= n_samples <= np.iinfo(np.int64).max):
         raise InvariantError(f"sample count must be an integer in [1, 2^63), got {n_samples!r}")
-    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
-            or seed < 0):
+    if not (_is_int(seed) and seed >= 0):
         raise InvariantError(f"seed must be a non-negative integer, got {seed!r}")
     _, amps = _outcome_amplitudes(plan.protocols)
     d = plan.protocols[0].n_outcomes

@@ -10,7 +10,12 @@ alternating two moves on the squared Hilbert-Schmidt objective
     the top eigenvector of the adjoint product channel applied to rho;
   * channel move - per-party gradient descent over Stinespring isometry
     coordinates with a polar-decomposition retraction, so every iterate is
-    a valid channel.
+    a valid channel.  The output is linear in party k's Liouville matrix
+    S: X = S T in the column view T of Y_k (the other parties' channels
+    applied to the precursor).  So party k's objective, its gradient and
+    every trial step come from the Gram pair G = T T^H and C = R T^H
+    (R the same view of rho), two d^2 x d^2 matrices: a trial step does no
+    D x D work.
 
 A finite search only gathers evidence: results report residuals and never
 claim impossibility.  The structural certificate lives in
@@ -19,19 +24,21 @@ and one GHZ-class state (not producible even with classical communication)
 and the universally-producible bipartite case.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
-                       _apply_product_channel_matrix, _local_view, _permute,
+from .channels import (COMPLETENESS_ATOL, LocalChannel,
+                       _apply_product_channel_matrix, _column_view, _permute,
                        apply_adjoint_product_channel, haar_isometry,
                        identity_channel, liouville)
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
 from .states import (ATOL, DEGENERACY_TOL, DensityMatrix, InvariantError,
-                     PureState, deterministic_eigh, distance)
+                     PureState, _is_int, deterministic_eigh, distance)
 
 NOT_LCCC = "NotLCCC"
 LCCC_BIPARTITE = "LCCCBipartite"
@@ -145,25 +152,41 @@ def _objective(x, rho_mat):
     return (r.real ** 2 + r.imag ** 2).sum(axis=-1)
 
 
-def _party_gradient(d_mat, y, kraus, dims, k):
+def _gram_pair(y, rho_view, dims, k):
+    """Party k's Gram pair (G, C) = (T T^H, R T^H), each (..., d^2, d^2).
+
+    T and R are the column views of Y (the other parties' channels applied
+    to sigma) and of rho around party k.  The output is X = S T in that
+    view, so for any Liouville matrix S of party k
+    ||S T - R||^2 = Re<S, S G - 2 C> + ||rho||^2: party k's objective
+    depends on Y only through G and C.
+    """
+    t = _column_view(y, dims, k)
+    th = np.swapaxes(t.conj(), -1, -2)
+    return t @ th, rho_view @ th
+
+
+def _gram_objective(s, gram, cross, rho_sq):
+    """Party k's objective Re<S, S G - 2 C> + ||rho||^2 from its Gram pair,
+    one value per batch element."""
+    w = s @ gram - 2 * cross
+    return (s.real * w.real + s.imag * w.imag).sum(axis=(-2, -1)) + rho_sq
+
+
+def _party_gradient(kraus, s, gram, cross):
     """Gradient of the objective wrt the Kraus stack of party k.
 
-    With Y the other parties' channels applied to sigma, X the full output
-    and D = X - rho:  G_m = 2 Tr_{others}[ D K~_m Y ], K~_m the embedding of
-    K_m on party k.  Derived from d||X - rho||^2 = 2 Re Tr[D dX].  The
-    partial trace is taken first, as one matmul of D viewed as
-    ((a, c), (i, j, p, q)) with Y viewed as ((i, j, p, q), (c', b)):
-    T[a,c,c',b] = sum D[(i a j),(p c q)] Y[(p c' q),(i b j)]; then
-    G_m[a,b] = 2 sum K_m[c,c'] T[a,c,c',b] is one matmul with the Kraus
-    stack.  All arguments may carry a leading batch axis.
+    From the Gram pair, d||S T - R||^2 = 2 Re<dS, E> with E = S G - C, and
+    S = sum_m K_m (x) conj(K_m) gives G_m[i,j] = 2 sum_{k,l}
+    E[(i,k),(j,l)] K_m[k,l] (E inherits the Hermiticity-preserving
+    symmetry of S, G and C, so the conj(K_m) half adds an equal term):
+    one matmul of the Kraus stack with E reordered to [(k,l),(i,j)].  All
+    arguments may carry a leading batch axis.
     """
-    dv = _local_view(d_mat, dims, k)
-    yv = _local_view(y, dims, k)
-    d = dims[k]
-    t = (_permute(dv, (1, 4, 0, 2, 3, 5)).reshape(*dv.shape[:-6], d * d, -1)
-         @ _permute(yv, (3, 5, 0, 2, 1, 4)).reshape(*yv.shape[:-6], -1, d * d))
-    t = _permute(t.reshape(*t.shape[:-2], d, d, d, d), (1, 2, 0, 3))
-    g = kraus.reshape(*kraus.shape[:-2], d * d) @ t.reshape(*t.shape[:-4], d * d, d * d)
+    *batch, e, d, _ = kraus.shape
+    err = (s @ gram - cross).reshape(*batch, d, d, d, d)
+    err = _permute(err, (1, 3, 0, 2)).reshape(*batch, d * d, d * d)
+    g = kraus.reshape(*batch, e, d * d) @ err
     return 2 * g.reshape(kraus.shape)
 
 
@@ -245,10 +268,12 @@ def _run_lock_step(target, configs, max_iters, tol):
 
       * precursor move, kept only if it does not increase the objective;
       * per party k, Y_k (the other parties applied to sigma) is computed
-        once, then the gradient; every restart still pending tries a step,
-        an accepted one grows its step by STEP_GROWTH (capped at
-        STEP_CAP), a rejected one halves it, and below STEP_FLOOR the
-        restart dies: it records this party's objective and skips the rest;
+        once and reduced to its Gram pair (`_gram_pair`), which gives the
+        gradient and scores every trial: a trial is a retraction and
+        d^2 x d^2 products.  Every restart still pending tries a step; an
+        accepted one grows its step by STEP_GROWTH (capped at STEP_CAP), a
+        rejected one halves it, and below STEP_FLOOR the restart dies: it
+        records this party's objective and skips the rest;
       * a restart leaves the live set on step underflow, when an iteration
         lowers its objective by less than tol, or after max_iters.
 
@@ -262,6 +287,8 @@ def _run_lock_step(target, configs, max_iters, tol):
     """
     dims = target.shape.local_dims
     rho_mat = target.entries
+    rho_views = [_column_view(rho_mat, dims, k) for k in range(len(dims))]
+    rho_sq = np.vdot(rho_mat, rho_mat).real
     kraus = [np.stack([c.channels[k].kraus for c in configs])
              for k in range(len(dims))]
     sups = [liouville(kr) for kr in kraus]
@@ -302,17 +329,17 @@ def _run_lock_step(target, configs, max_iters, tol):
                 break
             y = _apply_product_channel_matrix([s[act] for s in sups], sigma[act],
                                               dims, skip=k)
-            x = _apply_local(y, sups[k][act], dims, k)
+            gram, cross = _gram_pair(y, rho_views[k], dims, k)
             own_k = kraus[k][act]
             v0 = own_k.reshape(len(act), -1, d)
-            g = _party_gradient(x - rho_mat, y, own_k, dims, k).reshape(v0.shape)
+            g = _party_gradient(own_k, sups[k][act], gram, cross).reshape(v0.shape)
             pend = np.arange(len(act))   # positions in act still trying
             while pend.size:
                 rows = act[pend]
                 cand_k = _polar_retract(v0[pend] - step[rows, None, None] * g[pend])
                 cand_k = cand_k.reshape(-1, *kraus[k].shape[1:])
                 cand_s = liouville(cand_k)
-                t_obj = _objective(_apply_local(y[pend], cand_s, dims, k), rho_mat)
+                t_obj = _gram_objective(cand_s, gram[pend], cross[pend], rho_sq)
                 ok = t_obj <= obj[rows] + 1e-15
                 # accepted: let the step recover so progress stays fast
                 up = rows[ok]
@@ -357,11 +384,24 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     run beside it.  The best restart wins, ties broken by lowest index.
     Per restart, `per_restart_log` holds (seed, final objective, trace
     length) and `diagnostics` its RestartDiagnostics.
+
+    Options are checked before any restart is built: restarts, max_iters,
+    master_seed and every env_dims entry must be integers (numpy integers
+    count, booleans do not), master_seed >= 0, and tol a finite real >= 0;
+    otherwise InvariantError.
     """
     dims = target.shape.local_dims
     if env_dims is None:
         env_dims = tuple(d * d for d in dims)
-    env_dims = tuple(int(e) for e in env_dims)
+    try:
+        env_dims = tuple(env_dims)
+    except TypeError:
+        raise InvariantError("env_dims must be a sequence of integers") from None
+    for name, value in (("restarts", restarts), ("max_iters", max_iters),
+                        ("master_seed", master_seed),
+                        *(("env_dims entry", e) for e in env_dims)):
+        if not _is_int(value):
+            raise InvariantError(f"{name} must be an integer, got {value!r}")
     if len(env_dims) != len(dims):
         raise InvariantError("need one environment dimension per party")
     for d, e in zip(dims, env_dims):
@@ -371,6 +411,16 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
         raise InvariantError(f"restarts must lie in [1, {RESTART_LIMIT}]")
     if not 0 <= max_iters <= ITERATION_LIMIT:
         raise InvariantError(f"max_iters must lie in [0, {ITERATION_LIMIT}]")
+    if master_seed < 0:
+        raise InvariantError(f"master_seed must be non-negative, got {master_seed}")
+    tol_ok = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    try:
+        tol_ok = tol_ok and 0 <= float(tol) < math.inf   # NaN fails too
+    except OverflowError:   # an int beyond the float range
+        tol_ok = False
+    if not tol_ok:
+        raise InvariantError(f"tol must be a finite number >= 0, got {tol!r}")
+    env_dims, tol = tuple(int(e) for e in env_dims), float(tol)
 
     seeds = [int(np.random.SeedSequence([int(master_seed), r]).generate_state(1)[0])
              for r in range(restarts)]

@@ -6,6 +6,8 @@ i = sum_k i_k * prod_{m>k} d_m, i.e. party 0 is most significant.  Every
 module in this package shares that convention.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,15 +44,15 @@ class SystemShape:
 
     @property
     def total_dim(self):
-        return int(np.prod(self.local_dims))
+        return math.prod(self.local_dims)
 
     def concat(self, other):
         return SystemShape(self.local_dims + other.local_dims)
 
 
 def _is_int(v):
-    """A Python (JSON) integer, not a bool."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An integer (Python, JSON or numpy), not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _as_complex(a):

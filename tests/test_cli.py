@@ -288,6 +288,8 @@ class TestCli:
         [1, 2],
         {"restarts": 10 ** 9},
         {"max_iters": 10 ** 9},
+        {"tol": -1.0},
+        {"tol": 10 ** 400},
     ])
     def test_bad_search_config_is_validation_failure(self, tmp_path, opts):
         tf = str(tmp_path / "ghz.json")

@@ -39,6 +39,13 @@ class TestMajorizes:
         with pytest.raises(InvariantError):
             majorizes([1.2, -0.2], [0.5, 0.5])
 
+    @pytest.mark.parametrize("x, y", [([np.nan, 1.0], [0.5, 0.5]),
+                                      ([0.5, 0.5], [np.nan, 1.0]),
+                                      ([np.inf, 1.0], [0.5, 0.5])])
+    def test_non_finite_rejected(self, x, y):
+        with pytest.raises(InvariantError, match="finite"):
+            majorizes(x, y)
+
 
 class TestCanConvert:
     def test_max_entangled_reaches_anything(self, rng):
@@ -135,6 +142,12 @@ class TestSpectralEnsemble:
         rho = random_density(SystemShape((2, 2)), rng)
         ens = spectral_ensemble(rho)
         assert np.max(np.abs(ens.mixture().entries - rho.entries)) < 1e-9
+
+    @pytest.mark.parametrize("p", [[np.nan, 1.0], [np.inf, 0.0], [0.5, np.nan]])
+    def test_non_finite_probabilities_rejected(self, p):
+        states = (ghz_state(), w_state())
+        with pytest.raises(InvariantError):
+            locc.Ensemble(np.array(p), states)
 
 
 class TestSynthesis:

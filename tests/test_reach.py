@@ -8,10 +8,12 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       max_entangled, precursor_optimal_for_channels,
                       random_local_channel, tensor_product, w_state,
                       z_mixture)
-from lcstates.channels import _apply_local, _apply_product_channel_matrix, liouville
+from lcstates.channels import (_apply_local, _apply_product_channel_matrix,
+                               _column_view, liouville)
 from lcstates import reach
-from lcstates.reach import (LCConfiguration, _identity_configuration,
-                            _party_gradient, _run_lock_step, CONVERGED,
+from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
+                            _identity_configuration, _party_gradient,
+                            _random_configuration, _run_lock_step, CONVERGED,
                             MAX_ITERS, NOT_LCCC, STEP_UNDERFLOW, LCCC_BIPARTITE,
                             UNKNOWN)
 from lcstates.slocc import classify_three_qubit
@@ -30,6 +32,12 @@ def noisy_ghz():
     chans = [dephasing_channel(2, 0.3), depolarizing_channel(2, 0.2),
              identity_channel(2)]
     return apply_product_channel(chans, ghz_state().density())
+
+
+def noisy_four_qubit_ghz():
+    chans = [dephasing_channel(2, 0.3), depolarizing_channel(2, 0.2),
+             identity_channel(2), identity_channel(2)]
+    return apply_product_channel(chans, ghz_state(4, 2).density())
 
 
 def noisy_qutrit_ghz():
@@ -66,25 +74,33 @@ class TestPrecursorStep:
 
 
 class TestPartyGradient:
+    SHAPES = ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 2))
+
     def _objective(self, kraus, k, y, rho, dims):
         x = _apply_local(y, liouville(kraus), dims, k)
         return np.linalg.norm(x - rho) ** 2
 
+    @staticmethod
+    def _party_inputs(dims, rng):
+        """Random channels, sigma and rho, and each party's Y_k."""
+        shape = SystemShape(dims)
+        chans = [random_local_channel(d, d, 7 * j + len(dims))
+                 for j, d in enumerate(dims)]
+        sups = [liouville(c.kraus) for c in chans]
+        sigma = random_pure(shape, rng).density().entries
+        rho = random_density(shape, rng).entries
+        ys = [_apply_product_channel_matrix(sups, sigma, dims, skip=k)
+              for k in range(len(dims))]
+        return chans, sups, rho, ys
+
     def test_finite_difference(self, rng):
         # d f(K + eps E)/d eps = 2 Re sum_m <E_m, G_m> for any complex E
-        for dims in ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3)):
-            shape = SystemShape(dims)
-            d = dims[0]
-            chans = [random_local_channel(d, d, 7 * j + len(dims))
-                     for j in range(len(dims))]
-            sups = [liouville(c.kraus) for c in chans]
-            sigma = random_pure(shape, rng).density().entries
-            rho = random_density(shape, rng).entries
-            for k in range(len(dims)):
-                y = _apply_product_channel_matrix(sups, sigma, dims, skip=k)
+        for dims in self.SHAPES:
+            chans, sups, rho, ys = self._party_inputs(dims, rng)
+            for k, y in enumerate(ys):
                 kraus = chans[k].kraus
-                x = _apply_local(y, sups[k], dims, k)
-                g = _party_gradient(x - rho, y, kraus, dims, k)
+                gram, cross = _gram_pair(y, _column_view(rho, dims, k), dims, k)
+                g = _party_gradient(kraus, sups[k], gram, cross)
                 e = rng.standard_normal(kraus.shape) \
                     + 1j * rng.standard_normal(kraus.shape)
                 eps = 1e-6
@@ -92,6 +108,19 @@ class TestPartyGradient:
                       - self._objective(kraus - eps * e, k, y, rho, dims)) / (2 * eps)
                 analytic = 2 * np.real(np.vdot(e, g))
                 assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(analytic)), (dims, k)
+
+    @pytest.mark.parametrize("dims", SHAPES + ((3, 2), (2, 3)))
+    def test_gram_objective_matches_full_objective(self, dims, rng):
+        # at (3, 2) and (2, 3) the qutrit party's column view has M = 4
+        # columns, fewer than its d^2 = 9 rows, so its Gram matrix is singular
+        chans, _, rho, ys = self._party_inputs(dims, rng)
+        rho_sq = np.vdot(rho, rho).real
+        for k, y in enumerate(ys):
+            gram, cross = _gram_pair(y, _column_view(rho, dims, k), dims, k)
+            for seed in range(3):
+                s = liouville(random_local_channel(dims[k], 2, seed).kraus)
+                full = reach._objective(_apply_local(y, s, dims, k), rho)
+                assert abs(_gram_objective(s, gram, cross, rho_sq) - full) <= 1e-14
 
 
 class TestSearch:
@@ -137,6 +166,28 @@ class TestSearch:
         diffs = np.diff(np.asarray(traces[0]))
         assert np.all(diffs <= 1e-12)
 
+    @pytest.mark.parametrize("target, env_dims", [
+        (noisy_ghz, (4, 4, 4)),
+        (lambda: z_mixture(0.5), (4, 4, 4)),
+        (lambda: ghz_state().density(), (4, 4, 4)),
+        (noisy_four_qubit_ghz, (4, 4, 4, 4)),
+        (noisy_qutrit_ghz, (9, 9, 9)),
+    ])
+    def test_recorded_finals_match_configurations(self, target, env_dims):
+        # channel trials are scored from the Gram pair; the recorded final
+        # objective must still be that of the configuration returned
+        rho = target()
+        rng = np.random.default_rng(11)
+        configs = [_identity_configuration(rho, env_dims)]
+        configs += [_random_configuration(rho, env_dims, rng) for _ in range(3)]
+        kraus, phis, traces, _ = _run_lock_step(rho, configs, 30, 1e-14)
+        dims = rho.shape.local_dims
+        for b, trace in enumerate(traces):
+            sups = [liouville(kr[b]) for kr in kraus]
+            sigma = np.outer(phis[b], phis[b].conj())
+            out = _apply_product_channel_matrix(sups, sigma, dims)
+            assert abs(reach._objective(out, rho.entries) - trace[-1]) <= 1e-15
+
     @pytest.mark.parametrize("target", [noisy_ghz, noisy_qutrit_ghz])
     def test_batch_composition_invariant(self, target):
         # each restart's arithmetic is independent of the others in the
@@ -164,18 +215,23 @@ class TestSearch:
         assert [d.iterations for d in res.diagnostics] == [1, 40, 40, 40]
 
     def test_step_underflow_ends_restart(self, monkeypatch):
-        # every objective after the first is inflated, so every precursor
-        # and channel trial is rejected: the step halves from 0.1 until it
-        # falls below 1e-8 (24 halvings) during party 0 of iteration 1,
-        # which still records its trace entry
+        # every objective after the first (full and Gram-pair alike) is
+        # inflated, so every precursor and channel trial is rejected: the
+        # step halves from 0.1 until it falls below 1e-8 (24 halvings)
+        # during party 0 of iteration 1, which still records its trace entry
         calls = []
         true_objective = reach._objective
+        true_trial_objective = reach._gram_objective
 
         def rejecting(x, rho_mat):
             calls.append(None)
             return true_objective(x, rho_mat) + (len(calls) > 1)
 
+        def rejecting_trial(s, gram, cross, rho_sq):
+            return true_trial_objective(s, gram, cross, rho_sq) + 1
+
         monkeypatch.setattr(reach, "_objective", rejecting)
+        monkeypatch.setattr(reach, "_gram_objective", rejecting_trial)
         res = lc_distance_search(noisy_ghz(), restarts=2, max_iters=10,
                                  master_seed=5)
         for (_, _, length), diag in zip(res.per_restart_log, res.diagnostics):
@@ -206,6 +262,29 @@ class TestSearch:
                      {"max_iters": reach.ITERATION_LIMIT + 1}, {"max_iters": -1}):
             with pytest.raises(InvariantError):
                 lc_distance_search(z_mixture(0.5), **opts)
+
+    @pytest.mark.parametrize("opts", [
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-9},
+        {"tol": 10 ** 400}, {"tol": "1e-9"}, {"tol": True},
+        {"master_seed": -1}, {"master_seed": 1.0},
+        {"restarts": True}, {"restarts": 2.5}, {"max_iters": 2.5},
+        {"env_dims": (2.7, 2, 2)}, {"env_dims": 4}, {"env_dims": (4, 4, "4")},
+    ])
+    def test_malformed_option_rejected(self, opts):
+        # each is checked before any restart runs (max_iters=1 keeps the
+        # search short should one slip through)
+        with pytest.raises(InvariantError):
+            lc_distance_search(z_mixture(0.5), **{"restarts": 1, "max_iters": 1,
+                                                  **opts})
+
+    def test_numpy_integer_options_accepted(self):
+        res = lc_distance_search(noisy_ghz(), env_dims=np.array([4, 4, 4]),
+                                 restarts=np.int64(2), max_iters=np.int32(3),
+                                 tol=np.float32(1e-9), master_seed=np.uint32(5))
+        ref = lc_distance_search(noisy_ghz(), env_dims=(4, 4, 4), restarts=2,
+                                 max_iters=3, tol=float(np.float32(1e-9)),
+                                 master_seed=5)
+        assert res.per_restart_log == ref.per_restart_log
 
 
 class TestObstruction:
