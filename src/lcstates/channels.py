@@ -32,8 +32,7 @@ class LocalChannel:
                 f"expected Kraus stack of shape (e, {self.dim}, {self.dim})")
         if not 1 <= k.shape[0] <= self.dim ** 2:
             raise InvariantError("need 1 <= e <= d^2 Kraus operators")
-        comp = np.einsum("mij,mik->jk", k.conj(), k)
-        if np.max(np.abs(comp - np.eye(self.dim))) > COMPLETENESS_ATOL:
+        if _completeness_residual(k) > COMPLETENESS_ATOL:
             raise InvariantError("Kraus operators do not sum to the identity")
         k.flags.writeable = False
         object.__setattr__(self, "kraus", k)
@@ -48,8 +47,19 @@ class LocalChannel:
                             (self.dim,), 0)
 
     def completeness_residual(self):
-        comp = np.einsum("mij,mik->jk", self.kraus.conj(), self.kraus)
-        return float(np.max(np.abs(comp - np.eye(self.dim))))
+        return float(_completeness_residual(self.kraus))
+
+
+def _completeness_residual(kraus):
+    """max |sum_m K_m^dag K_m - I| of each (..., e, d, d) Kraus stack.
+
+    The operators may be rectangular (any row count); a NaN entry gives
+    NaN.  The sum is one product V^dag V, V the operators stacked row-wise.
+    """
+    *batch, e, rows, d = kraus.shape
+    v = kraus.reshape(*batch, e * rows, d)
+    comp = np.swapaxes(v.conj(), -1, -2) @ v
+    return np.abs(comp - np.eye(d)).max(axis=(-2, -1))
 
 
 def identity_channel(d, env_dim=1):

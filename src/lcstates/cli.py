@@ -140,6 +140,12 @@ def _dispatch(args):
 
     if cmd == "param-count":
         pc = parameter_counts(args.n, args.d)
+        try:   # by default Python refuses to print an int of over 4300 digits
+            for count in (pc.pure_dim, pc.lc_bound, pc.mixed_dim):
+                str(count)
+        except ValueError:
+            raise UnsupportedError(f"parameter counts for n={args.n}, d={args.d} "
+                                   "have too many digits to print") from None
         return {"pure_dim": pc.pure_dim, "lc_bound": pc.lc_bound,
                 "mixed_dim": pc.mixed_dim,
                 "lc_strictly_smaller": pc.lc_strictly_smaller}, None

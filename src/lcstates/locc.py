@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import _completeness_residual
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
-                     RANK_TOL, _cut_permutation, _is_int, deterministic_eigh,
-                     distance, schmidt_decompose)
+                     RANK_TOL, _check_int, _check_unit_rows, _cut_permutation,
+                     deterministic_eigh, distance, schmidt_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -26,17 +27,23 @@ from .states import (ATOL, DensityMatrix, InvariantError, PureState,
 MAJORIZATION_SLACK = 1e-12
 
 
+def _distribution(p):
+    """p as a float array; raises unless its entries are finite,
+    non-negative and sum to 1 within ATOL."""
+    p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise InvariantError("probability vectors must be finite")
+    if (p < 0).any():
+        raise InvariantError("probability vectors must be non-negative")
+    if not abs(p.sum() - 1) <= ATOL:
+        raise InvariantError("probability vectors must sum to 1")
+    return p
+
+
 def majorizes(x, y):
     """True iff x majorizes y: every prefix sum of sorted-descending x
     dominates the corresponding prefix sum of y (within MAJORIZATION_SLACK)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvariantError("probability vectors must be finite")
-    if (x < 0).any() or (y < 0).any():
-        raise InvariantError("probability vectors must be non-negative")
-    if not (abs(x.sum() - 1) <= ATOL and abs(y.sum() - 1) <= ATOL):
-        raise InvariantError("probability vectors must sum to 1")
+    x, y = _distribution(x), _distribution(y)
     m = max(len(x), len(y))
     xs = np.sort(np.concatenate([x, np.zeros(m - len(x))]))[::-1]
     ys = np.sort(np.concatenate([y, np.zeros(m - len(y))]))[::-1]
@@ -126,8 +133,7 @@ class ConversionProtocol:
     def verify(self):
         """Raise unless completeness, uniform outcomes, and unit fidelity hold."""
         d = self.n_outcomes
-        comp = np.einsum("mij,mik->jk", self.alice_kraus.conj(), self.alice_kraus)
-        if np.max(np.abs(comp - np.eye(comp.shape[0]))) > 1e-10:
+        if not _completeness_residual(self.alice_kraus) <= 1e-10:
             raise InvariantError("Alice's measurement is not complete")
         for m, (prob, state) in enumerate(self.outcome_states()):
             if abs(prob - 1 / d) > ATOL:
@@ -142,7 +148,7 @@ def _outcome_amplitudes(protocols):
 
     Returns the outcome norms, shape (M*d,), and the normalised corrected
     amplitudes, shape (M*d, D), protocol-major.  The amplitudes get
-    PureState's checks in raw form (finite, unit norm).
+    PureState's checks (`_check_unit_rows`).
     """
     first = protocols[0]
     shape, cut, d = first.target.shape, first.cut, first.n_outcomes
@@ -160,10 +166,7 @@ def _outcome_amplitudes(protocols):
             for side in (0, 1))
     post = a @ (post / norms.reshape(-1, d, 1, 1)) @ np.swapaxes(b, -1, -2)
     amps = _from_cut_order(post.reshape(len(norms), -1), shape, left, right)
-    if not np.isfinite(amps).all():
-        raise InvariantError("entries must be finite")
-    if not np.all(np.abs(np.linalg.norm(amps, axis=-1) - 1.0) <= ATOL):
-        raise InvariantError("state vector is not normalized")
+    _check_unit_rows(amps)
     return norms, amps
 
 
@@ -181,10 +184,8 @@ def _build_conversions(targets, cut):
     """build_conversion for every target of a sequence over one shape: the
     cut is validated once and one stacked SVD serves all targets."""
     shape = targets[0].shape
-    checked = _cut_permutation(shape, cut)
+    _cut_permutation(shape, cut)
     left, right, dl, dr = _cut_views(shape, cut)
-    if (sorted(left), sorted(right)) != checked:
-        raise InvariantError("cut must list each party once")
     d = min(dl, dr)
     dims = shape.local_dims
     t = np.stack([psi.amplitudes for psi in targets]).reshape(-1, *dims)
@@ -234,9 +235,7 @@ class Ensemble:
     states: tuple
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if not (np.isfinite(p).all() and (p >= 0).all() and abs(p.sum() - 1) <= ATOL):
-            raise InvariantError("ensemble probabilities must be a distribution")
+        p = _distribution(self.probabilities)
         shapes = {s.shape for s in self.states}
         if len(self.states) != len(p) or len(shapes) != 1:
             raise InvariantError("ensemble states must match probabilities and share a shape")
@@ -306,10 +305,8 @@ def simulate_synthesis(plan, n_samples, seed):
     with the number of outcomes, not with n_samples.
     Returns the empirical state and its trace distance to the target.
     """
-    if not (_is_int(n_samples) and 1 <= n_samples <= np.iinfo(np.int64).max):
-        raise InvariantError(f"sample count must be an integer in [1, 2^63), got {n_samples!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise InvariantError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_int("n_samples", n_samples, 1, np.iinfo(np.int64).max)
+    _check_int("seed", seed, 0)
     _, amps = _outcome_amplitudes(plan.protocols)
     d = plan.protocols[0].n_outcomes
     probs = np.repeat(plan.ensemble.probabilities / d, d)

@@ -31,14 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (COMPLETENESS_ATOL, LocalChannel,
-                       _apply_product_channel_matrix, _column_view, _permute,
-                       apply_adjoint_product_channel, haar_isometry,
-                       identity_channel, liouville)
+                       _apply_product_channel_matrix, _column_view,
+                       _completeness_residual, _permute,
+                       apply_adjoint_product_channel, haar_isometry, liouville)
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
-from .states import (ATOL, DEGENERACY_TOL, DensityMatrix, InvariantError,
-                     PureState, _is_int, deterministic_eigh, distance)
+from .states import (DEGENERACY_TOL, DensityMatrix, InvariantError,
+                     PureState, _check_int, _check_unit_rows, _fix_phases,
+                     deterministic_eigh, distance)
 
 NOT_LCCC = "NotLCCC"
 LCCC_BIPARTITE = "LCCCBipartite"
@@ -124,25 +125,20 @@ def precursor_optimal_for_channels(channels, target):
 def _top_eigenvectors(h):
     """Normalized top eigenvectors of the Hermitian parts of a (B, D, D) stack.
 
-    One stacked eigh; where the top gap exceeds DEGENERACY_TOL, v[..., -1]
-    with its largest-magnitude entry made real positive is exactly what
-    deterministic_eigh returns, otherwise that element goes through
-    deterministic_eigh for the same tie-break.
-    The candidates get PureState's checks in raw form (finite, unit norm).
+    One stacked eigh, its top columns phase-fixed by `_fix_phases`, which
+    is deterministic_eigh's top column wherever the top gap exceeds
+    DEGENERACY_TOL; elsewhere the element goes through deterministic_eigh
+    for the same tie-break.  The candidates get PureState's checks
+    (`_check_unit_rows`).
     """
     h = (h + np.swapaxes(h.conj(), -1, -2)) / 2
     w, v = np.linalg.eigh(h)
-    top = v[..., -1]
-    peak = np.take_along_axis(top, np.argmax(np.abs(top), axis=-1)[:, None], -1)
-    top = top / (peak / np.abs(peak))
+    top = _fix_phases(v[..., -1:])[..., 0]
     gap = w[:, -1] - w[:, -2] if w.shape[-1] > 1 else np.inf   # D = 1: no tie
     for b in np.flatnonzero(~(gap > DEGENERACY_TOL)):
         top[b] = deterministic_eigh(h[b])[1][:, -1]
     top = top / np.linalg.norm(top, axis=-1, keepdims=True)
-    if not np.isfinite(top).all():
-        raise InvariantError("entries must be finite")
-    if not np.all(np.abs(np.linalg.norm(top, axis=-1) - 1.0) <= ATOL):
-        raise InvariantError("state vector is not normalized")
+    _check_unit_rows(top)
     return top
 
 
@@ -194,35 +190,41 @@ def _polar_retract(v):
     """Nearest isometry in Frobenius norm: U W^dag from the thin SVD.
 
     Leading axes are a batch.  Each result is checked like a LocalChannel's
-    Kraus stack: V^dag V = I to COMPLETENESS_ATOL, written so that NaN
-    fails too.
+    Kraus stack: its V^dag V is the stack's sum_m K_m^dag K_m, which must
+    be I to COMPLETENESS_ATOL (NaN fails too).
     """
     u, _, wh = np.linalg.svd(v, full_matrices=False)
     iso = u @ wh
-    gram = np.swapaxes(iso.conj(), -1, -2) @ iso
-    resid = np.abs(gram - np.eye(iso.shape[-1])).max(axis=(-2, -1))
-    if not np.all(resid <= COMPLETENESS_ATOL):
+    resid = _completeness_residual(iso[..., None, :, :])   # one-operator stacks
+    if not (resid <= COMPLETENESS_ATOL).all():
         raise InvariantError("Kraus operators do not sum to the identity")
     return iso
 
 
-def _random_configuration(target, env_dims, rng):
-    dims = target.shape.local_dims
-    channels = tuple(
-        LocalChannel(d, haar_isometry(d * e, d, rng).reshape(e, d, d))
-        for d, e in zip(dims, env_dims))
-    z = rng.standard_normal(target.shape.total_dim) \
-        + 1j * rng.standard_normal(target.shape.total_dim)
-    phi = PureState(target.shape, z / np.linalg.norm(z))
-    return LCConfiguration(phi, channels)
+def _starts(target, env_dims, seeds):
+    """Starting points of one search as raw stacks, one per seed.
 
-
-def _identity_configuration(target, env_dims):
-    dims = target.shape.local_dims
-    channels = tuple(identity_channel(d, e) for d, e in zip(dims, env_dims))
-    w, v = deterministic_eigh(target.entries)
-    phi = PureState(target.shape, v[:, -1] / np.linalg.norm(v[:, -1]))
-    return LCConfiguration(phi, channels)
+    Returns (kraus, phis): per party a (B, e, d, d) Kraus stack, and the
+    (B, D) precursor amplitudes, B = len(seeds).  Element 0 is the
+    identity channel padded with zero Kraus operators and the target's
+    top eigenvector (`_top_eigenvectors`); element b >= 1 draws from
+    default_rng(seeds[b]) a Haar isometry haar_isometry(d e, d) per party,
+    then a complex Gaussian precursor, normalized.
+    """
+    dims, dim = target.shape.local_dims, target.shape.total_dim
+    kraus = [np.zeros((len(seeds), e, d, d), dtype=complex)
+             for d, e in zip(dims, env_dims)]
+    phis = np.empty((len(seeds), dim), dtype=complex)
+    for kr, d in zip(kraus, dims):
+        kr[0, 0] = np.eye(d)
+    phis[0] = _top_eigenvectors(target.entries[None])[0]
+    for b, seed in enumerate(seeds[1:], start=1):
+        rng = np.random.default_rng(seed)
+        for kr, d, e in zip(kraus, dims, env_dims):
+            kr[b] = haar_isometry(d * e, d, rng).reshape(e, d, d)
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        phis[b] = z / np.linalg.norm(z)
+    return kraus, phis
 
 
 INITIAL_STEP = 0.1
@@ -257,8 +259,8 @@ class RestartDiagnostics:
     rejected_steps: int
 
 
-def _run_lock_step(target, configs, max_iters, tol):
-    """Alternating minimization of every starting configuration, in lock step.
+def _run_lock_step(target, kraus, phis, max_iters, tol):
+    """Alternating minimization of every starting point, in lock step.
 
     All restarts advance together through stacked raw arrays: one Kraus
     stack (B, e, d, d) and Liouville matrix (B, d^2, d^2) per party, the
@@ -281,6 +283,10 @@ def _run_lock_step(target, configs, max_iters, tol):
     element b's arithmetic does not depend on the other elements, so a
     restart's result does not depend on how restarts are batched.
 
+    The starting points come as raw stacks (`_starts`): kraus, one
+    (B, e, d, d) Kraus stack per party, and phis, the (B, D) precursor
+    amplitudes.  Both are updated in place.
+
     Returns (kraus, phis, traces, diagnostics): the final Kraus stacks per
     party, the final precursor amplitudes (B, D), each restart's objective
     trace and its RestartDiagnostics.
@@ -289,13 +295,10 @@ def _run_lock_step(target, configs, max_iters, tol):
     rho_mat = target.entries
     rho_views = [_column_view(rho_mat, dims, k) for k in range(len(dims))]
     rho_sq = np.vdot(rho_mat, rho_mat).real
-    kraus = [np.stack([c.channels[k].kraus for c in configs])
-             for k in range(len(dims))]
     sups = [liouville(kr) for kr in kraus]
-    phis = np.stack([c.precursor.amplitudes for c in configs])
     sigma = phis[:, :, None] * phis[:, None, :].conj()
     obj = _objective(_apply_product_channel_matrix(sups, sigma, dims), rho_mat)
-    n = len(configs)
+    n = len(phis)
     traces = [[o] for o in obj.tolist()]
     step = np.full(n, INITIAL_STEP)
     iters, accepted, rejected = (np.zeros(n, dtype=int) for _ in range(3))
@@ -377,17 +380,20 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     stationary: the output is quadratic in each Kraus operator, so the
     zero-padded ones get zero gradient, and restart 0 typically stops after
     one iteration at the objective of the top-eigenvector precursor.
-    Remaining restarts draw seeded Haar-random configurations; per-restart
-    seeds derive from the master seed.  All restarts then run in lock step
+    Remaining restarts draw seeded Haar-random channels and precursors;
+    per-restart seeds derive from the master seed.  The starts are built
+    as raw stacks (`_starts`); only the best configuration is built from
+    validated LocalChannels and a PureState.  All restarts run in lock step
     on one batch axis (`_run_lock_step`); a restart's arithmetic does not
     depend on the others, so its result is the same however many restarts
     run beside it.  The best restart wins, ties broken by lowest index.
     Per restart, `per_restart_log` holds (seed, final objective, trace
     length) and `diagnostics` its RestartDiagnostics.
 
-    Options are checked before any restart is built: restarts, max_iters,
-    master_seed and every env_dims entry must be integers (numpy integers
-    count, booleans do not), master_seed >= 0, and tol a finite real >= 0;
+    Options are checked before any restart is built (`states._check_int`:
+    numpy integers count, booleans do not): restarts an integer in
+    [1, RESTART_LIMIT], max_iters in [0, ITERATION_LIMIT], master_seed
+    >= 0, every env_dims entry in [1, d^2], and tol a finite real >= 0;
     otherwise InvariantError.
     """
     dims = target.shape.local_dims
@@ -397,22 +403,13 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
         env_dims = tuple(env_dims)
     except TypeError:
         raise InvariantError("env_dims must be a sequence of integers") from None
-    for name, value in (("restarts", restarts), ("max_iters", max_iters),
-                        ("master_seed", master_seed),
-                        *(("env_dims entry", e) for e in env_dims)):
-        if not _is_int(value):
-            raise InvariantError(f"{name} must be an integer, got {value!r}")
     if len(env_dims) != len(dims):
         raise InvariantError("need one environment dimension per party")
     for d, e in zip(dims, env_dims):
-        if not 1 <= e <= d * d:
-            raise InvariantError("environment dimensions must satisfy 1 <= e <= d^2")
-    if not 1 <= restarts <= RESTART_LIMIT:
-        raise InvariantError(f"restarts must lie in [1, {RESTART_LIMIT}]")
-    if not 0 <= max_iters <= ITERATION_LIMIT:
-        raise InvariantError(f"max_iters must lie in [0, {ITERATION_LIMIT}]")
-    if master_seed < 0:
-        raise InvariantError(f"master_seed must be non-negative, got {master_seed}")
+        _check_int("env_dims entry", e, 1, d * d)
+    _check_int("restarts", restarts, 1, RESTART_LIMIT)
+    _check_int("max_iters", max_iters, 0, ITERATION_LIMIT)
+    _check_int("master_seed", master_seed, 0)
     tol_ok = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
     try:
         tol_ok = tol_ok and 0 <= float(tol) < math.inf   # NaN fails too
@@ -424,10 +421,8 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
 
     seeds = [int(np.random.SeedSequence([int(master_seed), r]).generate_state(1)[0])
              for r in range(restarts)]
-    configs = [_identity_configuration(target, env_dims)]
-    configs += [_random_configuration(target, env_dims, np.random.default_rng(s))
-                for s in seeds[1:]]
-    kraus, phis, traces, diags = _run_lock_step(target, configs, max_iters, tol)
+    kraus, phis, traces, diags = _run_lock_step(
+        target, *_starts(target, env_dims, seeds), max_iters, tol)
     finals = [trace[-1] for trace in traces]
     b = int(np.argmin(finals))
     best = LCConfiguration(

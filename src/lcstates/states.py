@@ -4,6 +4,11 @@ States live over a :class:`SystemShape` with a fixed big-endian multi-index
 convention: for local dimensions (d_1, ..., d_n) the flat basis index is
 i = sum_k i_k * prod_{m>k} d_m, i.e. party 0 is most significant.  Every
 module in this package shares that convention.
+
+The rules behind the state types live here once, and both the validated
+dataclasses and the raw-array hot loops call them: finite entries
+(`_as_complex`), unit-norm rows (`_check_unit_rows`), the eigenvector
+phase (`_fix_phases`) and integer options (`_check_int`).
 """
 
 import math
@@ -33,10 +38,11 @@ class SystemShape:
     local_dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.local_dims)
-        if len(dims) < 1 or any(d < 1 for d in dims):
-            raise InvariantError("need n >= 1 parties with local dims >= 1")
-        object.__setattr__(self, "local_dims", dims)
+        dims = tuple(self.local_dims)
+        if not (dims and all(_is_int(d) and d >= 1 for d in dims)):
+            raise InvariantError(
+                f"need n >= 1 parties with integer local dims >= 1, got {dims!r}")
+        object.__setattr__(self, "local_dims", tuple(int(d) for d in dims))
 
     @property
     def n_parties(self):
@@ -52,7 +58,16 @@ class SystemShape:
 
 def _is_int(v):
     """An integer (Python, JSON or numpy), not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return type(v) is int or (isinstance(v, numbers.Integral)
+                               and not isinstance(v, bool))
+
+
+def _check_int(name, value, lo, hi=None):
+    """Raise unless value is an integer (`_is_int`) in [lo, hi]; hi None
+    means no upper bound."""
+    if not (_is_int(value) and lo <= value and (hi is None or value <= hi)):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise InvariantError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def _as_complex(a):
@@ -60,6 +75,14 @@ def _as_complex(a):
     if not np.isfinite(out).all():
         raise InvariantError("entries must be finite")
     return out
+
+
+def _check_unit_rows(amps):
+    """Raise unless amps' entries are finite (`_as_complex`) and each row
+    (last axis) has unit norm to ATOL; written so that NaN fails."""
+    norms = np.linalg.norm(_as_complex(amps), axis=-1)
+    if not np.abs(norms - 1.0).max() <= ATOL:
+        raise InvariantError("state vector is not normalized")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,13 +93,12 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _as_complex(self.amplitudes).reshape(-1)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != self.shape.total_dim:
             raise InvariantError(
                 f"amplitude vector has length {amps.size}, "
                 f"shape needs {self.shape.total_dim}")
-        if abs(np.linalg.norm(amps) - 1.0) > ATOL:
-            raise InvariantError("state vector is not normalized")
+        _check_unit_rows(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -138,14 +160,20 @@ class DensityMatrix:
 
 
 def _fix_phases(vecs):
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    Leading axes are a batch; a zero column is returned unchanged.  The
+    peak's magnitude is np.hypot of its parts, which rounds as the scalar
+    abs() does (np.abs on an array does not always), so a column's bits do
+    not depend on the batch it comes in.
+    """
     out = np.array(vecs, dtype=complex)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        ph = col[k] / abs(col[k]) if abs(col[k]) > 0 else 1.0
-        out[:, j] = col / ph
-    return out
+    k = np.argmax(np.abs(out), axis=-2)[..., None, :]
+    peak = np.take_along_axis(out, k, axis=-2)
+    mag = np.hypot(peak.real, peak.imag)
+    nonzero = mag > 0
+    return np.divide(out, peak / np.where(nonzero, mag, 1.0), out=out,
+                     where=nonzero)
 
 
 def deterministic_eigh(h):
@@ -263,12 +291,15 @@ class SchmidtForm:
 
 
 def _cut_permutation(shape, cut):
-    left, right = cut
-    left = _check_parties(shape, left)
-    right = _check_parties(shape, right)
-    if sorted(left + right) != list(range(shape.n_parties)):
+    """The two sides of a bipartition as sorted party lists; every party
+    must sit on exactly one side and be named once."""
+    left, right = (tuple(side) for side in cut)
+    checked = _check_parties(shape, left), _check_parties(shape, right)
+    if sorted(checked[0] + checked[1]) != list(range(shape.n_parties)):
         raise InvariantError("cut must partition all parties into two nonempty groups")
-    return left, right
+    if (sorted(left), sorted(right)) != checked:
+        raise InvariantError("cut must list each party once")
+    return checked
 
 
 def schmidt_decompose(psi, cut):

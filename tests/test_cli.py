@@ -50,6 +50,14 @@ class TestCli:
         assert report["outputs"] == {"pure_dim": 14, "lc_bound": 50,
                                      "mixed_dim": 63, "lc_strictly_smaller": True}
 
+    def test_param_count_too_large_to_print(self, capsys):
+        # 10^4 qubits: mixed_dim has 6021 digits, past Python's default
+        # 4300-digit limit for printing an int
+        assert main(["param-count", "--n", "10000", "--d", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unsupported" in err and "Traceback" not in err
+
     def test_state_then_classify(self, tmp_path):
         f = str(tmp_path / "w.json")
         code, _ = self._run("state", "--kind", "w", "--out", f)

@@ -75,6 +75,11 @@ class TestCanConvert:
         with pytest.raises(InvariantError):
             can_convert(max_entangled(2), max_entangled(3), CUT)
 
+    @pytest.mark.parametrize("cut", [((0,), (1, 2, 2)), ((0, 0), (1, 2))])
+    def test_party_named_twice_rejected(self, cut):
+        with pytest.raises(InvariantError, match="each party once"):
+            can_convert(ghz_state(), ghz_state(), cut)
+
 
 class TestBuildConversion:
     def test_max_entangled_target(self):
@@ -110,6 +115,15 @@ class TestBuildConversion:
             for _ in range(20):
                 target = random_pure(SystemShape((d, d)), rng)
                 build_conversion(target, CUT).verify()
+
+    def test_nan_measurement_is_incomplete(self):
+        proto = build_conversion(max_entangled(2), CUT)
+        kraus = proto.alice_kraus.copy()
+        kraus[0, 0, 0] = np.nan
+        broken = locc.ConversionProtocol(proto.target, proto.cut, kraus,
+                                         proto.corrections)
+        with pytest.raises(InvariantError, match="complete"):
+            broken.verify()
 
     def test_rank_precondition(self):
         # a (3,2) system cut the wide way: left dim 3, right dim 2 -> d = 2

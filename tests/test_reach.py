@@ -9,13 +9,13 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       random_local_channel, tensor_product, w_state,
                       z_mixture)
 from lcstates.channels import (_apply_local, _apply_product_channel_matrix,
-                               _column_view, liouville)
+                               _column_view, haar_isometry, liouville)
+from lcstates.states import deterministic_eigh
 from lcstates import reach
 from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
-                            _identity_configuration, _party_gradient,
-                            _random_configuration, _run_lock_step, CONVERGED,
-                            MAX_ITERS, NOT_LCCC, STEP_UNDERFLOW, LCCC_BIPARTITE,
-                            UNKNOWN)
+                            _party_gradient, _run_lock_step, _starts,
+                            _top_eigenvectors, CONVERGED, MAX_ITERS, NOT_LCCC,
+                            STEP_UNDERFLOW, LCCC_BIPARTITE, UNKNOWN)
 from lcstates.slocc import classify_three_qubit
 from conftest import random_density, random_pure, random_unitary
 
@@ -71,6 +71,19 @@ class TestPrecursorStep:
         with pytest.raises(InvariantError):
             precursor_optimal_for_channels([identity_channel(3)] * 3,
                                            z_mixture(0.5))
+
+    @pytest.mark.parametrize("dim", [8, 16, 27])
+    def test_top_eigenvectors_match_deterministic_eigh(self, dim):
+        # bit for bit, on stacks of non-Hermitian matrices; at D = 8 one
+        # element has a degenerate top pair (the tie-break path)
+        rng = np.random.default_rng(dim)
+        h = rng.standard_normal((200, dim, dim)) + 1j * rng.standard_normal((200, dim, dim))
+        if dim == 8:
+            h[0] = z_mixture(0.5).entries
+        herm = (h + np.swapaxes(h.conj(), -1, -2)) / 2
+        ref = np.stack([deterministic_eigh(m)[1][:, -1] for m in herm])
+        ref = ref / np.linalg.norm(ref, axis=-1, keepdims=True)
+        assert _top_eigenvectors(h).tobytes() == ref.tobytes()
 
 
 class TestPartyGradient:
@@ -159,10 +172,32 @@ class TestSearch:
              0.007153319732124939, 6.521818569649346e-06], rel=1e-8)
         assert lengths == [5, 161, 161, 161]
 
+    @pytest.mark.parametrize("target, env_dims", [
+        (noisy_ghz, (4, 3, 2)), (noisy_qutrit_ghz, (9, 5, 1))])
+    def test_starts_match_inline_reference(self, target, env_dims):
+        rho = target()
+        dims = rho.shape.local_dims
+        seeds = [5, 11, 12]
+        kraus, phis = _starts(rho, env_dims, seeds)
+        # element 0: identity channels padded with zeros, top eigenvector
+        for kr, d, e in zip(kraus, dims, env_dims):
+            pad = np.zeros((e, d, d), dtype=complex)
+            pad[0] = np.eye(d)
+            assert np.array_equal(kr[0], pad)
+        assert phis[0].tobytes() == _top_eigenvectors(rho.entries[None])[0].tobytes()
+        # later elements: one isometry per party, then the precursor
+        for b, seed in enumerate(seeds[1:], start=1):
+            rng = np.random.default_rng(seed)
+            for kr, d, e in zip(kraus, dims, env_dims):
+                ref = haar_isometry(d * e, d, rng).reshape(e, d, d)
+                assert kr[b].tobytes() == ref.tobytes()
+            z = rng.standard_normal(len(phis[b])) + 1j * rng.standard_normal(len(phis[b]))
+            assert phis[b].tobytes() == (z / np.linalg.norm(z)).tobytes()
+
     def test_objective_monotone_within_restart(self):
         target = noisy_ghz()
-        cfg = _identity_configuration(target, (2, 2, 2))
-        _, _, traces, _ = _run_lock_step(target, [cfg], 200, 1e-14)
+        kraus, phis = _starts(target, (2, 2, 2), [0])   # the identity start
+        _, _, traces, _ = _run_lock_step(target, kraus, phis, 200, 1e-14)
         diffs = np.diff(np.asarray(traces[0]))
         assert np.all(diffs <= 1e-12)
 
@@ -177,10 +212,8 @@ class TestSearch:
         # channel trials are scored from the Gram pair; the recorded final
         # objective must still be that of the configuration returned
         rho = target()
-        rng = np.random.default_rng(11)
-        configs = [_identity_configuration(rho, env_dims)]
-        configs += [_random_configuration(rho, env_dims, rng) for _ in range(3)]
-        kraus, phis, traces, _ = _run_lock_step(rho, configs, 30, 1e-14)
+        kraus, phis = _starts(rho, env_dims, [0, 11, 12, 13])
+        kraus, phis, traces, _ = _run_lock_step(rho, kraus, phis, 30, 1e-14)
         dims = rho.shape.local_dims
         for b, trace in enumerate(traces):
             sups = [liouville(kr[b]) for kr in kraus]

@@ -6,6 +6,7 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       distance, ghz_state, max_entangled, partial_trace,
                       purify, schmidt_decompose, tensor_product, w_state,
                       z_mixture)
+from lcstates.states import _fix_phases
 from conftest import random_density, random_pure, random_unitary
 
 Q1 = SystemShape((2,))
@@ -19,6 +20,18 @@ class TestInvariants:
         with pytest.raises(InvariantError):
             SystemShape((2, 0))
         assert SystemShape((2, 3, 4)).total_dim == 24
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2), (True, 2),
+                                      (float("nan"), 2), ("2", 2)])
+    def test_shape_dims_must_be_integers(self, dims):
+        # (2.5, 2) used to become (2, 2) and (True, 2) become (1, 2)
+        with pytest.raises(InvariantError, match="integer"):
+            SystemShape(dims)
+
+    def test_shape_accepts_numpy_integers(self):
+        shape = SystemShape((np.int64(2), np.uint8(3)))
+        assert shape.local_dims == (2, 3)
+        assert all(type(d) is int for d in shape.local_dims)
 
     def test_pure_norm_enforced(self):
         with pytest.raises(InvariantError):
@@ -211,6 +224,11 @@ class TestSchmidt:
         with pytest.raises(InvariantError):
             schmidt_decompose(ghz_state(), ((0, 1, 2), ()))
 
+    @pytest.mark.parametrize("cut", [((0,), (1, 1, 2)), ((0, 0), (1, 2))])
+    def test_party_named_twice_rejected(self, cut):
+        with pytest.raises(InvariantError, match="each party once"):
+            schmidt_decompose(ghz_state(), cut)
+
 
 class TestCanonicalStates:
     def test_w_amplitudes(self):
@@ -293,3 +311,22 @@ class TestDeterministicEigh:
         top = v[:, -2:]
         assert abs(abs(np.vdot(top[:, 0], w_state().amplitudes)) - 1) < 1e-9
         assert abs(abs(np.vdot(top[:, 1], ghz_state().amplitudes)) - 1) < 1e-9
+
+    def test_batched_phase_fix_matches_single_calls(self, rng):
+        vecs = rng.standard_normal((3, 4, 6, 6)) + 1j * rng.standard_normal((3, 4, 6, 6))
+        vecs[1, 2, :, 3] = 0
+        out = _fix_phases(vecs)
+        for i in range(3):
+            for j in range(4):
+                assert out[i, j].tobytes() == _fix_phases(vecs[i, j]).tobytes()
+        assert np.array_equal(out[1, 2, :, 3], vecs[1, 2, :, 3])
+        # the phase comes from the scalar abs() of each column's peak, as
+        # deterministic_eigh always took it
+        for i, j, c in [(0, 0, 0), (2, 3, 5), (1, 1, 2)]:
+            col = vecs[i, j, :, c]
+            peak = col[np.argmax(np.abs(col))]
+            assert out[i, j, :, c].tobytes() == (col / (peak / abs(peak))).tobytes()
+        peaks = np.take_along_axis(out, np.argmax(np.abs(out), axis=-2)[..., None, :], -2)
+        peaks = peaks[np.abs(peaks) > 0]
+        assert np.all(peaks.real > 0)
+        assert np.all(np.abs(peaks.imag) <= 1e-15 * peaks.real)   # real to rounding
