@@ -5,6 +5,15 @@ A channel on one d-level party is stored canonically as Kraus operators
 {K_m}, m = 1..e with e <= d^2 and sum_m K_m^dag K_m = I.  The alternative
 description by environment-state overlaps (a d^2 x d^2 Gram matrix) is a
 constructor, not a storage format.
+
+Product channels act through one kernel on one operator layout.  A
+channel is applied as its Liouville matrix S = sum_m K_m (x) conj(K_m),
+and a D x D operator as its party-paired vector (`_to_pairs`), in which
+each party's (row, col) index pair sits next to the other.  Party k's S
+then acts with one matmul on a no-copy (L^2, d^2, R^2) reshape
+(`_apply_local`), so the layout changes only at the API boundary: once
+into pairs and once back to D x D per call of `apply_product_channel`
+or `apply_adjoint_product_channel`.
 """
 
 import math
@@ -42,9 +51,9 @@ class LocalChannel:
         return self.kraus.shape[0]
 
     def __call__(self, m):
-        """Apply to a dim x dim matrix."""
-        return _apply_local(np.asarray(m, dtype=complex), liouville(self.kraus),
-                            (self.dim,), 0)
+        """Apply to a dim x dim matrix: one matvec of its Liouville matrix."""
+        vec = np.asarray(m, dtype=complex).reshape(-1)
+        return (liouville(self.kraus) @ vec).reshape(self.dim, self.dim)
 
     def completeness_residual(self):
         return float(_completeness_residual(self.kraus))
@@ -76,9 +85,7 @@ class AdjointMap:
     dim: int
     kraus: np.ndarray  # adjoints of the channel's Kraus operators
 
-    def __call__(self, m):
-        return _apply_local(np.asarray(m, dtype=complex), liouville(self.kraus),
-                            (self.dim,), 0)
+    __call__ = LocalChannel.__call__
 
 
 def adjoint_channel(c):
@@ -165,75 +172,93 @@ def liouville(kraus):
     return np.swapaxes(s, -3, -2).reshape(*batch, d * d, d * d)
 
 
-def _permute(t, order):
-    """Permute the trailing len(order) axes of t; leading batch axes stay."""
-    nb = t.ndim - len(order)
-    return t.transpose(*range(nb), *(nb + a for a in order))
+def _to_pairs(mat, dims):
+    """A (..., D, D) operator as its (..., D^2) party-paired vector.
 
-
-def _column_view(mat, dims, k):
-    """A (..., D, D) operator as the (..., d^2, M) matrix a Liouville matrix
-    of party k acts on.
-
-    The operator is viewed as (L, d, R, L, d, R), with L and R the
-    dimensions of the parties before and after k; rows are the
-    (row_k, col_k) pair and columns the other parties' row and column
-    indices (a, b, a', b'), so M = (L R)^2.
+    Entry [(i_1, j_1), ..., (i_n, j_n)] (big-endian, as everywhere in the
+    package) is mat[i, j]: each party's (row, col) index pair sits
+    together, so a channel on party k acts on one contiguous middle axis.
+    Leading axes are a batch.
     """
+    nb, n = mat.ndim - 2, len(dims)
+    t = mat.reshape(*mat.shape[:-2], *dims, *dims)
+    pairs = [nb + a for k in range(n) for a in (k, n + k)]
+    return t.transpose(*range(nb), *pairs).reshape(*mat.shape[:-2], -1)
+
+
+def _from_pairs(vec, dims):
+    """Inverse of `_to_pairs`: (..., D^2) -> (..., D, D)."""
+    nb, n, big = vec.ndim - 1, len(dims), math.prod(dims)
+    t = vec.reshape(*vec.shape[:-1], *np.repeat(dims, 2))
+    rows_cols = [nb + 2 * k + a for a in (0, 1) for k in range(n)]
+    return t.transpose(*range(nb), *rows_cols).reshape(*vec.shape[:-1], big, big)
+
+
+def _party_view(vec, dims, k):
+    """The (..., L^2, d^2, R^2) view of a paired vector around party k, L
+    and R the dimensions of the parties before and after k; no copy."""
     d = dims[k]
-    left, right = math.prod(dims[:k]), math.prod(dims[k + 1:])
-    t = mat.reshape(*mat.shape[:-2], left, d, right, left, d, right)
-    return _permute(t, (1, 4, 0, 2, 3, 5)).reshape(*mat.shape[:-2], d * d, -1)
+    return vec.reshape(*vec.shape[:-1], math.prod(dims[:k]) ** 2, d * d, -1)
 
 
-def _apply_local(mat, s, dims, k):
-    """Apply the Liouville matrix s of a channel on party k of a D x D operator.
+def _column_view(vec, dims, k):
+    """A paired vector as the (..., d^2, M) matrix a Liouville matrix of
+    party k acts on: rows are party k's (row, col) pair, columns the other
+    parties' pairs, M = (L R)^2.  One swapaxes, so one copy."""
+    t = np.swapaxes(_party_view(vec, dims, k), -3, -2)
+    return t.reshape(*t.shape[:-3], t.shape[-3], -1)
 
-    A single matmul contracts s with the operator's column view around
-    party k.  Leading axes of mat and s are a batch (broadcast against
+
+def _apply_local(vec, s, dims, k):
+    """Apply the Liouville matrix s of a channel on party k of a paired vector.
+
+    One matmul of s with the (L^2, d^2, R^2) view around party k, with no
+    transpose.  Leading axes of vec and s are a batch (broadcast against
     each other): element b gets the same arithmetic as the unbatched call
-    on mat[b] and s[b].
+    on vec[b] and s[b].
     """
-    d = dims[k]
-    left = math.prod(dims[:k])
-    right = mat.shape[-1] // (left * d)
-    t = s @ _column_view(mat, dims, k)
-    t = t.reshape(*t.shape[:-2], d, d, left, right, left, right)
-    return _permute(t, (2, 0, 3, 4, 1, 5)).reshape(*t.shape[:-6], *mat.shape[-2:])
+    t = s[..., None, :, :] @ _party_view(vec, dims, k)
+    return t.reshape(*t.shape[:-3], -1)
 
 
-def _apply_product_channel_matrix(sups, mat, dims, skip=None):
-    """Apply one Liouville matrix per party to a raw D x D matrix.
+def _apply_product_channel_matrix(sups, vec, dims, skip=None):
+    """Apply one Liouville matrix per party to a raw paired vector (`_to_pairs`).
 
     Party `skip`, if given, is left untouched (the search uses this for
-    the other parties' part of the output).  mat and the Liouville
+    the other parties' part of the output).  vec and the Liouville
     matrices may carry a leading batch axis, as in `_apply_local`.
     """
     for k, s in enumerate(sups):
         if k != skip:
-            mat = _apply_local(mat, s, dims, k)
-    return mat
+            vec = _apply_local(vec, s, dims, k)
+    return vec
 
 
-def apply_product_channel(channels, rho):
-    """(Lambda_1 (x) ... (x) Lambda_n)(rho) for one LocalChannel per party."""
-    dims = rho.shape.local_dims
+def _check_channels(channels, dims):
+    """Raise unless there is one channel per party, of that party's dimension."""
     if len(channels) != len(dims):
         raise InvariantError("need exactly one channel per party")
     for k, (c, d) in enumerate(zip(channels, dims)):
         if c.dim != d:
             raise InvariantError(
                 f"channel on party {k} has dim {c.dim}, party has dim {d}")
+
+
+def apply_product_channel(channels, rho):
+    """(Lambda_1 (x) ... (x) Lambda_n)(rho) for one LocalChannel per party."""
+    dims = rho.shape.local_dims
+    _check_channels(channels, dims)
     out = _apply_product_channel_matrix([liouville(c.kraus) for c in channels],
-                                        rho.entries, dims)
-    return DensityMatrix(rho.shape, out)
+                                        _to_pairs(rho.entries, dims), dims)
+    return DensityMatrix(rho.shape, _from_pairs(out, dims))
 
 
 def apply_adjoint_product_channel(channels, mat, dims):
-    """Tensor product of per-party adjoints applied to a raw matrix."""
+    """Tensor product of per-party adjoints applied to a raw D x D matrix."""
+    _check_channels(channels, dims)
     sups = [liouville(c.kraus).conj().T for c in channels]
-    return _apply_product_channel_matrix(sups, np.asarray(mat, dtype=complex),
-                                         dims)
+    vec = _to_pairs(np.asarray(mat, dtype=complex), dims)
+    return _from_pairs(_apply_product_channel_matrix(sups, vec, dims), dims)
 
 
 def _minimal_kraus(kraus, d):

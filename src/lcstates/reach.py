@@ -17,6 +17,12 @@ alternating two moves on the squared Hilbert-Schmidt objective
     (R the same view of rho), two d^2 x d^2 matrices: a trial step does no
     D x D work.
 
+The search keeps rho, the precursor states sigma and every partial output
+Y_k as party-paired vectors (`channels._to_pairs`), the layout the channel
+kernel works in: a channel move does no D x D round trip, and party k's
+column view is one swapaxes of Y_k as the kernel returns it.  Only the
+precursor move leaves the layout, for its eigensolve.
+
 A finite search only gathers evidence: results report residuals and never
 claim impossibility.  The structural certificate lives in
 :func:`lccc_obstruction_check`, which recognizes mixtures of one W-class
@@ -31,13 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (COMPLETENESS_ATOL, LocalChannel,
-                       _apply_product_channel_matrix, _column_view,
-                       _completeness_residual, _permute,
-                       apply_adjoint_product_channel, haar_isometry, liouville)
+                       _apply_product_channel_matrix, _check_channels,
+                       _column_view, _completeness_residual, _from_pairs,
+                       _to_pairs, apply_adjoint_product_channel,
+                       apply_product_channel, haar_isometry, liouville)
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
-from .states import (DEGENERACY_TOL, DensityMatrix, InvariantError,
+from .states import (DEGENERACY_TOL, InvariantError,
                      PureState, _check_int, _check_unit_rows, _fix_phases,
                      deterministic_eigh, distance)
 
@@ -58,21 +65,11 @@ class LCConfiguration:
     channels: tuple
 
     def __post_init__(self):
-        dims = self.precursor.shape.local_dims
-        if len(self.channels) != len(dims):
-            raise InvariantError("need one channel per party")
-        for k, (c, d) in enumerate(zip(self.channels, dims)):
-            if c.dim != d:
-                raise InvariantError(f"channel {k} dimension mismatch")
+        _check_channels(self.channels, self.precursor.shape.local_dims)
 
     def output(self):
         """The density matrix this configuration produces."""
-        amps = self.precursor.amplitudes
-        sigma = np.outer(amps, amps.conj())
-        dims = self.precursor.shape.local_dims
-        sups = [liouville(c.kraus) for c in self.channels]
-        out = _apply_product_channel_matrix(sups, sigma, dims)
-        return DensityMatrix(self.precursor.shape, out, symmetrize=True)
+        return apply_product_channel(self.channels, self.precursor.density())
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +81,9 @@ class SearchResult:
     master_seed: int
     # (seed, final objective, len(trace)) per restart; the trace holds the
     # initial objective plus n + 1 entries per iteration (precursor move,
-    # then one per party), so len(trace) = 1 + iters * (n + 1)
+    # then one per party), so len(trace) = 1 + iters * (n + 1), except
+    # that a restart ended by step underflow records no entry for the
+    # parties after the one whose step fell below STEP_FLOOR
     per_restart_log: tuple
     # one RestartDiagnostics per restart, in the same order
     diagnostics: tuple
@@ -115,9 +114,6 @@ def precursor_optimal_for_channels(channels, target):
     target (deterministic tie-break in degenerate cases).
     """
     dims = target.shape.local_dims
-    for k, c in enumerate(channels):
-        if c.dim != dims[k]:
-            raise InvariantError(f"channel {k} dimension mismatch")
     h = apply_adjoint_product_channel(channels, target.entries, dims)
     return PureState(target.shape, _top_eigenvectors(h[None])[0])
 
@@ -142,18 +138,20 @@ def _top_eigenvectors(h):
     return top
 
 
-def _objective(x, rho_mat):
-    """Squared Frobenius distance ||x - rho||^2, one value per batch element."""
-    r = (x - rho_mat).reshape(*x.shape[:-2], -1)
+def _objective(x, rho_vec):
+    """Squared Frobenius distance ||x - rho||^2 of paired vectors, one value
+    per batch element."""
+    r = x - rho_vec
     return (r.real ** 2 + r.imag ** 2).sum(axis=-1)
 
 
 def _gram_pair(y, rho_view, dims, k):
     """Party k's Gram pair (G, C) = (T T^H, R T^H), each (..., d^2, d^2).
 
-    T and R are the column views of Y (the other parties' channels applied
-    to sigma) and of rho around party k.  The output is X = S T in that
-    view, so for any Liouville matrix S of party k
+    T and R are the column views (`_column_view`) of the paired vectors Y
+    (the other parties' channels applied to sigma, as the kernel returns
+    it) and rho around party k.  The output is X = S T in that view, so
+    for any Liouville matrix S of party k
     ||S T - R||^2 = Re<S, S G - 2 C> + ||rho||^2: party k's objective
     depends on Y only through G and C.
     """
@@ -181,7 +179,7 @@ def _party_gradient(kraus, s, gram, cross):
     """
     *batch, e, d, _ = kraus.shape
     err = (s @ gram - cross).reshape(*batch, d, d, d, d)
-    err = _permute(err, (1, 3, 0, 2)).reshape(*batch, d * d, d * d)
+    err = np.moveaxis(err, (-4, -2), (-2, -1)).reshape(*batch, d * d, d * d)
     g = kraus.reshape(*batch, e, d * d) @ err
     return 2 * g.reshape(kraus.shape)
 
@@ -264,9 +262,9 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
 
     All restarts advance together through stacked raw arrays: one Kraus
     stack (B, e, d, d) and Liouville matrix (B, d^2, d^2) per party, the
-    precursor states sigma (B, D, D), and obj and step of shape (B,); each
-    kernel call serves every live restart at once.  Each restart still
-    follows its own serial algorithm, with its own step size:
+    precursor states sigma as paired vectors (B, D^2), and obj and step of
+    shape (B,); each kernel call serves every live restart at once.  Each
+    restart still follows its own serial algorithm, with its own step size:
 
       * precursor move, kept only if it does not increase the objective;
       * per party k, Y_k (the other parties applied to sigma) is computed
@@ -292,12 +290,12 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     trace and its RestartDiagnostics.
     """
     dims = target.shape.local_dims
-    rho_mat = target.entries
-    rho_views = [_column_view(rho_mat, dims, k) for k in range(len(dims))]
-    rho_sq = np.vdot(rho_mat, rho_mat).real
+    rho = _to_pairs(target.entries, dims)
+    rho_views = [_column_view(rho, dims, k) for k in range(len(dims))]
+    rho_sq = np.vdot(rho, rho).real
     sups = [liouville(kr) for kr in kraus]
-    sigma = phis[:, :, None] * phis[:, None, :].conj()
-    obj = _objective(_apply_product_channel_matrix(sups, sigma, dims), rho_mat)
+    sigma = _to_pairs(phis[:, :, None] * phis[:, None, :].conj(), dims)
+    obj = _objective(_apply_product_channel_matrix(sups, sigma, dims), rho)
     n = len(phis)
     traces = [[o] for o in obj.tolist()]
     step = np.full(n, INITIAL_STEP)
@@ -314,11 +312,11 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         # overlap term, so accept it only when the full objective drops)
         own = [s[live] for s in sups]
         h = _apply_product_channel_matrix(
-            [np.swapaxes(s.conj(), -1, -2) for s in own], rho_mat, dims)
-        cand = _top_eigenvectors(h)
-        cand_sigma = cand[:, :, None] * cand[:, None, :].conj()
+            [np.swapaxes(s.conj(), -1, -2) for s in own], rho, dims)
+        cand = _top_eigenvectors(_from_pairs(h, dims))
+        cand_sigma = _to_pairs(cand[:, :, None] * cand[:, None, :].conj(), dims)
         cand_obj = _objective(_apply_product_channel_matrix(own, cand_sigma, dims),
-                              rho_mat)
+                              rho)
         keep = cand_obj <= obj[live]
         rows = live[keep]
         phis[rows], sigma[rows], obj[rows] = cand[keep], cand_sigma[keep], cand_obj[keep]

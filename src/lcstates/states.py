@@ -71,7 +71,9 @@ def _check_int(name, value, lo, hi=None):
 
 
 def _as_complex(a):
-    out = np.ascontiguousarray(np.asarray(a, dtype=complex))
+    """A C-contiguous complex copy of a, checked finite: a validated type
+    owns its arrays, so the caller cannot change them after the checks."""
+    out = np.array(a, dtype=complex, order="C")
     if not np.isfinite(out).all():
         raise InvariantError("entries must be finite")
     return out
@@ -93,7 +95,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)   # own copy
         if amps.size != self.shape.total_dim:
             raise InvariantError(
                 f"amplitude vector has length {amps.size}, "
@@ -221,7 +223,14 @@ def tensor_product(a, b):
 
 
 def _check_parties(shape, parties):
-    parties = sorted(set(int(p) for p in parties))
+    """The sorted party indices of a nonempty collection; each must be an
+    integer (`_is_int`) in range and named once."""
+    parties = list(parties)
+    if not all(_is_int(p) for p in parties):
+        raise InvariantError(f"party indices must be integers, got {parties!r}")
+    if len(set(parties)) != len(parties):
+        raise InvariantError("party subset must list each party once")
+    parties = sorted(int(p) for p in parties)
     if not parties:
         raise InvariantError("party subset must be nonempty")
     if parties[0] < 0 or parties[-1] >= shape.n_parties:
@@ -293,13 +302,10 @@ class SchmidtForm:
 def _cut_permutation(shape, cut):
     """The two sides of a bipartition as sorted party lists; every party
     must sit on exactly one side and be named once."""
-    left, right = (tuple(side) for side in cut)
-    checked = _check_parties(shape, left), _check_parties(shape, right)
-    if sorted(checked[0] + checked[1]) != list(range(shape.n_parties)):
+    left, right = (_check_parties(shape, side) for side in cut)
+    if sorted(left + right) != list(range(shape.n_parties)):
         raise InvariantError("cut must partition all parties into two nonempty groups")
-    if (sorted(left), sorted(right)) != checked:
-        raise InvariantError("cut must list each party once")
-    return checked
+    return left, right
 
 
 def schmidt_decompose(psi, cut):

@@ -9,6 +9,7 @@ from lcstates import (DensityMatrix, EnvironmentGram, InvariantError,
                       identity_channel, parameter_counts, partial_trace,
                       random_local_channel, standard_noise)
 from lcstates.channels import (_apply_local, _apply_product_channel_matrix,
+                               _from_pairs, _to_pairs,
                                apply_adjoint_product_channel, liouville)
 from conftest import random_density, random_pure, random_unitary
 
@@ -29,6 +30,18 @@ class TestLocalChannel:
         bad[1, 0, 0] = np.nan
         with pytest.raises(InvariantError, match="finite"):
             LocalChannel(2, bad)
+
+    def test_constructors_copy_the_callers_array(self):
+        # the caller's array stays writable, and changing it leaves the
+        # validated channel and Gram matrix as they were
+        k = np.eye(2, dtype=complex)[None]
+        c = LocalChannel(2, k)
+        k[0, 0, 0] = 3
+        assert c.completeness_residual() == 0.0
+        g = environment_gram_from_channel(identity_channel(2)).gram.copy()
+        gram = EnvironmentGram(2, g)
+        g[0, 0] = 9
+        assert gram.gram[0, 0] == 1.0
 
     def test_unitary_preserves_purity(self, rng):
         for seed in range(20):
@@ -125,11 +138,19 @@ class TestApplyProductChannel:
             apply_product_channel(chans, rho)
 
     def test_wrong_channel_count(self):
-        with pytest.raises(InvariantError):
-            apply_product_channel([identity_channel(2)], ghz_state().density())
+        for count in (1, 2, 4):
+            chans = [identity_channel(2)] * count
+            with pytest.raises(InvariantError, match="one channel per party"):
+                apply_product_channel(chans, ghz_state().density())
+            # the raw adjoint used to skip the missing parties, and raise
+            # IndexError on a fourth channel
+            with pytest.raises(InvariantError, match="one channel per party"):
+                apply_adjoint_product_channel(chans, np.eye(8), (2, 2, 2))
 
 
-KERNEL_SHAPES = ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3))
+# (2, 3, 2) and (3, 2) have parties of unequal dimension, and L != R
+# around every party but the middle one
+KERNEL_SHAPES = ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 2))
 
 
 def _embedded_kraus(kraus, dims, k):
@@ -151,12 +172,12 @@ def _kron_reference(channels, mat, dims, adjoint=False):
 
 
 def _kernel_cases(seed):
-    """(dims, channels) at every kernel shape with e in {1, d, d^2}."""
+    """(dims, channels) at every kernel shape with every party's e in
+    {1, d, d^2}, d that party's dimension."""
     for dims in KERNEL_SHAPES:
-        d = dims[0]
-        for e in (1, d, d * d):
-            chans = [random_local_channel(d, e, seed + 10 * k + e)
-                     for k in range(len(dims))]
+        for power in range(3):
+            chans = [random_local_channel(d, d ** power, seed + 10 * k + d ** power)
+                     for k, d in enumerate(dims)]
             yield dims, chans
 
 
@@ -191,28 +212,43 @@ class TestKernel:
         # a leading batch axis on the operator and the Liouville matrices
         # gives each element exactly what the unbatched call gives it
         for dims in KERNEL_SHAPES:
-            d, big = dims[0], int(np.prod(dims))
-            kraus = np.stack([random_local_channel(d, d, 40 + b).kraus
-                              for b in range(3)])
-            sups = liouville(kraus)
-            mats = np.stack([random_density(SystemShape(dims), rng).entries
-                             for _ in range(3)])
-            assert sups.shape == (3, d * d, d * d)
-            for k in range(len(dims)):
-                got = _apply_local(mats, sups, dims, k)
-                shared = _apply_local(mats[0], sups, dims, k)
-                assert got.shape == shared.shape == (3, big, big)
+            big = int(np.prod(dims))
+            kraus = [np.stack([random_local_channel(d, d, 40 + b).kraus
+                               for b in range(3)]) for d in dims]
+            sups = [liouville(kr) for kr in kraus]
+            mats = _to_pairs(np.stack([random_density(SystemShape(dims), rng).entries
+                                       for _ in range(3)]), dims)
+            for k, d in enumerate(dims):
+                assert sups[k].shape == (3, d * d, d * d)
+                got = _apply_local(mats, sups[k], dims, k)
+                shared = _apply_local(mats[0], sups[k], dims, k)
+                assert got.shape == shared.shape == (3, big * big)
                 for b in range(3):
-                    assert np.array_equal(sups[b], liouville(kraus[b]))
-                    one = _apply_local(mats[b], sups[b], dims, k)
+                    assert np.array_equal(sups[k][b], liouville(kraus[k][b]))
+                    one = _apply_local(mats[b], sups[k][b], dims, k)
                     assert np.array_equal(got[b], one), (dims, k, b)
                     assert np.array_equal(shared[b],
-                                          _apply_local(mats[0], sups[b], dims, k))
-            full = _apply_product_channel_matrix([sups] * len(dims), mats, dims)
+                                          _apply_local(mats[0], sups[k][b], dims, k))
+            full = _apply_product_channel_matrix(sups, mats, dims)
             for b in range(3):
-                one = _apply_product_channel_matrix([sups[b]] * len(dims),
+                one = _apply_product_channel_matrix([s[b] for s in sups],
                                                     mats[b], dims)
                 assert np.array_equal(full[b], one), (dims, b)
+
+    def test_pairs_round_trip(self, rng):
+        # entry [(i_1, j_1), ..., (i_n, j_n)] of the paired vector is
+        # mat[i, j], and _from_pairs undoes _to_pairs bit for bit
+        for dims in KERNEL_SHAPES:
+            big = int(np.prod(dims))
+            x = rng.standard_normal((4, big, big)) + 1j * rng.standard_normal((4, big, big))
+            vec = _to_pairs(x, dims)
+            assert vec.shape == (4, big * big)
+            assert np.array_equal(_from_pairs(vec, dims), x), dims
+            t = vec.reshape(4, *np.repeat(dims, 2))
+            for i, j in [(0, big - 1), (big - 1, 0), (big // 2, 1)]:
+                idx = [a for pair in zip(np.unravel_index(i, dims),
+                                         np.unravel_index(j, dims)) for a in pair]
+                assert np.array_equal(t[(slice(None), *idx)], x[:, i, j]), dims
 
 
 class TestAdjoint:

@@ -9,7 +9,8 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       random_local_channel, tensor_product, w_state,
                       z_mixture)
 from lcstates.channels import (_apply_local, _apply_product_channel_matrix,
-                               _column_view, haar_isometry, liouville)
+                               _column_view, _to_pairs, haar_isometry,
+                               liouville)
 from lcstates.states import deterministic_eigh
 from lcstates import reach
 from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
@@ -72,6 +73,16 @@ class TestPrecursorStep:
             precursor_optimal_for_channels([identity_channel(3)] * 3,
                                            z_mixture(0.5))
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_channel_count(self, count):
+        # four channels for three parties used to raise IndexError, and
+        # two were accepted, the third party treated as the identity
+        chans = [identity_channel(2)] * count
+        with pytest.raises(InvariantError, match="one channel per party"):
+            precursor_optimal_for_channels(chans, z_mixture(0.5))
+        with pytest.raises(InvariantError, match="one channel per party"):
+            LCConfiguration(ghz_state(), tuple(chans))
+
     @pytest.mark.parametrize("dim", [8, 16, 27])
     def test_top_eigenvectors_match_deterministic_eigh(self, dim):
         # bit for bit, on stacks of non-Hermitian matrices; at D = 8 one
@@ -91,7 +102,7 @@ class TestPartyGradient:
 
     def _objective(self, kraus, k, y, rho, dims):
         x = _apply_local(y, liouville(kraus), dims, k)
-        return np.linalg.norm(x - rho) ** 2
+        return np.linalg.norm(x - _to_pairs(rho, dims)) ** 2
 
     @staticmethod
     def _party_inputs(dims, rng):
@@ -102,7 +113,8 @@ class TestPartyGradient:
         sups = [liouville(c.kraus) for c in chans]
         sigma = random_pure(shape, rng).density().entries
         rho = random_density(shape, rng).entries
-        ys = [_apply_product_channel_matrix(sups, sigma, dims, skip=k)
+        ys = [_apply_product_channel_matrix(sups, _to_pairs(sigma, dims), dims,
+                                            skip=k)
               for k in range(len(dims))]
         return chans, sups, rho, ys
 
@@ -112,7 +124,8 @@ class TestPartyGradient:
             chans, sups, rho, ys = self._party_inputs(dims, rng)
             for k, y in enumerate(ys):
                 kraus = chans[k].kraus
-                gram, cross = _gram_pair(y, _column_view(rho, dims, k), dims, k)
+                gram, cross = _gram_pair(y, _column_view(_to_pairs(rho, dims), dims, k),
+                                         dims, k)
                 g = _party_gradient(kraus, sups[k], gram, cross)
                 e = rng.standard_normal(kraus.shape) \
                     + 1j * rng.standard_normal(kraus.shape)
@@ -129,10 +142,12 @@ class TestPartyGradient:
         chans, _, rho, ys = self._party_inputs(dims, rng)
         rho_sq = np.vdot(rho, rho).real
         for k, y in enumerate(ys):
-            gram, cross = _gram_pair(y, _column_view(rho, dims, k), dims, k)
+            gram, cross = _gram_pair(y, _column_view(_to_pairs(rho, dims), dims, k),
+                                     dims, k)
             for seed in range(3):
                 s = liouville(random_local_channel(dims[k], 2, seed).kraus)
-                full = reach._objective(_apply_local(y, s, dims, k), rho)
+                full = reach._objective(_apply_local(y, s, dims, k),
+                                        _to_pairs(rho, dims))
                 assert abs(_gram_objective(s, gram, cross, rho_sq) - full) <= 1e-14
 
 
@@ -218,8 +233,9 @@ class TestSearch:
         for b, trace in enumerate(traces):
             sups = [liouville(kr[b]) for kr in kraus]
             sigma = np.outer(phis[b], phis[b].conj())
-            out = _apply_product_channel_matrix(sups, sigma, dims)
-            assert abs(reach._objective(out, rho.entries) - trace[-1]) <= 1e-15
+            out = _apply_product_channel_matrix(sups, _to_pairs(sigma, dims), dims)
+            assert abs(reach._objective(out, _to_pairs(rho.entries, dims))
+                       - trace[-1]) <= 1e-15
 
     @pytest.mark.parametrize("target", [noisy_ghz, noisy_qutrit_ghz])
     def test_batch_composition_invariant(self, target):

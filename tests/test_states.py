@@ -58,6 +58,20 @@ class TestInvariants:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0
 
+    def test_constructors_copy_the_callers_array(self):
+        # changing the caller's array after validation leaves the state as
+        # it was, and the caller's array stays writable
+        a = np.zeros(8, complex)
+        a[0] = 1
+        psi = PureState(Q3, a)
+        a[0] = 5
+        assert np.linalg.norm(psi.amplitudes) == 1.0
+        m = np.diag([1.0, 0.0]).astype(complex)
+        rho = DensityMatrix(Q1, m)
+        m[0, 0] = 1
+        m[1, 1] = 7
+        assert np.trace(rho.entries).real == 1.0
+
 
 class TestTensorProduct:
     def test_basis_case(self):
@@ -134,6 +148,23 @@ class TestPartialTrace:
             partial_trace(rho, set())
         with pytest.raises(InvariantError):
             partial_trace(rho, {3})
+
+    @pytest.mark.parametrize("keep", [[0.7], [True], [np.float64(1.0)], ["0"]])
+    def test_keep_must_be_integers(self, keep):
+        # [0.7] used to keep party 0 and [True] party 1
+        with pytest.raises(InvariantError, match="integers"):
+            partial_trace(ghz_state().density(), keep)
+
+    def test_keep_names_each_party_once(self):
+        # [0, 0] used to keep party 0
+        with pytest.raises(InvariantError, match="each party once"):
+            partial_trace(ghz_state().density(), [0, 0])
+
+    def test_keep_accepts_sets_and_numpy_integers(self):
+        rho = ghz_state().density()
+        ref = partial_trace(rho, [0, 2]).entries
+        for keep in ({2, 0}, (np.int64(2), 0), np.array([0, 2])):
+            assert np.array_equal(partial_trace(rho, keep).entries, ref)
 
 
 class TestDistance:
