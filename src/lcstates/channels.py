@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, InvariantError, _as_complex
+from .states import DensityMatrix, InvariantError, _as_complex, _check_int
 
 COMPLETENESS_ATOL = 1e-9
 GRAM_ATOL = 1e-7
@@ -35,6 +35,8 @@ class LocalChannel:
     kraus: np.ndarray  # (e, d, d)
 
     def __post_init__(self):
+        _check_int("channel dim", self.dim, 1)
+        object.__setattr__(self, "dim", int(self.dim))
         k = _as_complex(self.kraus)
         if k.ndim != 3 or k.shape[1:] != (self.dim, self.dim):
             raise InvariantError(
@@ -110,6 +112,8 @@ class EnvironmentGram:
     gram: np.ndarray
 
     def __post_init__(self):
+        _check_int("channel dim", self.dim, 1)
+        object.__setattr__(self, "dim", int(self.dim))
         g = _as_complex(self.gram)
         d2 = self.dim ** 2
         if g.shape != (d2, d2):
@@ -147,11 +151,18 @@ def channel_from_environment_gram(g):
     return LocalChannel(d, kraus)
 
 
+def _environment_gram(kraus):
+    """The raw Gram matrix V^dag V of an (e, d, d) Kraus stack, any e,
+    with V[m, (i, j)] = K_m[j, i]: the matrix `channel_from_environment_gram`
+    factors."""
+    e, d, _ = kraus.shape
+    v = kraus.transpose(0, 2, 1).reshape(e, d * d)
+    return v.conj().T @ v
+
+
 def environment_gram_from_channel(c):
-    """Inverse direction: G[(i,j),(i',j')] = sum_m K_m[j,i] conj(K_m[j',i'])."""
-    d = c.dim
-    v = c.kraus.transpose(0, 2, 1).reshape(c.env_dim, d * d)
-    return EnvironmentGram(d, v.conj().T @ v)
+    """Inverse direction: G[(i,j),(i',j')] = sum_m conj(K_m[j,i]) K_m[j',i']."""
+    return EnvironmentGram(c.dim, _environment_gram(c.kraus))
 
 
 # ---------------------------------------------------------------------------
@@ -261,27 +272,18 @@ def apply_adjoint_product_channel(channels, mat, dims):
     return _from_pairs(_apply_product_channel_matrix(sups, vec, dims), dims)
 
 
-def _minimal_kraus(kraus, d):
-    """Reduce a redundant Kraus set to <= d^2 operators for the same map."""
-    vecs = kraus.reshape(-1, d * d)
-    choi = vecs.T @ vecs.conj()          # d^2 x d^2, PSD
-    w, u = np.linalg.eigh((choi + choi.conj().T) / 2)
-    keep = w > 1e-14
-    out = (np.sqrt(w[keep]) * u[:, keep]).T.reshape(-1, d, d)
-    return out
-
-
 def compose(outer, inner):
     """Channel composition outer(inner(.)) as a single Kraus set.
 
-    The raw product set has e_outer * e_inner elements; it is reduced to a
-    minimal equivalent set so the e <= d^2 storage bound always holds.
+    The raw product set has e_outer * e_inner elements.  Its environment
+    Gram matrix is factored by `channel_from_environment_gram`, so the
+    result has env_dim equal to the Gram matrix's numerical rank (<= d^2).
     """
     if outer.dim != inner.dim:
         raise InvariantError("composition needs matching dimensions")
-    prods = np.einsum("mij,njk->mnik", outer.kraus, inner.kraus)
     d = outer.dim
-    return LocalChannel(d, _minimal_kraus(prods.reshape(-1, d, d), d))
+    prods = np.einsum("mij,njk->mnik", outer.kraus, inner.kraus).reshape(-1, d, d)
+    return channel_from_environment_gram(EnvironmentGram(d, _environment_gram(prods)))
 
 
 # ---------------------------------------------------------------------------

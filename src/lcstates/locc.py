@@ -9,7 +9,6 @@ announces it, and both parties steer the maximally entangled precursor to
 the sampled pure state).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,8 @@ import numpy as np
 from .channels import _completeness_residual
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
                      RANK_TOL, _check_int, _check_unit_rows, _cut_permutation,
-                     deterministic_eigh, distance, schmidt_decompose)
+                     _fold, _unfold, deterministic_eigh, distance,
+                     schmidt_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -67,25 +67,6 @@ def can_convert(psi, phi, cut):
 # deterministic conversion protocol
 
 
-def _cut_views(shape, cut):
-    left, right = cut
-    left, right = tuple(left), tuple(right)
-    dims = shape.local_dims
-    dl = math.prod(dims[k] for k in left)
-    dr = math.prod(dims[k] for k in right)
-    return left, right, dl, dr
-
-
-def _from_cut_order(vec, shape, left, right):
-    """Cut-ordered amplitudes -> party order; leading axes of vec are a batch."""
-    dims = shape.local_dims
-    perm = left + right
-    batch = vec.shape[:-1]
-    t = vec.reshape(*batch, *[dims[k] for k in perm])
-    inv = [len(batch) + int(i) for i in np.argsort(perm)]
-    return np.transpose(t, [*range(len(batch)), *inv]).reshape(*batch, -1)
-
-
 def _precursor_matrix(d, dl, dr):
     """|Phi+> on the first d levels of each side, as a dl x dr matrix."""
     src = np.zeros((dl, dr), dtype=complex)
@@ -103,7 +84,7 @@ class ConversionProtocol:
     """
 
     target: PureState
-    cut: tuple                     # (left parties, right parties)
+    cut: tuple                     # (left parties, right parties), each sorted
     alice_kraus: np.ndarray        # (d, dl, dl), each diagonal
     corrections: tuple             # d pairs (A_m, B_m) of unitaries
 
@@ -113,10 +94,10 @@ class ConversionProtocol:
 
     def precursor(self):
         """The maximally entangled precursor, embedded across the cut."""
-        left, right, dl, dr = _cut_views(self.target.shape, self.cut)
-        vec = _precursor_matrix(self.n_outcomes, dl, dr).reshape(-1)
-        return PureState(self.target.shape,
-                         _from_cut_order(vec, self.target.shape, left, right))
+        shape = self.target.shape
+        left, right, dl, dr = _cut_permutation(shape, self.cut)
+        return PureState(shape, _fold(_precursor_matrix(self.n_outcomes, dl, dr),
+                                      shape, left, right))
 
     def outcome_states(self):
         """[(probability, corrected PureState)] for every outcome, computed
@@ -155,7 +136,7 @@ def _outcome_amplitudes(protocols):
     if any(p.target.shape != shape or p.cut != cut or p.n_outcomes != d
            for p in protocols):
         raise InvariantError("protocols must share one shape, cut and outcome count")
-    left, right, dl, dr = _cut_views(shape, cut)
+    left, right, dl, dr = _cut_permutation(shape, cut)
     post = np.stack([p.alice_kraus for p in protocols]) @ _precursor_matrix(d, dl, dr)
     # each outcome's Frobenius norm, summed as np.linalg.norm sums it (one
     # real and one imaginary dot product), so the bits match per-outcome calls
@@ -165,7 +146,7 @@ def _outcome_amplitudes(protocols):
     a, b = (np.stack([[c[side] for c in p.corrections] for p in protocols])
             for side in (0, 1))
     post = a @ (post / norms.reshape(-1, d, 1, 1)) @ np.swapaxes(b, -1, -2)
-    amps = _from_cut_order(post.reshape(len(norms), -1), shape, left, right)
+    amps = _fold(post, shape, left, right).reshape(len(norms), -1)
     _check_unit_rows(amps)
     return norms, amps
 
@@ -182,15 +163,13 @@ def _shifted_columns(w, shift):
 
 def _build_conversions(targets, cut):
     """build_conversion for every target of a sequence over one shape: the
-    cut is validated once and one stacked SVD serves all targets."""
+    cut is validated and sorted once (`_cut_permutation`), and one SVD of
+    the stacked unfoldings (`_unfold`) serves all targets."""
     shape = targets[0].shape
-    _cut_permutation(shape, cut)
-    left, right, dl, dr = _cut_views(shape, cut)
+    left, right, dl, dr = _cut_permutation(shape, cut)
     d = min(dl, dr)
-    dims = shape.local_dims
-    t = np.stack([psi.amplitudes for psi in targets]).reshape(-1, *dims)
-    t = np.transpose(t, [0, *(1 + k for k in left + right)]).reshape(-1, dl, dr)
-    u, s, vh = np.linalg.svd(t)
+    u, s, vh = np.linalg.svd(_unfold(np.stack([psi.amplitudes for psi in targets]),
+                                     shape, left, right))
     lam = s ** 2
     lam = lam / lam.sum(axis=-1, keepdims=True)
 
@@ -212,7 +191,9 @@ def build_conversion(target, cut):
     probability one.
 
     One SVD U diag(s) V^T of the target's dl x dr unfolding across the cut
-    gives everything.  With squared Schmidt coefficients lam_i = s_i^2
+    gives everything.  Each side of the cut is sorted, so the protocol's
+    `cut` lists each side's parties in ascending order, whatever order the
+    caller gave.  With squared Schmidt coefficients lam_i = s_i^2
     over the d = min(dl, dr) levels, Alice's m-th Kraus operator is
     diag(sqrt(lam_{(i+m) mod d})) on the first d levels and 1/sqrt(d)
     above; completeness follows from sum_i lam_i = 1 and every outcome

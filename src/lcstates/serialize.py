@@ -103,8 +103,6 @@ def channel_from_dict(doc):
         kraus = doc["kraus"]
     except (KeyError, TypeError) as exc:
         raise InvariantError(f"malformed channel document: {exc}")
-    if not _is_int(dim):
-        raise InvariantError(f"channel dim must be an integer, got {dim!r}")
     return LocalChannel(dim, _decode(kraus, 3))
 
 

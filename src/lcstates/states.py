@@ -8,7 +8,8 @@ module in this package shares that convention.
 The rules behind the state types live here once, and both the validated
 dataclasses and the raw-array hot loops call them: finite entries
 (`_as_complex`), unit-norm rows (`_check_unit_rows`), the eigenvector
-phase (`_fix_phases`) and integer options (`_check_int`).
+phase (`_fix_phases`), integer options (`_check_int`) and the layout of
+a bipartition (`_cut_permutation`, `_unfold`, `_fold`).
 """
 
 import math
@@ -21,6 +22,9 @@ ATOL = 1e-9
 RANK_TOL = 1e-10
 # eigenvalues closer than this form one degenerate cluster
 DEGENERACY_TOL = 1e-9
+# largest total dimension a SystemShape may have: one D x D complex matrix
+# is then 256 MiB
+MAX_TOTAL_DIM = 2 ** 12
 
 
 class InvariantError(ValueError):
@@ -33,7 +37,11 @@ class UnsupportedError(ValueError):
 
 @dataclass(frozen=True)
 class SystemShape:
-    """Party structure: n parties with local dimensions (d_1, ..., d_n)."""
+    """Party structure: n parties with local dimensions (d_1, ..., d_n).
+
+    A total dimension above MAX_TOTAL_DIM is an UnsupportedError, raised
+    before any array of that size exists.
+    """
 
     local_dims: tuple
 
@@ -43,6 +51,9 @@ class SystemShape:
             raise InvariantError(
                 f"need n >= 1 parties with integer local dims >= 1, got {dims!r}")
         object.__setattr__(self, "local_dims", tuple(int(d) for d in dims))
+        if self.total_dim > MAX_TOTAL_DIM:
+            raise UnsupportedError(f"total dimension {self.total_dim} exceeds "
+                                   f"{MAX_TOTAL_DIM}")
 
     @property
     def n_parties(self):
@@ -300,34 +311,58 @@ class SchmidtForm:
 
 
 def _cut_permutation(shape, cut):
-    """The two sides of a bipartition as sorted party lists; every party
-    must sit on exactly one side and be named once."""
-    left, right = (_check_parties(shape, side) for side in cut)
+    """(left, right, dl, dr) for a bipartition cut = (left, right): each
+    side a sorted tuple of Python ints (`_check_parties`), every party on
+    exactly one side, and dl, dr the sides' dimensions.  This is the one
+    rule that orders a cut; `_unfold` and `_fold` lay amplitudes out by it.
+    """
+    left, right = (tuple(_check_parties(shape, side)) for side in cut)
     if sorted(left + right) != list(range(shape.n_parties)):
         raise InvariantError("cut must partition all parties into two nonempty groups")
-    return left, right
+    dims = shape.local_dims
+    return (left, right, math.prod(dims[k] for k in left),
+            math.prod(dims[k] for k in right))
+
+
+def _unfold(amps, shape, left, right):
+    """(..., D) amplitudes -> (..., dl, dr) matrices across the cut
+    left|right, row index over the left parties and column index over the
+    right ones, each big-endian in the given order.  Leading axes are a
+    batch."""
+    batch, dims, nb = amps.shape[:-1], shape.local_dims, amps.ndim - 1
+    t = amps.reshape(*batch, *dims)
+    t = t.transpose(*range(nb), *(nb + k for k in left + right))
+    return t.reshape(*batch, math.prod(dims[k] for k in left), -1)
+
+
+def _fold(mats, shape, left, right):
+    """Inverse of `_unfold`: (..., dl, dr) -> (..., D) in party order."""
+    batch, dims, nb = mats.shape[:-2], shape.local_dims, mats.ndim - 2
+    perm = left + right
+    t = mats.reshape(*batch, *(dims[k] for k in perm))
+    t = t.transpose(*range(nb), *(nb + perm.index(k) for k in range(len(perm))))
+    return t.reshape(*batch, -1)
 
 
 def schmidt_decompose(psi, cut):
     """Schmidt decomposition of a pure state across a bipartition.
 
     cut is a pair (left_parties, right_parties) of disjoint index collections
-    covering every party.
+    covering every party.  Each side is validated and sorted
+    (`_cut_permutation`), and the decomposition is one SVD of the state's
+    dl x dr unfolding (`_unfold`); the basis columns index each side's
+    parties big-endian in ascending order, as `left_parties` and
+    `right_parties` list them.
     """
-    left, right = _cut_permutation(psi.shape, cut)
-    dims = psi.shape.local_dims
-    t = psi.amplitudes.reshape(dims)
-    t = np.transpose(t, left + right)
-    dl = int(np.prod([dims[k] for k in left]))
-    dr = int(np.prod([dims[k] for k in right]))
-    u, s, vh = np.linalg.svd(t.reshape(dl, dr))
+    left, right, dl, dr = _cut_permutation(psi.shape, cut)
+    u, s, vh = np.linalg.svd(_unfold(psi.amplitudes, psi.shape, left, right))
     r = min(dl, dr)
     # |psi> = sum_i s_i |u_i> (x) conj(v_i), and conj(v_i) = vh[i, :]
     return SchmidtForm(coefficients=s[:r].copy(),
                        left_basis=u[:, :r].copy(),
                        right_basis=vh[:r, :].T.copy(),
-                       left_parties=tuple(left),
-                       right_parties=tuple(right))
+                       left_parties=left,
+                       right_parties=right)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +401,10 @@ def max_entangled(d):
     """Maximally entangled pair (1/sqrt(d)) sum_i |ii>."""
     if d < 2:
         raise UnsupportedError("need local dimension >= 2")
+    shape = SystemShape((d, d))   # checks the size before allocating
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1 / np.sqrt(d)
-    return PureState(SystemShape((d, d)), amps)
+    return PureState(shape, amps)
 
 
 def canonical_state(kind, **params):

@@ -43,6 +43,25 @@ class TestLocalChannel:
         g[0, 0] = 9
         assert gram.gram[0, 0] == 1.0
 
+    @pytest.mark.parametrize("dim, d", [(2.0, 2), (True, 1), ("2", 2), (2.5, 2)])
+    def test_dim_must_be_an_integer(self, dim, d):
+        # 2.0 and True used to be accepted, and save_channel then wrote a
+        # file that load_channel rejects; EnvironmentGram(2.0, ...) raised
+        # a bare TypeError
+        kraus = np.eye(d)[None]
+        gram = environment_gram_from_channel(LocalChannel(d, kraus)).gram
+        with pytest.raises(InvariantError, match="channel dim must be an integer"):
+            LocalChannel(dim, kraus)
+        with pytest.raises(InvariantError, match="channel dim must be an integer"):
+            EnvironmentGram(dim, gram)
+
+    def test_numpy_integer_dim_stored_as_int(self):
+        gram = environment_gram_from_channel(identity_channel(2)).gram
+        for obj in (LocalChannel(np.int64(2), np.eye(2)[None]),
+                    random_local_channel(np.int64(2), 2, 1),
+                    EnvironmentGram(np.int64(2), gram)):
+            assert obj.dim == 2 and type(obj.dim) is int
+
     def test_unitary_preserves_purity(self, rng):
         for seed in range(20):
             c = random_local_channel(3, 1, seed)
@@ -297,11 +316,19 @@ class TestRandomChannel:
 
 class TestComposition:
     def test_composed_equals_sequential(self, rng):
-        a = random_local_channel(2, 2, 5)
-        b = random_local_channel(2, 3, 6)
-        both = compose(a, b)
-        x = random_density(SystemShape((2,)), rng).entries
-        assert np.max(np.abs(both(x) - a(b(x)))) < 1e-10
+        # (2, 2, 3), then every (d, e_outer, e_inner) with e in {1, d, d^2};
+        # the result is a minimal Kraus set, one operator for two unitaries
+        cases = [(2, 2, 3)] + [(d, e1, e2) for d in (2, 3, 4)
+                               for e1 in (1, d, d * d) for e2 in (1, d, d * d)]
+        for d, e_outer, e_inner in cases:
+            a = random_local_channel(d, e_outer, 5)
+            b = random_local_channel(d, e_inner, 6)
+            both = compose(a, b)
+            x = random_density(SystemShape((d,)), rng).entries
+            assert np.max(np.abs(both(x) - a(b(x)))) < 1e-10
+            assert both.env_dim <= d * d
+            if e_outer == e_inner == 1:
+                assert both.env_dim == 1
 
 
 class TestStandardNoise:

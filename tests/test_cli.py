@@ -196,6 +196,21 @@ class TestCli:
         assert "Eigenvalues did not converge" in err
         assert "Traceback" not in err
 
+    def test_oversized_shape_is_unsupported(self, tmp_path, capsys):
+        # 2^40 amplitudes: the shape is refused before any array of that
+        # size is allocated, for a generated state and for a state file
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"shape": [2] * 40, "kind": "pure",
+                                   "data": [[1.0, 0.0]]}))
+        out = tmp_path / "ghz.json"
+        for argv in (["state", "--kind", "ghz", "--n", "40", "--out", str(out)],
+                     ["classify", "--in", str(big)]):
+            assert main(argv) == 3
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            assert "unsupported" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_nan_state_is_validation_failure(self, tmp_path):
         f = tmp_path / "nan.json"
         data = [[1.0, 0.0]] + [[0.0, 0.0]] * 7

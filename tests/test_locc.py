@@ -7,9 +7,10 @@ import pytest
 from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       basis_state, build_conversion, can_convert, ghz_state,
                       lccc_synthesize_bipartite, majorizes, max_entangled,
-                      spectral_ensemble, w_state, z_mixture)
+                      schmidt_decompose, spectral_ensemble, w_state, z_mixture)
 from lcstates import locc, serialize
 from lcstates.locc import build_synthesis_plan, simulate_synthesis
+from lcstates.states import _cut_permutation, _fold
 from conftest import random_density, random_pure
 
 CUT = ((0,), (1,))
@@ -124,6 +125,31 @@ class TestBuildConversion:
                                          proto.corrections)
         with pytest.raises(InvariantError, match="complete"):
             broken.verify()
+
+    @pytest.mark.parametrize("cut, sorted_cut", [
+        (((2, 0), (1,)), ((0, 2), (1,))),
+        (({2, 0}, [1]), ((0, 2), (1,))),
+        (((2, 1), (0,)), ((1, 2), (0,))),
+    ], ids=("20|1", "set", "21|0"))
+    def test_unsorted_cut_is_sorted(self, cut, sorted_cut, rng):
+        # each side of a cut is listed in ascending party order, so a side
+        # given in another order, or as a set, builds the same protocol
+        psi = random_pure(SystemShape((2, 3, 2)), rng)
+        ref = build_conversion(psi, sorted_cut)
+        ref.verify()
+        proto = build_conversion(psi, cut)
+        assert proto.cut == sorted_cut
+        proto.verify()
+        assert serialize.protocol_to_dict(proto) == serialize.protocol_to_dict(ref)
+        assert _same_bits(proto.precursor().amplitudes, ref.precursor().amplitudes)
+        assert schmidt_decompose(psi, cut).left_parties == sorted_cut[0]
+
+    def test_numpy_integer_cut_serializes(self, rng):
+        psi = random_pure(SystemShape((2, 3)), rng)
+        proto = build_conversion(psi, ((np.int64(0),), np.array([1])))
+        assert all(type(k) is int for side in proto.cut for k in side)
+        doc = json.loads(json.dumps(serialize.protocol_to_dict(proto)))
+        assert doc["cut"] == [[0], [1]]
 
     def test_rank_precondition(self):
         # a (3,2) system cut the wide way: left dim 3, right dim 2 -> d = 2
@@ -287,12 +313,12 @@ class TestSynthesis:
                 for (a1, b1), (a2, b2) in zip(one.corrections, proto.corrections,
                                               strict=True):
                     assert _same_bits(a1, a2) and _same_bits(b1, b2)
-                left, right, dl, dr = locc._cut_views(psi.shape, cut)
+                left, right, dl, dr = _cut_permutation(psi.shape, cut)
                 post = one.alice_kraus @ locc._precursor_matrix(d, dl, dr)
                 ref_norms = np.array([np.linalg.norm(p) for p in post])
                 a, b = (np.stack(side) for side in zip(*one.corrections))
                 ref = a @ (post / ref_norms[:, None, None]) @ np.swapaxes(b, -1, -2)
-                ref = locc._from_cut_order(ref.reshape(d, -1), psi.shape, left, right)
+                ref = _fold(ref, psi.shape, left, right)
                 assert np.array_equal(norms[j * d:(j + 1) * d], ref_norms)
                 assert _same_bits(amps[j * d:(j + 1) * d], ref)
                 for m, (prob, state) in enumerate(one.outcome_states()):

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lcstates import (ConversionProtocol, DensityMatrix, InvariantError,
-                      LocalChannel, PureState, SystemShape, dephasing_channel)
+                      LocalChannel, PureState, SystemShape, dephasing_channel,
+                      random_local_channel)
 from lcstates import serialize
 from conftest import random_density, random_pure
 
@@ -167,6 +168,17 @@ class TestStrictDocuments:
         doc["dim"] = dim
         with pytest.raises(InvariantError):
             serialize.channel_from_dict(doc)
+
+    def test_numpy_integer_dim_round_trips(self, tmp_path):
+        # a dim of np.int64(2) used to be stored as given, and json.dumps
+        # raised TypeError on the channel's document
+        path = tmp_path / "chan.json"
+        for c in (LocalChannel(np.int64(2), np.eye(2)[None]),
+                  random_local_channel(np.int64(2), 2, 1)):
+            serialize.save_channel(c, path)
+            back = serialize.load_channel(path)
+            assert back.dim == 2
+            assert _same_bits(back.kraus, c.kraus)
 
     @pytest.mark.parametrize("data", [
         [["x", 0.0], [0.0, 0.0]],

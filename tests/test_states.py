@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
-                      basis_state, canonical_state, deterministic_eigh,
-                      distance, ghz_state, max_entangled, partial_trace,
-                      purify, schmidt_decompose, tensor_product, w_state,
-                      z_mixture)
-from lcstates.states import _fix_phases
+                      UnsupportedError, basis_state, canonical_state,
+                      deterministic_eigh, distance, ghz_state, max_entangled,
+                      partial_trace, purify, schmidt_decompose, tensor_product,
+                      w_state, z_mixture)
+from lcstates.states import (MAX_TOTAL_DIM, _cut_permutation, _fix_phases,
+                             _fold, _unfold)
 from conftest import random_density, random_pure, random_unitary
 
 Q1 = SystemShape((2,))
@@ -32,6 +33,16 @@ class TestInvariants:
         shape = SystemShape((np.int64(2), np.uint8(3)))
         assert shape.local_dims == (2, 3)
         assert all(type(d) is int for d in shape.local_dims)
+
+    def test_shape_size_bound(self):
+        # checked on the dims alone: max_entangled(65) would need only a
+        # 4225-entry vector, and no test allocates an oversized array
+        assert SystemShape((2,) * 12).total_dim == MAX_TOTAL_DIM
+        for dims in ((2,) * 13, (2,) * 40, (10 ** 5, 10 ** 5)):
+            with pytest.raises(UnsupportedError, match="total dimension"):
+                SystemShape(dims)
+        with pytest.raises(UnsupportedError, match="total dimension"):
+            max_entangled(65)
 
     def test_pure_norm_enforced(self):
         with pytest.raises(InvariantError):
@@ -248,6 +259,26 @@ class TestSchmidt:
                                 np.kron(u, np.eye(2)) @ psi.amplitudes)
             got = schmidt_decompose(rotated, ((0,), (1,))).coefficients
             assert np.max(np.abs(got - base)) < 1e-9
+
+    @pytest.mark.parametrize("cut", [((0,), (1, 2)), ((0, 2), (1,)),
+                                     ((1, 2), (0,)), ((2,), (0, 1))])
+    def test_unfold_fold(self, cut, rng):
+        # the (dl, dr) unfolding holds amplitude [i_0, i_1, i_2] at row
+        # (left indices) and column (right indices), big-endian per side,
+        # and _fold inverts it bit for bit, with a batch axis
+        shape = SystemShape((2, 3, 4))
+        left, right, dl, dr = _cut_permutation(shape, cut)
+        amps = rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24))
+        mats = _unfold(amps, shape, left, right)
+        assert mats.shape == (2, dl, dr)
+        t = amps.reshape(2, 2, 3, 4)
+        for idx in np.ndindex(2, 3, 4):
+            row = np.ravel_multi_index([idx[k] for k in left],
+                                       [shape.local_dims[k] for k in left])
+            col = np.ravel_multi_index([idx[k] for k in right],
+                                       [shape.local_dims[k] for k in right])
+            assert mats[1, row, col] == t[(1, *idx)]
+        assert np.array_equal(_fold(mats, shape, left, right), amps)
 
     def test_invalid_cut(self):
         with pytest.raises(InvariantError):
