@@ -10,10 +10,12 @@ Product channels act through one kernel on one operator layout.  A
 channel is applied as its Liouville matrix S = sum_m K_m (x) conj(K_m),
 and a D x D operator as its party-paired vector (`_to_pairs`), in which
 each party's (row, col) index pair sits next to the other.  Party k's S
-then acts with one matmul on a no-copy (L^2, d^2, R^2) reshape
-(`_apply_local`), so the layout changes only at the API boundary: once
-into pairs and once back to D x D per call of `apply_product_channel`
-or `apply_adjoint_product_channel`.
+acts by one (d^2 x d^2) @ (d^2 x L^2 R^2) product per batch element on
+the vector's column view around k (`_apply_local`): one transposing copy
+in, one product, one transposing copy out (either copy is a view when k
+is the first or the last party).  The operator layout changes
+only at the API boundary: once into pairs and once back to D x D per
+call of `apply_product_channel` or `apply_adjoint_product_channel`.
 """
 
 import math
@@ -178,7 +180,9 @@ def liouville(kraus):
     batch: one S per stack.
     """
     *batch, e, d, _ = kraus.shape
-    a = np.moveaxis(kraus, -3, -1).reshape(*batch, d * d, e)    # [(i, j), m]
+    nb = len(batch)
+    a = kraus.transpose(*range(nb), nb + 1, nb + 2, nb)         # [i, j, m]
+    a = a.reshape(*batch, d * d, e)
     s = (a @ np.swapaxes(a.conj(), -1, -2)).reshape(*batch, d, d, d, d)
     return np.swapaxes(s, -3, -2).reshape(*batch, d * d, d * d)
 
@@ -205,43 +209,42 @@ def _from_pairs(vec, dims):
     return t.transpose(*range(nb), *rows_cols).reshape(*vec.shape[:-1], big, big)
 
 
-def _party_view(vec, dims, k):
-    """The (..., L^2, d^2, R^2) view of a paired vector around party k, L
-    and R the dimensions of the parties before and after k; no copy."""
-    d = dims[k]
-    return vec.reshape(*vec.shape[:-1], math.prod(dims[:k]) ** 2, d * d, -1)
-
-
 def _column_view(vec, dims, k):
     """A paired vector as the (..., d^2, M) matrix a Liouville matrix of
     party k acts on: rows are party k's (row, col) pair, columns the other
-    parties' pairs, M = (L R)^2.  One swapaxes, so one copy."""
-    t = np.swapaxes(_party_view(vec, dims, k), -3, -2)
-    return t.reshape(*t.shape[:-3], t.shape[-3], -1)
+    parties' pairs, M = (L R)^2, L and R the dimensions of the parties
+    before and after k.  One swapaxes of the (..., L^2, d^2, R^2) view,
+    so one copy unless L or R is 1.  The sizes are explicit, so an empty
+    batch reshapes too."""
+    l2, d2 = math.prod(dims[:k]) ** 2, dims[k] ** 2
+    m = vec.shape[-1] // d2
+    t = vec.reshape(vec.shape[:-1] + (l2, d2, m // l2)).swapaxes(-3, -2)
+    return t.reshape(t.shape[:-3] + (d2, m))
 
 
 def _apply_local(vec, s, dims, k):
     """Apply the Liouville matrix s of a channel on party k of a paired vector.
 
-    One matmul of s with the (L^2, d^2, R^2) view around party k, with no
-    transpose.  Leading axes of vec and s are a batch (broadcast against
+    Three steps, the same for every party and shape: party k's pair axis
+    goes to the front (the (..., d^2, L^2 R^2) column view, `_column_view`),
+    one product s @ T per batch element, and the axis goes back between
+    L^2 and R^2.  Leading axes of vec and s are a batch (broadcast against
     each other): element b gets the same arithmetic as the unbatched call
-    on vec[b] and s[b].
+    on vec[b] and s[b].  Method calls rather than numpy functions keep the
+    per-call overhead low, which dominates at (2, 2, 2).
     """
-    t = s[..., None, :, :] @ _party_view(vec, dims, k)
-    return t.reshape(*t.shape[:-3], -1)
+    x = s @ _column_view(vec, dims, k)
+    l2 = math.prod(dims[:k]) ** 2
+    x = x.reshape(x.shape[:-1] + (l2, x.shape[-1] // l2)).swapaxes(-3, -2)
+    return x.reshape(x.shape[:-3] + (vec.shape[-1],))
 
 
-def _apply_product_channel_matrix(sups, vec, dims, skip=None):
-    """Apply one Liouville matrix per party to a raw paired vector (`_to_pairs`).
-
-    Party `skip`, if given, is left untouched (the search uses this for
-    the other parties' part of the output).  vec and the Liouville
-    matrices may carry a leading batch axis, as in `_apply_local`.
-    """
+def _apply_product_channel_matrix(sups, vec, dims):
+    """Apply one Liouville matrix per party, in ascending party order, to a
+    raw paired vector (`_to_pairs`).  vec and the Liouville matrices may
+    carry a leading batch axis, as in `_apply_local`."""
     for k, s in enumerate(sups):
-        if k != skip:
-            vec = _apply_local(vec, s, dims, k)
+        vec = _apply_local(vec, s, dims, k)
     return vec
 
 
@@ -299,9 +302,9 @@ def haar_isometry(rows, cols, rng):
 
 
 def random_local_channel(d, env_dim, seed):
-    """Seeded Haar-random channel: Kraus blocks of a (d*e) x d isometry."""
-    if not 1 <= env_dim <= d * d:
-        raise InvariantError("need 1 <= env_dim <= d^2")
+    """Seeded Haar-random channel: Kraus blocks of a (d*e) x d isometry,
+    env_dim = e an integer in [1, d^2] (`_check_int`)."""
+    _check_int("env_dim", env_dim, 1, d * d)
     rng = np.random.default_rng(seed)
     v = haar_isometry(d * env_dim, d, rng)
     return LocalChannel(d, v.reshape(env_dim, d, d))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (COMPLETENESS_ATOL, LocalChannel,
+from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
                        _apply_product_channel_matrix, _check_channels,
                        _column_view, _completeness_residual, _from_pairs,
                        _to_pairs, apply_adjoint_product_channel,
@@ -178,8 +178,10 @@ def _party_gradient(kraus, s, gram, cross):
     arguments may carry a leading batch axis.
     """
     *batch, e, d, _ = kraus.shape
-    err = (s @ gram - cross).reshape(*batch, d, d, d, d)
-    err = np.moveaxis(err, (-4, -2), (-2, -1)).reshape(*batch, d * d, d * d)
+    nb = len(batch)
+    err = (s @ gram - cross).reshape(*batch, d, d, d, d)        # [i, k, j, l]
+    err = err.transpose(*range(nb), nb + 1, nb + 3, nb, nb + 2)  # [k, l, i, j]
+    err = err.reshape(*batch, d * d, d * d)
     g = kraus.reshape(*batch, e, d * d) @ err
     return 2 * g.reshape(kraus.shape)
 
@@ -270,10 +272,16 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
       * per party k, Y_k (the other parties applied to sigma) is computed
         once and reduced to its Gram pair (`_gram_pair`), which gives the
         gradient and scores every trial: a trial is a retraction and
-        d^2 x d^2 products.  Every restart still pending tries a step; an
-        accepted one grows its step by STEP_GROWTH (capped at STEP_CAP), a
-        rejected one halves it, and below STEP_FLOOR the restart dies: it
-        records this party's objective and skips the rest;
+        d^2 x d^2 products.  Y_k comes from a running prefix, sigma with
+        the moved parties 0..k-1 applied: parties k+1..n-1 complete it,
+        in ascending order as in `_apply_product_channel_matrix`, and
+        after the move it is extended by party k's new Liouville matrix,
+        so the channel moves make n(n-1)/2 + n - 1 kernel calls
+        (`_apply_local`) per iteration rather than n(n-1).  Every restart
+        still pending tries a step; an accepted one grows its step by
+        STEP_GROWTH (capped at STEP_CAP), a rejected one halves it, and
+        below STEP_FLOOR the restart dies: it records this party's
+        objective and skips the rest;
       * a restart leaves the live set on step underflow, when an iteration
         lowers its objective by less than tol, or after max_iters.
 
@@ -323,13 +331,16 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         for r, o in zip(live, obj[live].tolist()):
             traces[r].append(o)
 
-        # channel moves, one party at a time
+        # channel moves, one party at a time; left is sigma with the
+        # moved parties 0..k-1 applied, rows as in act
         act = live
+        left = sigma[act]
         for k, d in enumerate(dims):
             if not act.size:
                 break
-            y = _apply_product_channel_matrix([s[act] for s in sups], sigma[act],
-                                              dims, skip=k)
+            y = left
+            for j in range(k + 1, len(dims)):
+                y = _apply_local(y, sups[j][act], dims, j)
             gram, cross = _gram_pair(y, rho_views[k], dims, k)
             own_k = kraus[k][act]
             v0 = own_k.reshape(len(act), -1, d)
@@ -358,7 +369,9 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             dead = step[act] < STEP_FLOOR
             for r in act[dead]:
                 reasons[r] = STEP_UNDERFLOW
-            act = act[~dead]
+            act, left = act[~dead], left[~dead]
+            if k + 1 < len(dims):
+                left = _apply_local(left, sups[k][act], dims, k)
         done = prev[act] - obj[act] < tol
         for r in act[done]:
             reasons[r] = CONVERGED

@@ -313,10 +313,17 @@ class SchmidtForm:
 def _cut_permutation(shape, cut):
     """(left, right, dl, dr) for a bipartition cut = (left, right): each
     side a sorted tuple of Python ints (`_check_parties`), every party on
-    exactly one side, and dl, dr the sides' dimensions.  This is the one
-    rule that orders a cut; `_unfold` and `_fold` lay amplitudes out by it.
+    exactly one side, and dl, dr the sides' dimensions.  A cut that is not
+    a pair of collections is an InvariantError too.  This is the one rule
+    that orders a cut; `_unfold` and `_fold` lay amplitudes out by it.
     """
-    left, right = (tuple(_check_parties(shape, side)) for side in cut)
+    try:
+        left, right = (list(side) for side in cut)
+    except (TypeError, ValueError):   # not a pair, or a side not a collection
+        raise InvariantError(
+            f"cut must be a pair (left, right) of party collections, got {cut!r}"
+        ) from None
+    left, right = (tuple(_check_parties(shape, side)) for side in (left, right))
     if sorted(left + right) != list(range(shape.n_parties)):
         raise InvariantError("cut must partition all parties into two nonempty groups")
     dims = shape.local_dims
@@ -370,10 +377,10 @@ def schmidt_decompose(psi, cut):
 
 
 def basis_state(shape, index):
-    """Computational basis state |index> (flat index) over shape."""
+    """Computational basis state |index> (flat index) over shape; index an
+    integer in [0, D - 1] (`_check_int`)."""
     d = shape.total_dim
-    if not 0 <= index < d:
-        raise InvariantError(f"basis index {index} out of range")
+    _check_int("basis index", index, 0, d - 1)
     amps = np.zeros(d, dtype=complex)
     amps[index] = 1.0
     return PureState(shape, amps)

@@ -254,6 +254,40 @@ class TestKernel:
                                                     mats[b], dims)
                 assert np.array_equal(full[b], one), (dims, b)
 
+    def test_each_party_matches_kronecker_reference(self, rng):
+        # _apply_local alone, per party: unbatched, batched on both sides,
+        # and an unbatched vector against batched Liouville matrices (the
+        # precursor move's adjoint); reference: sum_m K_m X K_m^dag with
+        # K_m embedded by np.kron
+        for dims in KERNEL_SHAPES:
+            big = int(np.prod(dims))
+            x = rng.standard_normal((3, big, big)) + 1j * rng.standard_normal((3, big, big))
+            vecs = _to_pairs(x, dims)
+            for k, d in enumerate(dims):
+                kraus = np.stack([random_local_channel(d, d, 60 + b).kraus
+                                  for b in range(3)])
+                sups = liouville(kraus)
+                ref = [[sum(op @ x[a] @ op.conj().T
+                            for op in _embedded_kraus(kraus[b], dims, k))
+                        for b in range(3)] for a in range(3)]
+                batched = _from_pairs(_apply_local(vecs, sups, dims, k), dims)
+                shared = _from_pairs(_apply_local(vecs[0], sups, dims, k), dims)
+                for b in range(3):
+                    one = _from_pairs(_apply_local(vecs[b], sups[b], dims, k), dims)
+                    assert np.max(np.abs(one - ref[b][b])) < 1e-12, (dims, k)
+                    assert np.max(np.abs(batched[b] - ref[b][b])) < 1e-12, (dims, k)
+                    assert np.max(np.abs(shared[b] - ref[0][b])) < 1e-12, (dims, k)
+
+    def test_empty_batch(self):
+        # a lock step whose restarts all died applies the kernel to no rows
+        for dims in KERNEL_SHAPES:
+            big = int(np.prod(dims))
+            for k, d in enumerate(dims):
+                out = _apply_local(np.zeros((0, big * big), dtype=complex),
+                                   np.zeros((0, d * d, d * d), dtype=complex),
+                                   dims, k)
+                assert out.shape == (0, big * big)
+
     def test_pairs_round_trip(self, rng):
         # entry [(i_1, j_1), ..., (i_n, j_n)] of the paired vector is
         # mat[i, j], and _from_pairs undoes _to_pairs bit for bit
@@ -312,6 +346,16 @@ class TestRandomChannel:
     def test_env_range(self):
         with pytest.raises(InvariantError):
             random_local_channel(2, 5, 0)
+
+    @pytest.mark.parametrize("env_dim", [1.5, True, "2", 0])
+    def test_env_dim_must_be_an_integer(self, env_dim):
+        # 1.5 and True used to raise a bare TypeError from numpy
+        with pytest.raises(InvariantError, match="env_dim must be an integer"):
+            random_local_channel(2, env_dim, 0)
+
+    def test_numpy_integer_env_dim(self):
+        a = random_local_channel(2, np.int64(3), 9)
+        assert np.array_equal(a.kraus, random_local_channel(2, 3, 9).kraus)
 
 
 class TestComposition:

@@ -97,6 +97,16 @@ class TestPrecursorStep:
         assert _top_eigenvectors(h).tobytes() == ref.tobytes()
 
 
+def _others_applied(sups, sigma, dims, k):
+    """Y_k: every party's Liouville matrix but party k's applied to sigma,
+    in ascending party order."""
+    y = _to_pairs(sigma, dims)
+    for j, s in enumerate(sups):
+        if j != k:
+            y = _apply_local(y, s, dims, j)
+    return y
+
+
 class TestPartyGradient:
     SHAPES = ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 2))
 
@@ -113,10 +123,8 @@ class TestPartyGradient:
         sups = [liouville(c.kraus) for c in chans]
         sigma = random_pure(shape, rng).density().entries
         rho = random_density(shape, rng).entries
-        ys = [_apply_product_channel_matrix(sups, _to_pairs(sigma, dims), dims,
-                                            skip=k)
-              for k in range(len(dims))]
-        return chans, sups, rho, ys
+        return chans, sups, rho, [_others_applied(sups, sigma, dims, k)
+                                  for k in range(len(dims))]
 
     def test_finite_difference(self, rng):
         # d f(K + eps E)/d eps = 2 Re sum_m <E_m, G_m> for any complex E
@@ -262,6 +270,36 @@ class TestSearch:
         assert [d.stop_reason for d in res.diagnostics] == \
             [CONVERGED, MAX_ITERS, MAX_ITERS, MAX_ITERS]
         assert [d.iterations for d in res.diagnostics] == [1, 40, 40, 40]
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (2, 3, 2)])
+    def test_running_prefix_equals_composition(self, dims, monkeypatch, rng):
+        # each channel move's Y_k, built from the running prefix of the
+        # parties already moved, is bit for bit the other parties' current
+        # Liouville matrices applied to sigma in ascending order; the
+        # moves make n(n-1)/2 + n - 1 kernel calls per iteration
+        target = random_density(SystemShape(dims), rng)
+        kraus, phis = _starts(target, tuple(d * d for d in dims), [0, 11, 12, 13])
+        seen, kernel_calls = [], []
+        true_gram_pair, true_apply_local = reach._gram_pair, reach._apply_local
+
+        def checked(y, rho_view, dims_, k):
+            sups = [liouville(kr) for kr in kraus]   # updated in place
+            sigma = phis[:, :, None] * phis[:, None, :].conj()
+            assert np.array_equal(y, _others_applied(sups, sigma, dims, k))
+            seen.append(k)
+            return true_gram_pair(y, rho_view, dims_, k)
+
+        def counted(*args):
+            kernel_calls.append(None)
+            return true_apply_local(*args)
+
+        monkeypatch.setattr(reach, "_gram_pair", checked)
+        monkeypatch.setattr(reach, "_apply_local", counted)
+        _, _, _, diags = _run_lock_step(target, kraus, phis, 3, 0.0)
+        n = len(dims)
+        assert [d.iterations for d in diags] == [3] * 4
+        assert seen == list(range(n)) * 3
+        assert len(kernel_calls) == 3 * (n * (n - 1) // 2 + n - 1)
 
     def test_step_underflow_ends_restart(self, monkeypatch):
         # every objective after the first (full and Gram-pair alike) is

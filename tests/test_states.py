@@ -218,6 +218,18 @@ class TestDistance:
             distance("bures", z_mixture(0.5), z_mixture(0.5))
 
 
+class TestBasisState:
+    @pytest.mark.parametrize("index", [1.5, True, -1, 8, "1"])
+    def test_index_must_be_an_integer_in_range(self, index):
+        # 1.5 used to raise a bare IndexError, and True set every amplitude
+        with pytest.raises(InvariantError, match="basis index must be an integer"):
+            basis_state(Q3, index)
+
+    def test_numpy_integer_index(self):
+        psi = basis_state(Q3, np.int64(5))
+        assert np.array_equal(psi.amplitudes, np.eye(8)[5])
+
+
 class TestSchmidt:
     def test_max_entangled(self):
         sf = schmidt_decompose(max_entangled(2), ((0,), (1,)))
@@ -285,6 +297,12 @@ class TestSchmidt:
             schmidt_decompose(ghz_state(), ((0,), (1,)))   # party 2 missing
         with pytest.raises(InvariantError):
             schmidt_decompose(ghz_state(), ((0, 1, 2), ()))
+
+    @pytest.mark.parametrize("cut", [((0,), (1,), (2,)), ((0,),), (0, 1), 3])
+    def test_cut_must_be_a_pair_of_collections(self, cut):
+        # these used to raise a bare ValueError or TypeError on unpacking
+        with pytest.raises(InvariantError, match="cut must be a pair"):
+            schmidt_decompose(ghz_state(), cut)
 
     @pytest.mark.parametrize("cut", [((0,), (1, 1, 2)), ((0, 0), (1, 2))])
     def test_party_named_twice_rejected(self, cut):
