@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, InvariantError, _as_complex, _check_int
+from .states import (DensityMatrix, InvariantError, _as_complex,
+                     _check_hermitian_psd, _check_int, _check_real)
 
 COMPLETENESS_ATOL = 1e-9
 GRAM_ATOL = 1e-7
@@ -37,8 +38,7 @@ class LocalChannel:
     kraus: np.ndarray  # (e, d, d)
 
     def __post_init__(self):
-        _check_int("channel dim", self.dim, 1)
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _check_int("channel dim", self.dim, 1))
         k = _as_complex(self.kraus)
         if k.ndim != 3 or k.shape[1:] != (self.dim, self.dim):
             raise InvariantError(
@@ -76,7 +76,10 @@ def _completeness_residual(kraus):
 
 
 def identity_channel(d, env_dim=1):
-    """Identity map, optionally padded with zero Kraus operators."""
+    """Identity map, optionally padded with zero Kraus operators; d an
+    integer >= 1 and env_dim one in [1, d^2] (`_check_int`)."""
+    d = _check_int("d", d, 1)
+    env_dim = _check_int("env_dim", env_dim, 1, d * d)
     k = np.zeros((env_dim, d, d), dtype=complex)
     k[0] = np.eye(d)
     return LocalChannel(d, k)
@@ -114,16 +117,12 @@ class EnvironmentGram:
     gram: np.ndarray
 
     def __post_init__(self):
-        _check_int("channel dim", self.dim, 1)
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _check_int("channel dim", self.dim, 1))
         g = _as_complex(self.gram)
         d2 = self.dim ** 2
         if g.shape != (d2, d2):
             raise InvariantError(f"Gram matrix must be {d2}x{d2}")
-        if np.max(np.abs(g - g.conj().T)) > GRAM_ATOL:
-            raise InvariantError("Gram matrix is not Hermitian")
-        if np.linalg.eigvalsh((g + g.conj().T) / 2).min() < -GRAM_ATOL:
-            raise InvariantError("Gram matrix is not positive semidefinite")
+        _check_hermitian_psd(g, GRAM_ATOL, "Gram matrix")
         t = g.reshape(self.dim, self.dim, self.dim, self.dim)
         # sum over the shared environment output index j
         tp = np.einsum("ijkj->ik", t)
@@ -303,9 +302,11 @@ def haar_isometry(rows, cols, rng):
 
 def random_local_channel(d, env_dim, seed):
     """Seeded Haar-random channel: Kraus blocks of a (d*e) x d isometry,
-    env_dim = e an integer in [1, d^2] (`_check_int`)."""
-    _check_int("env_dim", env_dim, 1, d * d)
-    rng = np.random.default_rng(seed)
+    d an integer >= 1, env_dim = e one in [1, d^2] and seed one >= 0
+    (`_check_int`)."""
+    d = _check_int("d", d, 1)
+    env_dim = _check_int("env_dim", env_dim, 1, d * d)
+    rng = np.random.default_rng(_check_int("seed", seed, 0))
     v = haar_isometry(d * env_dim, d, rng)
     return LocalChannel(d, v.reshape(env_dim, d, d))
 
@@ -327,9 +328,9 @@ def _weyl_operators(d):
 
 
 def depolarizing_channel(d, p):
-    """rho -> (1-p) rho + p I/d."""
-    if not 0.0 <= p <= 1.0:
-        raise InvariantError("noise strength must lie in [0, 1]")
+    """rho -> (1-p) rho + p I/d; d an integer >= 1 (`_check_int`) and p a
+    finite real in [0, 1] (`_check_real`)."""
+    d, p = _check_int("d", d, 1), _check_real("noise strength p", p, 0, 1)
     ops = _weyl_operators(d)
     kraus = [np.sqrt(1 - p + p / d ** 2) * ops[0]]
     kraus += [np.sqrt(p) / d * w for w in ops[1:]]
@@ -337,9 +338,12 @@ def depolarizing_channel(d, p):
 
 
 def dephasing_channel(d, p):
-    """Scales every off-diagonal element by (1-p); populations untouched."""
-    if not 0.0 <= p <= 1.0:
-        raise InvariantError("noise strength must lie in [0, 1]")
+    """Scales every off-diagonal element by (1-p); populations untouched.
+
+    d is an integer >= 2, so that the d + 1 Kraus operators fit in d^2
+    (`_check_int`), and p a finite real in [0, 1] (`_check_real`).
+    """
+    d, p = _check_int("d", d, 2), _check_real("noise strength p", p, 0, 1)
     kraus = [np.sqrt(1 - p) * np.eye(d, dtype=complex)]
     for i in range(d):
         e = np.zeros((d, d), dtype=complex)
@@ -349,22 +353,23 @@ def dephasing_channel(d, p):
 
 
 def amplitude_damping_channel(p):
-    """Qubit energy relaxation: |1> decays to |0> with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise InvariantError("noise strength must lie in [0, 1]")
+    """Qubit energy relaxation: |1> decays to |0> with probability p, a
+    finite real in [0, 1] (`_check_real`)."""
+    p = _check_real("noise strength p", p, 0, 1)
     k0 = np.array([[1, 0], [0, np.sqrt(1 - p)]], dtype=complex)
     k1 = np.array([[0, np.sqrt(p)], [0, 0]], dtype=complex)
     return LocalChannel(2, np.stack([k0, k1]))
 
 
 def standard_noise(kind, d, p):
-    """Named noise families: depolarizing, dephasing, amplitude_damping."""
+    """Named noise families: depolarizing, dephasing, amplitude_damping;
+    d and p as the family's constructor takes them."""
     if kind == "depolarizing":
         return depolarizing_channel(d, p)
     if kind == "dephasing":
         return dephasing_channel(d, p)
     if kind == "amplitude_damping":
-        if d != 2:
+        if _check_int("d", d, 1) != 2:
             raise InvariantError("amplitude damping is only defined for qubits here")
         return amplitude_damping_channel(p)
     raise InvariantError(f"unknown noise kind {kind!r}")
@@ -397,9 +402,9 @@ class ParameterCounts:
 
 
 def parameter_counts(n, d):
-    """Exact integer evaluation of the three counts above."""
-    if n < 1 or d < 2:
-        raise InvariantError("need n >= 1 and d >= 2")
+    """Exact integer evaluation of the three counts above; n an integer
+    >= 1 and d one >= 2 (`_check_int`)."""
+    n, d = _check_int("n", n, 1), _check_int("d", d, 2)
     pure = 2 * d ** n - 2
     return ParameterCounts(n=n, d=d,
                            pure_dim=pure,

@@ -30,8 +30,6 @@ and one GHZ-class state (not producible even with classical communication)
 and the universally-producible bipartite case.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +42,8 @@ from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
-from .states import (DEGENERACY_TOL, InvariantError,
-                     PureState, _check_int, _check_unit_rows, _fix_phases,
+from .states import (DEGENERACY_TOL, InvariantError, PureState, _check_int,
+                     _check_real, _check_unit_rows, _fix_phases,
                      deterministic_eigh, distance)
 
 NOT_LCCC = "NotLCCC"
@@ -401,11 +399,12 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     Per restart, `per_restart_log` holds (seed, final objective, trace
     length) and `diagnostics` its RestartDiagnostics.
 
-    Options are checked before any restart is built (`states._check_int`:
-    numpy integers count, booleans do not): restarts an integer in
+    Options are checked before any restart is built, and the search keeps
+    the values the checks return (`states._check_int`, `states._check_real`:
+    numpy numbers count, booleans do not): restarts an integer in
     [1, RESTART_LIMIT], max_iters in [0, ITERATION_LIMIT], master_seed
     >= 0, every env_dims entry in [1, d^2], and tol a finite real >= 0;
-    otherwise InvariantError.
+    otherwise an InvariantError that names the option.
     """
     dims = target.shape.local_dims
     if env_dims is None:
@@ -416,21 +415,14 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
         raise InvariantError("env_dims must be a sequence of integers") from None
     if len(env_dims) != len(dims):
         raise InvariantError("need one environment dimension per party")
-    for d, e in zip(dims, env_dims):
-        _check_int("env_dims entry", e, 1, d * d)
-    _check_int("restarts", restarts, 1, RESTART_LIMIT)
-    _check_int("max_iters", max_iters, 0, ITERATION_LIMIT)
-    _check_int("master_seed", master_seed, 0)
-    tol_ok = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    try:
-        tol_ok = tol_ok and 0 <= float(tol) < math.inf   # NaN fails too
-    except OverflowError:   # an int beyond the float range
-        tol_ok = False
-    if not tol_ok:
-        raise InvariantError(f"tol must be a finite number >= 0, got {tol!r}")
-    env_dims, tol = tuple(int(e) for e in env_dims), float(tol)
+    env_dims = tuple(_check_int("env_dims entry", e, 1, d * d)
+                     for d, e in zip(dims, env_dims))
+    restarts = _check_int("restarts", restarts, 1, RESTART_LIMIT)
+    max_iters = _check_int("max_iters", max_iters, 0, ITERATION_LIMIT)
+    master_seed = _check_int("master_seed", master_seed, 0)
+    tol = _check_real("tol", tol, 0)
 
-    seeds = [int(np.random.SeedSequence([int(master_seed), r]).generate_state(1)[0])
+    seeds = [int(np.random.SeedSequence([master_seed, r]).generate_state(1)[0])
              for r in range(restarts)]
     kraus, phis, traces, diags = _run_lock_step(
         target, *_starts(target, env_dims, seeds), max_iters, tol)
@@ -444,7 +436,7 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
                         hs_distance=distance("hilbert_schmidt", out, target),
                         trace_distance=distance("trace", out, target),
                         restarts_run=restarts,
-                        master_seed=int(master_seed),
+                        master_seed=master_seed,
                         per_restart_log=tuple(
                             (s, f, len(t)) for s, f, t in zip(seeds, finals, traces)),
                         diagnostics=diags)

@@ -7,9 +7,17 @@ module in this package shares that convention.
 
 The rules behind the state types live here once, and both the validated
 dataclasses and the raw-array hot loops call them: finite entries
-(`_as_complex`), unit-norm rows (`_check_unit_rows`), the eigenvector
-phase (`_fix_phases`), integer options (`_check_int`) and the layout of
-a bipartition (`_cut_permutation`, `_unfold`, `_fold`).
+(`_as_complex`), unit-norm rows (`_check_unit_rows`), Hermitian PSD
+matrices (`_check_hermitian_psd`), the eigenvector phase (`_fix_phases`),
+integer arguments (`_check_int`), real weights and tolerances
+(`_check_real`) and the layout of a bipartition (`_cut_permutation`,
+`_unfold`, `_fold`).  Every public entry point of `states`, `channels`
+and `reach` checks its counts and weights through `_check_int` and
+`_check_real` and keeps the value they return; a malformed argument is an
+InvariantError that names it.  The constructors' ranges: `ghz_state` n
+and d integers >= 1 (below 2 an UnsupportedError), `max_entangled` d an
+integer >= 1 (below 2 an UnsupportedError), `basis_state` index an
+integer in [0, D - 1], `z_mixture` p a finite real in [0, 1].
 """
 
 import math
@@ -74,11 +82,28 @@ def _is_int(v):
 
 
 def _check_int(name, value, lo, hi=None):
-    """Raise unless value is an integer (`_is_int`) in [lo, hi]; hi None
-    means no upper bound."""
+    """int(value) if value is an integer (`_is_int`) in [lo, hi], hi None
+    meaning no upper bound; otherwise InvariantError naming it."""
     if not (_is_int(value) and lo <= value and (hi is None or value <= hi)):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise InvariantError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+def _check_real(name, value, lo, hi=math.inf):
+    """float(value) if value is a real number (numpy's count, a bool does
+    not) that is finite and in [lo, hi]; otherwise InvariantError naming
+    it.  An int beyond the float range fails too.  Callers compute with the
+    returned float, so a numpy float32 gives float64 arithmetic."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:
+        x = math.nan
+    if not (math.isfinite(x) and lo <= x <= hi):
+        bounds = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise InvariantError(f"{name} must be a finite real {bounds}, got {value!r}")
+    return x
 
 
 def _as_complex(a):
@@ -88,6 +113,15 @@ def _as_complex(a):
     if not np.isfinite(out).all():
         raise InvariantError("entries must be finite")
     return out
+
+
+def _check_hermitian_psd(m, atol, what):
+    """Raise unless the finite square matrix m is Hermitian and positive
+    semidefinite to atol; `what` names it in the message."""
+    if np.max(np.abs(m - m.conj().T)) > atol:
+        raise InvariantError(f"{what} is not Hermitian")
+    if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -atol:
+        raise InvariantError(f"{what} is not positive semidefinite")
 
 
 def _check_unit_rows(amps):
@@ -147,10 +181,7 @@ class DensityMatrix:
         if self.symmetrize:
             # allowed only at construction from external input
             m = (m + m.conj().T) / 2
-        if np.max(np.abs(m - m.conj().T)) > ATOL:
-            raise InvariantError("matrix is not Hermitian")
-        if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -ATOL:
-            raise InvariantError("matrix is not positive semidefinite")
+        _check_hermitian_psd(m, ATOL, "matrix")
         if abs(np.trace(m).real - 1.0) > ATOL:
             raise InvariantError("trace is not 1")
         m.flags.writeable = False
@@ -380,14 +411,19 @@ def basis_state(shape, index):
     """Computational basis state |index> (flat index) over shape; index an
     integer in [0, D - 1] (`_check_int`)."""
     d = shape.total_dim
-    _check_int("basis index", index, 0, d - 1)
+    index = _check_int("basis index", index, 0, d - 1)
     amps = np.zeros(d, dtype=complex)
     amps[index] = 1.0
     return PureState(shape, amps)
 
 
 def ghz_state(n=3, d=2):
-    """(|0...0> + ... + |d-1...d-1>)/sqrt(d) on n parties of dimension d."""
+    """(|0...0> + ... + |d-1...d-1>)/sqrt(d) on n parties of dimension d.
+
+    n and d are integers >= 1 (`_check_int`); below 2 either is an
+    UnsupportedError.
+    """
+    n, d = _check_int("n", n, 1), _check_int("d", d, 1)
     if n < 2 or d < 2:
         raise UnsupportedError("GHZ needs n >= 2 parties of dimension >= 2")
     shape = SystemShape((d,) * n)
@@ -405,7 +441,9 @@ def w_state():
 
 
 def max_entangled(d):
-    """Maximally entangled pair (1/sqrt(d)) sum_i |ii>."""
+    """Maximally entangled pair (1/sqrt(d)) sum_i |ii>; d an integer >= 1
+    (`_check_int`), and d = 1 an UnsupportedError."""
+    d = _check_int("d", d, 1)
     if d < 2:
         raise UnsupportedError("need local dimension >= 2")
     shape = SystemShape((d, d))   # checks the size before allocating
@@ -420,7 +458,7 @@ def canonical_state(kind, **params):
     if kind in ("ghz", "ghz_n"):
         return ghz_state(n=params.get("n", 3), d=params.get("d", 2))
     if kind in ("w", "w3"):
-        if params.get("n", 3) != 3:
+        if _check_int("n", params.get("n", 3), 1) != 3:
             raise UnsupportedError("W state only implemented for 3 qubits")
         return w_state()
     if kind in ("maxent", "max_entangled", "maxentangled_d"):
@@ -431,9 +469,9 @@ def canonical_state(kind, **params):
 
 
 def z_mixture(p):
-    """p |W><W| + (1-p) |GHZ><GHZ| on three qubits."""
-    if not 0.0 <= p <= 1.0:
-        raise InvariantError("mixing weight must lie in [0, 1]")
+    """p |W><W| + (1-p) |GHZ><GHZ| on three qubits; p a finite real in
+    [0, 1] (`_check_real`)."""
+    p = _check_real("mixing weight p", p, 0, 1)
     w = w_state().amplitudes
     g = ghz_state().amplitudes
     m = p * np.outer(w, w.conj()) + (1 - p) * np.outer(g, g.conj())

@@ -1,0 +1,131 @@
+"""Argument rules of the public constructors: one rule per argument kind.
+
+Integers go through `states._check_int`, real weights through
+`states._check_real`; a malformed value is an InvariantError naming the
+argument, and a valid value gives the same bits whatever its numeric type.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from lcstates import (InvariantError, UnsupportedError, canonical_state,
+                      dephasing_channel, depolarizing_channel, ghz_state,
+                      identity_channel, max_entangled, parameter_counts,
+                      random_local_channel, standard_noise, z_mixture)
+from lcstates.channels import amplitude_damping_channel
+
+DIMS = (2, 3, 4)
+WEIGHTS = (0, 0.3, 1)
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the concatenated bytes over the grid, recorded before the
+# constructors' argument checks were rewritten
+PINNED = {
+    "identity": (lambda: (identity_channel(d).kraus for d in DIMS),
+                 "6990dd79a8f7508ef1db52f730e7e97cefc96f9cedd0ebb553f7e9fcfc3a3526"),
+    "depolarizing": (lambda: (depolarizing_channel(d, p).kraus
+                              for d in DIMS for p in WEIGHTS),
+                     "ada4a66da521bf796b1fe2f20ad663ca308cb87f04b762937e0bd03e659f4012"),
+    "dephasing": (lambda: (dephasing_channel(d, p).kraus
+                           for d in DIMS for p in WEIGHTS),
+                  "7d59f565faeb30edb32fe19fea1752b8888eae283bb4d42c747cdf9795b00f97"),
+    "amplitude_damping": (lambda: (amplitude_damping_channel(p).kraus
+                                   for p in WEIGHTS),
+                          "14f2c29509a4bee7502e0576bc5593aca63d4adb82b407f31292b4adb2c58f57"),
+    "z_mixture": (lambda: (z_mixture(p).entries for p in WEIGHTS),
+                  "e5507b056ac6baa4c50aa9bdb8b0e4f284d8f270df829e8b160107b0b6ddf00f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_constructor_bytes_pinned(name):
+    arrays, expect = PINNED[name]
+    assert _digest(arrays()) == expect
+
+
+INT_BAD = (2.5, True, "2", None)
+REAL_BAD = (float("nan"), float("inf"), -0.1, 1.5, 10 ** 400, True, "0.1",
+            None)
+
+# (entry point of one argument, the name its message gives, malformed values)
+CASES = [
+    (lambda v: identity_channel(v), "d", INT_BAD + (0, -1)),
+    (lambda v: identity_channel(2, v), "env_dim", INT_BAD + (0, -1, 5)),
+    (lambda v: depolarizing_channel(v, 0.1), "d", INT_BAD + (0, -1)),
+    (lambda v: dephasing_channel(v, 0.1), "d", INT_BAD + (0, -1, 1)),
+    (lambda v: random_local_channel(v, 1, 0), "d", INT_BAD + (0, -1)),
+    (lambda v: random_local_channel(2, 1, v), "seed", INT_BAD + (-1,)),
+    (lambda v: ghz_state(v, 2), "n", INT_BAD + (0, -1)),
+    (lambda v: ghz_state(3, v), "d", INT_BAD + (0, -1)),
+    (lambda v: max_entangled(v), "d", INT_BAD + (0, -1)),
+    (lambda v: canonical_state("w", n=v), "n", INT_BAD + (0, -1)),
+    (lambda v: standard_noise("amplitude_damping", v, 0.5), "d",
+     INT_BAD + (0, -1)),
+    (lambda v: parameter_counts(v, 2), "n", INT_BAD + (2.0, 0, -1)),
+    (lambda v: parameter_counts(3, v), "d", INT_BAD + (2.0, 0, 1)),
+    (lambda v: depolarizing_channel(2, v), "noise strength p", REAL_BAD),
+    (lambda v: dephasing_channel(2, v), "noise strength p", REAL_BAD),
+    (lambda v: amplitude_damping_channel(v), "noise strength p", REAL_BAD),
+    (lambda v: z_mixture(v), "mixing weight p", REAL_BAD),
+]
+
+
+@pytest.mark.parametrize("call, name, value", [
+    pytest.param(call, name, value, id=f"{i}-{value!r}"[:24])
+    for i, (call, name, bad) in enumerate(CASES) for value in bad])
+def test_malformed_argument_names_itself(call, name, value):
+    with pytest.raises(InvariantError, match=f"^{name} must be"):
+        call(value)
+
+
+def test_ghz_outside_its_range_is_unsupported():
+    # well-formed counts below what GHZ needs stay an UnsupportedError
+    for n, d in ((1, 2), (3, 1)):
+        with pytest.raises(UnsupportedError):
+            ghz_state(n, d)
+    with pytest.raises(UnsupportedError):
+        max_entangled(1)
+
+
+def test_numpy_scalars_give_the_same_bytes():
+    i64, f64 = np.int64, np.float64
+    for d in DIMS:
+        assert (identity_channel(i64(d), i64(d)).kraus.tobytes()
+                == identity_channel(d, d).kraus.tobytes())
+        for p in WEIGHTS:
+            for make in (depolarizing_channel, dephasing_channel):
+                assert (make(i64(d), f64(p)).kraus.tobytes()
+                        == make(d, p).kraus.tobytes())
+                assert make(d, float(p)).kraus.tobytes() == make(d, p).kraus.tobytes()
+    for p in WEIGHTS:
+        assert (amplitude_damping_channel(f64(p)).kraus.tobytes()
+                == amplitude_damping_channel(p).kraus.tobytes())
+        assert z_mixture(f64(p)).entries.tobytes() == z_mixture(p).entries.tobytes()
+    assert (ghz_state(i64(3), i64(3)).amplitudes.tobytes()
+            == ghz_state(3, 3).amplitudes.tobytes())
+    assert (random_local_channel(i64(3), 2, 4).kraus.tobytes()
+            == random_local_channel(3, 2, 4).kraus.tobytes())
+    pc = parameter_counts(i64(3), i64(2))
+    assert pc == parameter_counts(3, 2)
+    assert all(type(v) is int for v in (pc.n, pc.d, pc.pure_dim, pc.lc_bound,
+                                        pc.mixed_dim))
+
+
+def test_float32_weight_is_read_as_its_float_value():
+    # the constructors compute with float(p): in float32 the Kraus
+    # operators miss the completeness tolerance
+    p32 = np.float32(0.3)
+    for make in (lambda p: depolarizing_channel(3, p).kraus,
+                 lambda p: dephasing_channel(3, p).kraus,
+                 lambda p: amplitude_damping_channel(p).kraus,
+                 lambda p: z_mixture(p).entries):
+        assert make(p32).tobytes() == make(float(p32)).tobytes()

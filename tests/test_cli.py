@@ -211,6 +211,17 @@ class TestCli:
             assert "unsupported" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, code", [
+        (["ghz", "--n", "0"], 2), (["ghz", "--d", "0"], 2),
+        (["maxent", "--d", "0"], 2),
+        (["ghz", "--n", "1"], 3), (["maxent", "--d", "1"], 3)])
+    def test_state_counts(self, tmp_path, args, code):
+        # a count of zero is no system at all: a validation failure; a
+        # system too small for the state is an unsupported request
+        out = tmp_path / "s.json"
+        assert self._run("state", "--kind", *args, "--out", str(out))[0] == code
+        assert not out.exists()
+
     def test_nan_state_is_validation_failure(self, tmp_path):
         f = tmp_path / "nan.json"
         data = [[1.0, 0.0]] + [[0.0, 0.0]] * 7

@@ -189,6 +189,16 @@ class TestSpectralEnsemble:
         with pytest.raises(InvariantError):
             locc.Ensemble(np.array(p), states)
 
+    def test_owns_its_probabilities(self):
+        # the caller's array stays writable, and changing it leaves the
+        # validated ensemble as it was
+        p = np.array([0.5, 0.5])
+        ens = locc.Ensemble(p, (ghz_state(), w_state()))
+        assert ens.probabilities is not p
+        p[0] = 0.9
+        assert ens.probabilities.tolist() == [0.5, 0.5]
+        assert not ens.probabilities.flags.writeable
+
 
 class TestSynthesis:
     def test_pure_bell_target(self):

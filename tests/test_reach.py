@@ -356,11 +356,12 @@ class TestSearch:
         {"master_seed": -1}, {"master_seed": 1.0},
         {"restarts": True}, {"restarts": 2.5}, {"max_iters": 2.5},
         {"env_dims": (2.7, 2, 2)}, {"env_dims": 4}, {"env_dims": (4, 4, "4")},
+        {"tol": None},
     ])
     def test_malformed_option_rejected(self, opts):
         # each is checked before any restart runs (max_iters=1 keeps the
-        # search short should one slip through)
-        with pytest.raises(InvariantError):
+        # search short should one slip through), and the message names it
+        with pytest.raises(InvariantError, match=f"^{next(iter(opts))}"):
             lc_distance_search(z_mixture(0.5), **{"restarts": 1, "max_iters": 1,
                                                   **opts})
 
