@@ -18,6 +18,7 @@ only at the API boundary: once into pairs and once back to D x D per
 call of `apply_product_channel` or `apply_adjoint_product_channel`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,16 +64,25 @@ class LocalChannel:
         return float(_completeness_residual(self.kraus))
 
 
+@functools.cache
+def _identity(d):
+    """A read-only d x d identity, built once per d."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def _completeness_residual(kraus):
     """max |sum_m K_m^dag K_m - I| of each (..., e, d, d) Kraus stack.
 
     The operators may be rectangular (any row count); a NaN entry gives
-    NaN.  The sum is one product V^dag V, V the operators stacked row-wise.
+    NaN.  The sum is one product V^dag V, V the operators stacked row-wise,
+    less the cached identity (`_identity`).
     """
     *batch, e, rows, d = kraus.shape
     v = kraus.reshape(*batch, e * rows, d)
-    comp = np.swapaxes(v.conj(), -1, -2) @ v
-    return np.abs(comp - np.eye(d)).max(axis=(-2, -1))
+    comp = v.conj().swapaxes(-1, -2) @ v
+    return np.abs(comp - _identity(d)).max(axis=(-2, -1))
 
 
 def identity_channel(d, env_dim=1):

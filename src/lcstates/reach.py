@@ -280,8 +280,20 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         STEP_GROWTH (capped at STEP_CAP), a rejected one halves it, and
         below STEP_FLOOR the restart dies: it records this party's
         objective and skips the rest;
-      * a restart leaves the live set on step underflow, when an iteration
-        lowers its objective by less than tol, or after max_iters.
+      * a restart stops on step underflow, when an iteration lowers its
+        objective by less than tol, or after max_iters.
+
+    The working arrays hold only the live restarts' rows, and ids maps
+    each row to its restart.  A restart leaves once, when it stops: its
+    rows are written back to kraus and phis, and every working array (and,
+    mid-iteration, the running prefix) is compacted by one mask.  So in
+    steady state the moves use the working arrays directly, and only a
+    trial round after the first gathers its pending rows.  Until the first
+    restart stops, the working Kraus stacks and precursors are the
+    caller's arrays themselves, updated in place.  Each recorded step
+    appends its (ids, obj) pairs to two flat buffers that double when full
+    (so their size follows the steps taken, never max_iters); the
+    per-restart traces are split from them once, at the end.
 
     The recorded objective sequence of each restart is non-increasing, and
     element b's arithmetic does not depend on the other elements, so a
@@ -289,7 +301,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
 
     The starting points come as raw stacks (`_starts`): kraus, one
     (B, e, d, d) Kraus stack per party, and phis, the (B, D) precursor
-    amplitudes.  Both are updated in place.
+    amplitudes.  On return they hold each restart's final values.
 
     Returns (kraus, phis, traces, diagnostics): the final Kraus stacks per
     party, the final precursor amplitudes (B, D), each restart's objective
@@ -299,84 +311,116 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     rho = _to_pairs(target.entries, dims)
     rho_views = [_column_view(rho, dims, k) for k in range(len(dims))]
     rho_sq = np.vdot(rho, rho).real
-    sups = [liouville(kr) for kr in kraus]
-    sigma = _to_pairs(phis[:, :, None] * phis[:, None, :].conj(), dims)
-    obj = _objective(_apply_product_channel_matrix(sups, sigma, dims), rho)
     n = len(phis)
-    traces = [[o] for o in obj.tolist()]
+    # the working set: row i belongs to restart ids[i]
+    ks, ph = list(kraus), phis
+    sups = [liouville(kr) for kr in ks]
+    sigma = _to_pairs(ph[:, :, None] * ph[:, None, :].conj(), dims)
+    obj = _objective(_apply_product_channel_matrix(sups, sigma, dims), rho)
     step = np.full(n, INITIAL_STEP)
-    iters, accepted, rejected = (np.zeros(n, dtype=int) for _ in range(3))
-    reasons = [MAX_ITERS] * n
-    live = np.arange(n)
-    for _ in range(max_iters):
-        if not live.size:
+    accepted, rejected = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    ids = np.arange(n)
+    diags = [None] * n
+    it = 0   # the iteration a stopping restart is in
+    # every recorded (restart, objective) pair, in order; the buffers
+    # double when full
+    who, vals, size = np.empty(8 * n, dtype=int), np.empty(8 * n), 0
+
+    def record():
+        nonlocal who, vals, size
+        if size + len(ids) > len(vals):
+            who, vals = (np.concatenate([a, np.empty_like(a)]) for a in (who, vals))
+        who[size:size + len(ids)], vals[size:size + len(ids)] = ids, obj
+        size += len(ids)
+
+    def leave(gone, reason):
+        """The rows in mask gone stop: write them back, record their
+        diagnostics and compact the working set; returns the kept mask."""
+        nonlocal ks, sups, ph, sigma, obj, step, accepted, rejected, ids
+        out = ids[gone]
+        for kr, w in zip(kraus, ks):
+            kr[out] = w[gone]
+        phis[out] = ph[gone]
+        for r, a, j in zip(out.tolist(), accepted[gone].tolist(),
+                           rejected[gone].tolist()):
+            diags[r] = RestartDiagnostics(it, reason, a, j)
+        keep = ~gone
+        ks, sups = [w[keep] for w in ks], [s[keep] for s in sups]
+        ph, sigma, obj, step, accepted, rejected, ids = (
+            a[keep] for a in (ph, sigma, obj, step, accepted, rejected, ids))
+        return keep
+
+    record()
+    for it in range(1, max_iters + 1):
+        if not ids.size:
             break
-        iters[live] += 1
         prev = obj.copy()
 
         # precursor move (guarded: the eigenvector maximizes only the
         # overlap term, so accept it only when the full objective drops)
-        own = [s[live] for s in sups]
         h = _apply_product_channel_matrix(
-            [np.swapaxes(s.conj(), -1, -2) for s in own], rho, dims)
+            [s.conj().swapaxes(-1, -2) for s in sups], rho, dims)
         cand = _top_eigenvectors(_from_pairs(h, dims))
         cand_sigma = _to_pairs(cand[:, :, None] * cand[:, None, :].conj(), dims)
-        cand_obj = _objective(_apply_product_channel_matrix(own, cand_sigma, dims),
+        cand_obj = _objective(_apply_product_channel_matrix(sups, cand_sigma, dims),
                               rho)
-        keep = cand_obj <= obj[live]
-        rows = live[keep]
-        phis[rows], sigma[rows], obj[rows] = cand[keep], cand_sigma[keep], cand_obj[keep]
-        for r, o in zip(live, obj[live].tolist()):
-            traces[r].append(o)
+        keep = cand_obj <= obj
+        ph[keep], sigma[keep], obj[keep] = cand[keep], cand_sigma[keep], cand_obj[keep]
+        record()
 
         # channel moves, one party at a time; left is sigma with the
-        # moved parties 0..k-1 applied, rows as in act
-        act = live
-        left = sigma[act]
+        # moved parties 0..k-1 applied
+        left = sigma
         for k, d in enumerate(dims):
-            if not act.size:
+            if not ids.size:
                 break
             y = left
             for j in range(k + 1, len(dims)):
-                y = _apply_local(y, sups[j][act], dims, j)
+                y = _apply_local(y, sups[j], dims, j)
             gram, cross = _gram_pair(y, rho_views[k], dims, k)
-            own_k = kraus[k][act]
-            v0 = own_k.reshape(len(act), -1, d)
-            g = _party_gradient(own_k, sups[k][act], gram, cross).reshape(v0.shape)
-            pend = np.arange(len(act))   # positions in act still trying
-            while pend.size:
-                rows = act[pend]
-                cand_k = _polar_retract(v0[pend] - step[rows, None, None] * g[pend])
-                cand_k = cand_k.reshape(-1, *kraus[k].shape[1:])
+            v0 = ks[k].reshape(len(ids), -1, d)
+            g = _party_gradient(ks[k], sups[k], gram, cross).reshape(v0.shape)
+            pend = np.arange(len(ids))   # rows still trying
+            # pend's rows of v0, g and the Gram pair: all of them in the
+            # first round, gathered in later ones
+            v, gp, gr, cr = v0, g, gram, cross
+            while True:
+                cand_k = _polar_retract(v - step[pend, None, None] * gp)
+                cand_k = cand_k.reshape(-1, *ks[k].shape[1:])
                 cand_s = liouville(cand_k)
-                t_obj = _gram_objective(cand_s, gram[pend], cross[pend], rho_sq)
-                ok = t_obj <= obj[rows] + 1e-15
+                t_obj = _gram_objective(cand_s, gr, cr, rho_sq)
+                ok = t_obj <= obj[pend] + 1e-15
                 # accepted: let the step recover so progress stays fast
-                up = rows[ok]
-                kraus[k][up], sups[k][up] = cand_k[ok], cand_s[ok]
+                up = pend[ok]
+                ks[k][up], sups[k][up] = cand_k[ok], cand_s[ok]
                 obj[up] = np.minimum(obj[up], t_obj[ok])
                 step[up] = np.minimum(step[up] * STEP_GROWTH, STEP_CAP)
                 accepted[up] += 1
-                down = rows[~ok]
+                down = pend[~ok]
                 step[down] /= 2
                 rejected[down] += 1
-                pend = pend[~ok][step[down] >= STEP_FLOOR]
-            for r, o in zip(act, obj[act].tolist()):
-                traces[r].append(o)
+                pend = down[step[down] >= STEP_FLOOR]
+                if not pend.size:
+                    break
+                v, gp, gr, cr = v0[pend], g[pend], gram[pend], cross[pend]
+            record()
             # a step only drops below STEP_FLOOR by the halving that kills
-            dead = step[act] < STEP_FLOOR
-            for r in act[dead]:
-                reasons[r] = STEP_UNDERFLOW
-            act, left = act[~dead], left[~dead]
+            dead = step < STEP_FLOOR
+            if dead.any():
+                keep = leave(dead, STEP_UNDERFLOW)
+                left, prev = left[keep], prev[keep]
             if k + 1 < len(dims):
-                left = _apply_local(left, sups[k][act], dims, k)
-        done = prev[act] - obj[act] < tol
-        for r in act[done]:
-            reasons[r] = CONVERGED
-        live = act[~done]
-    diags = tuple(RestartDiagnostics(int(i), why, int(a), int(j))
-                  for i, why, a, j in zip(iters, reasons, accepted, rejected))
-    return kraus, phis, traces, diags
+                left = _apply_local(left, sups[k], dims, k)
+        done = prev - obj < tol
+        if done.any():
+            leave(done, CONVERGED)
+    leave(np.ones(len(ids), dtype=bool), MAX_ITERS)
+
+    # each restart's trace: its recorded objectives, in order
+    who, vals = who[:size], vals[:size]
+    ends = np.cumsum(np.bincount(who, minlength=n))[:-1]
+    traces = np.split(vals[np.argsort(who, kind="stable")], ends)
+    return kraus, phis, [t.tolist() for t in traces], tuple(diags)
 
 
 def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,

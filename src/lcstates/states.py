@@ -17,7 +17,11 @@ and `reach` checks its counts and weights through `_check_int` and
 InvariantError that names it.  The constructors' ranges: `ghz_state` n
 and d integers >= 1 (below 2 an UnsupportedError), `max_entangled` d an
 integer >= 1 (below 2 an UnsupportedError), `basis_state` index an
-integer in [0, D - 1], `z_mixture` p a finite real in [0, 1].
+integer in [0, D - 1], `z_mixture` p a finite real in [0, 1].  Arguments
+that are not numbers are checked the same way: `partial_trace` keep and
+`purify` ancilla_dims are collections, a `canonical_state` kind is a
+string (a basis state needs dims and index), and each `distance` operand
+is a DensityMatrix.
 """
 
 import math
@@ -264,10 +268,15 @@ def tensor_product(a, b):
     raise InvariantError("cannot tensor a pure state with a density matrix")
 
 
-def _check_parties(shape, parties):
+def _check_parties(shape, parties, name="party subset"):
     """The sorted party indices of a nonempty collection; each must be an
-    integer (`_is_int`) in range and named once."""
-    parties = list(parties)
+    integer (`_is_int`) in range and named once.  Anything but a
+    collection is an InvariantError naming the argument as `name`."""
+    try:
+        parties = list(parties)
+    except TypeError:
+        raise InvariantError(f"{name} must be a collection of party indices, "
+                             f"got {parties!r}") from None
     if not all(_is_int(p) for p in parties):
         raise InvariantError(f"party indices must be integers, got {parties!r}")
     if len(set(parties)) != len(parties):
@@ -285,7 +294,7 @@ def partial_trace(rho, keep):
 
     Kept parties retain their relative order.
     """
-    keep = _check_parties(rho.shape, keep)
+    keep = _check_parties(rho.shape, keep, "keep")
     dims = rho.shape.local_dims
     n = len(dims)
     t = rho.entries.reshape(dims + dims)
@@ -312,7 +321,13 @@ def distance(metric, a, b):
     trace:            (1/2) * sum of singular values of (a - b)
     hilbert_schmidt:  Frobenius norm of (a - b)
     fidelity:         Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2
+
+    a or b not a DensityMatrix is an InvariantError naming it.
     """
+    for name, m in (("a", a), ("b", b)):
+        if not isinstance(m, DensityMatrix):
+            raise InvariantError(f"{name} must be a DensityMatrix, "
+                                 f"got {type(m).__name__}")
     if a.shape != b.shape:
         raise InvariantError("shape mismatch")
     diff = a.entries - b.entries
@@ -452,8 +467,25 @@ def max_entangled(d):
     return PureState(shape, amps)
 
 
+def _shape_argument(name, dims):
+    """SystemShape(tuple(dims)) for an argument that lists local
+    dimensions; InvariantError naming it unless dims is a nonempty
+    sequence of integers >= 1."""
+    try:
+        return SystemShape(tuple(dims))
+    except (TypeError, InvariantError):
+        raise InvariantError(f"{name} must be a nonempty sequence of integers "
+                             f">= 1, got {dims!r}") from None
+
+
 def canonical_state(kind, **params):
-    """Dispatch constructor: GHZ_n, W3, MaxEntangled_d or Basis(index)."""
+    """Dispatch constructor: GHZ_n, W3, MaxEntangled_d or Basis(index).
+
+    kind is a string; a kind that is not, and a basis state without its
+    dims or index, is an InvariantError naming the argument.
+    """
+    if not isinstance(kind, str):
+        raise InvariantError(f"kind must be a string, got {kind!r}")
     kind = kind.lower()
     if kind in ("ghz", "ghz_n"):
         return ghz_state(n=params.get("n", 3), d=params.get("d", 2))
@@ -464,7 +496,10 @@ def canonical_state(kind, **params):
     if kind in ("maxent", "max_entangled", "maxentangled_d"):
         return max_entangled(params.get("d", 2))
     if kind == "basis":
-        return basis_state(SystemShape(tuple(params["dims"])), params["index"])
+        for name in ("dims", "index"):
+            if name not in params:
+                raise InvariantError(f"{name} must be given for a basis state")
+        return basis_state(_shape_argument("dims", params["dims"]), params["index"])
     raise UnsupportedError(f"unknown canonical state kind {kind!r}")
 
 
@@ -484,8 +519,10 @@ def purify(rho, ancilla_dims):
     The ancilla components are the first rank(rho) computational basis
     states, paired with eigenvectors in descending-eigenvalue order, so the
     ancilla parts of the purification are orthonormal by construction.
+    ancilla_dims is a nonempty sequence of integers >= 1
+    (`_shape_argument`).
     """
-    ancilla = SystemShape(tuple(ancilla_dims))
+    ancilla = _shape_argument("ancilla_dims", ancilla_dims)
     w, v = rho.eigensystem()
     keep = w > RANK_TOL
     w, v = w[keep], v[:, keep]

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from lcstates import (InvariantError, UnsupportedError, canonical_state,
-                      dephasing_channel, depolarizing_channel, ghz_state,
-                      identity_channel, max_entangled, parameter_counts,
+                      dephasing_channel, depolarizing_channel, distance,
+                      ghz_state, identity_channel, max_entangled,
+                      parameter_counts, partial_trace, purify,
                       random_local_channel, standard_noise, z_mixture)
 from lcstates.channels import amplitude_damping_channel
 
@@ -53,6 +54,8 @@ def test_constructor_bytes_pinned(name):
 
 
 INT_BAD = (2.5, True, "2", None)
+# not a collection at all: an integer where a list of them is expected
+NOT_A_COLLECTION = (0, 2, 2.5, True, None)
 REAL_BAD = (float("nan"), float("inf"), -0.1, 1.5, 10 ** 400, True, "0.1",
             None)
 
@@ -76,6 +79,16 @@ CASES = [
     (lambda v: dephasing_channel(2, v), "noise strength p", REAL_BAD),
     (lambda v: amplitude_damping_channel(v), "noise strength p", REAL_BAD),
     (lambda v: z_mixture(v), "mixing weight p", REAL_BAD),
+    (lambda v: partial_trace(z_mixture(0.5), v), "keep", NOT_A_COLLECTION),
+    (lambda v: purify(z_mixture(0.5), v), "ancilla_dims",
+     NOT_A_COLLECTION + ((), (0,), (2.5,), ("2",))),
+    (lambda v: canonical_state(v), "kind", (3, None, 2.5, ("ghz",))),
+    (lambda v: canonical_state("basis", dims=v, index=0), "dims",
+     NOT_A_COLLECTION + ((), (0, 2))),
+    (lambda v: distance("trace", v, z_mixture(0.5)), "a",
+     (ghz_state(), z_mixture(0.5).entries, None)),
+    (lambda v: distance("trace", z_mixture(0.5), v), "b",
+     (ghz_state(), z_mixture(0.5).entries, None)),
 ]
 
 
@@ -85,6 +98,13 @@ CASES = [
 def test_malformed_argument_names_itself(call, name, value):
     with pytest.raises(InvariantError, match=f"^{name} must be"):
         call(value)
+
+
+@pytest.mark.parametrize("params, name", [
+    ({"index": 0}, "dims"), ({"dims": (2, 2)}, "index")])
+def test_basis_state_needs_dims_and_index(params, name):
+    with pytest.raises(InvariantError, match=f"^{name} must be given"):
+        canonical_state("basis", **params)
 
 
 def test_ghz_outside_its_range_is_unsupported():

@@ -126,6 +126,14 @@ class TestBuildConversion:
         with pytest.raises(InvariantError, match="complete"):
             broken.verify()
 
+    def test_integer_measurement_verifies(self):
+        # a hand-built protocol may hold integer Kraus operators; the
+        # completeness rule subtracts its cached float identity from them
+        proto = build_conversion(basis_state(SystemShape((2, 2)), 0), CUT)
+        kraus = proto.alice_kraus.real.astype(int)
+        locc.ConversionProtocol(proto.target, proto.cut, kraus,
+                                proto.corrections).verify()
+
     @pytest.mark.parametrize("cut, sorted_cut", [
         (((2, 0), (1,)), ((0, 2), (1,))),
         (({2, 0}, [1]), ((0, 2), (1,))),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,43 @@ class TestSearch:
             [0.10680000000000014, 0.00015934657013000922,
              0.007153319732124939, 6.521818569649346e-06], rel=1e-8)
         assert lengths == [5, 161, 161, 161]
+
+    @pytest.mark.parametrize("target, finals, lengths", [
+        (noisy_four_qubit_ghz,
+         [0.10680000000000012, 0.0010935239601771451, 0.0021009009074274276,
+          0.2951849390615271, 0.39259017895075077, 0.002025276126022768],
+         [6] + [201] * 5),
+        (noisy_qutrit_ghz,
+         [0.1379555555555554, 0.23135819411976416, 0.19299930548816552,
+          0.23345468768388775, 0.20255610999852675, 0.23006619527295213],
+         [5] + [161] * 5),
+    ])
+    def test_seeded_wide_search_pinned(self, target, finals, lengths):
+        # the benchmark's wide searches (6 x 40, master seed 2026); restart
+        # 0 stops after iteration 1, so the others run compacted
+        res = lc_distance_search(target(), restarts=6, max_iters=40,
+                                 master_seed=2026)
+        assert [obj for _, obj, _ in res.per_restart_log] == \
+            pytest.approx(finals, rel=1e-8)
+        assert [n for _, _, n in res.per_restart_log] == lengths
+        assert [d.iterations for d in res.diagnostics] == [1] + [40] * 5
+        assert [d.stop_reason for d in res.diagnostics] == \
+            [CONVERGED] + [MAX_ITERS] * 5
+
+    def test_memory_not_sized_by_max_iters(self):
+        # a pure target stops after one iteration, so the search's memory
+        # must not grow with the iteration cap: one float per iteration and
+        # restart at ITERATION_LIMIT would be 8 MB
+        tracemalloc.start()
+        try:
+            res = lc_distance_search(ghz_state().density(), restarts=1,
+                                     max_iters=reach.ITERATION_LIMIT,
+                                     master_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics[0].iterations == 1
+        assert peak < 4 * 2 ** 20
 
     @pytest.mark.parametrize("target, env_dims", [
         (noisy_ghz, (4, 3, 2)), (noisy_qutrit_ghz, (9, 5, 1))])
