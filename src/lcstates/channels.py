@@ -192,8 +192,8 @@ def liouville(kraus):
     nb = len(batch)
     a = kraus.transpose(*range(nb), nb + 1, nb + 2, nb)         # [i, j, m]
     a = a.reshape(*batch, d * d, e)
-    s = (a @ np.swapaxes(a.conj(), -1, -2)).reshape(*batch, d, d, d, d)
-    return np.swapaxes(s, -3, -2).reshape(*batch, d * d, d * d)
+    s = (a @ a.conj().swapaxes(-1, -2)).reshape(*batch, d, d, d, d)
+    return s.swapaxes(-3, -2).reshape(*batch, d * d, d * d)
 
 
 def _to_pairs(mat, dims):

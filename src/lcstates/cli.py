@@ -2,15 +2,18 @@
 
 Every invocation prints a single JSON report on standard output:
 {"command", "inputs", "outputs", "seed", "elapsed_ms"}.  Diagnostics go to
-standard error.  Exit codes: 0 success, 1 unknown command, 2 input
-validation failure (a failed linear-algebra routine included), 3
-unsupported request.  Given identical inputs and
-seed the outputs are byte-identical across runs (elapsed_ms aside).
+standard error.  Exit codes: 0 success (--help included), 1 usage error
+(a missing or unknown command, or bad options, as argparse reports it), 2
+input validation failure (an input file that is not a JSON document and a
+failed linear-algebra routine included), 3 unsupported request.  Given
+identical inputs and seed the outputs are byte-identical across runs
+(elapsed_ms aside).
 """
 
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -27,14 +30,11 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_UNSUPPORTED = 3
 
-COMMANDS = ("state", "noise-apply", "classify", "tangle", "param-count",
-            "convert", "synthesize", "lc-search", "obstruct")
-
 
 @functools.cache
 def _parser():
     p = argparse.ArgumentParser(prog="lcstates", add_help=True)
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("state", help="write a canonical state file")
     sp.add_argument("--kind", required=True, choices=["ghz", "w", "maxent", "z"])
@@ -139,13 +139,22 @@ def _dispatch(args):
         return {"three_tangle": three_tangle(psi)}, None
 
     if cmd == "param-count":
-        pc = parameter_counts(args.n, args.d)
-        try:   # by default Python refuses to print an int of over 4300 digits
-            for count in (pc.pure_dim, pc.lc_bound, pc.mixed_dim):
-                str(count)
-        except ValueError:
-            raise UnsupportedError(f"parameter counts for n={args.n}, d={args.d} "
-                                   "have too many digits to print") from None
+        # Python refuses to print an int of over get_int_max_str_digits()
+        # digits (4300 by default, 0 for no limit).  mixed_dim = d^(2n) - 1
+        # has about 2n log10(d) digits, so counts certainly too long are
+        # refused before they are computed, the rest by printing them
+        n, d, limit = args.n, args.d, sys.get_int_max_str_digits()
+        printable = not (limit and d >= 2 and 2 * n * math.log10(d) > limit + 1)
+        if printable:
+            pc = parameter_counts(n, d)
+            try:
+                for count in (pc.pure_dim, pc.lc_bound, pc.mixed_dim):
+                    str(count)
+            except ValueError:
+                printable = False
+        if not printable:
+            raise UnsupportedError(f"parameter counts for n={n}, d={d} "
+                                   "have too many digits to print")
         return {"pure_dim": pc.pure_dim, "lc_bound": pc.lc_bound,
                 "mixed_dim": pc.mixed_dim,
                 "lc_strictly_smaller": pc.lc_strictly_smaller}, None
@@ -165,8 +174,7 @@ def _dispatch(args):
 
     if cmd == "lc-search":
         rho = _as_density(serialize.load_state(args.target))
-        with open(args.config) as fh:
-            opts = _search_options(json.load(fh))
+        opts = _search_options(serialize._read_json(args.config))
         result = reach.lc_distance_search(rho, **opts)
         return serialize.search_result_to_dict(result), result.master_seed
 
@@ -180,16 +188,9 @@ def _dispatch(args):
 
 def run_command(argv):
     """Execute one CLI invocation; returns (exit_code, report dict or None)."""
-    parser = _parser()
-    if not argv or argv[0] not in COMMANDS:
-        if argv and argv[0] in ("-h", "--help"):
-            parser.print_help()
-            return EXIT_OK, None
-        print(parser.format_usage(), file=sys.stderr)
-        return EXIT_USAGE, None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:   # code 0 after a subcommand's --help
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:   # code 0 after --help, 2 after a usage error
         return (EXIT_OK if exc.code == 0 else EXIT_USAGE), None
 
     start = time.monotonic()
@@ -198,8 +199,7 @@ def run_command(argv):
     except UnsupportedError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED, None
-    except (InvariantError, OSError, json.JSONDecodeError,
-            np.linalg.LinAlgError) as exc:
+    except (InvariantError, OSError, np.linalg.LinAlgError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID, None
 

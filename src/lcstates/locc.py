@@ -144,12 +144,19 @@ def _outcome_amplitudes(protocols):
     flat = post.reshape(-1, 1, dl * dr)
     re, im = flat.real, flat.imag
     norms = np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1)
-    a, b = (np.stack([[c[side] for c in p.corrections] for p in protocols])
-            for side in (0, 1))
+    a, b = _stacked_corrections(protocols)
     post = a @ (post / norms.reshape(-1, d, 1, 1)) @ np.swapaxes(b, -1, -2)
     amps = _fold(post, shape, left, right).reshape(len(norms), -1)
     _check_unit_rows(amps)
     return norms, amps
+
+
+def _stacked_corrections(protocols):
+    """(A, B): Alice's and Bob's corrections of M protocols that share one
+    shape, cut and outcome count d, stacked to (M, d, dl, dl) and
+    (M, d, dr, dr)."""
+    return tuple(np.stack([[c[side] for c in p.corrections] for p in protocols])
+                 for side in (0, 1))
 
 
 def _shifted_columns(w, shift):

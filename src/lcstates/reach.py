@@ -30,6 +30,7 @@ and one GHZ-class state (not producible even with classical communication)
 and the universally-producible bipartite case.
 """
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +126,7 @@ def _top_eigenvectors(h):
     for the same tie-break.  The candidates get PureState's checks
     (`_check_unit_rows`).
     """
-    h = (h + np.swapaxes(h.conj(), -1, -2)) / 2
+    h = (h + h.conj().swapaxes(-1, -2)) / 2
     w, v = np.linalg.eigh(h)
     top = _fix_phases(v[..., -1:])[..., 0]
     gap = w[:, -1] - w[:, -2] if w.shape[-1] > 1 else np.inf   # D = 1: no tie
@@ -154,7 +155,7 @@ def _gram_pair(y, rho_view, dims, k):
     depends on Y only through G and C.
     """
     t = _column_view(y, dims, k)
-    th = np.swapaxes(t.conj(), -1, -2)
+    th = t.conj().swapaxes(-1, -2)
     return t @ th, rho_view @ th
 
 
@@ -291,8 +292,8 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     trial round after the first gathers its pending rows.  Until the first
     restart stops, the working Kraus stacks and precursors are the
     caller's arrays themselves, updated in place.  Each recorded step
-    appends its (ids, obj) pairs to two flat buffers that double when full
-    (so their size follows the steps taken, never max_iters); the
+    appends its (ids, obj) pairs to two flat `array` buffers, 16 bytes per
+    pair (so their size follows the steps taken, never max_iters); the
     per-restart traces are split from them once, at the end.
 
     The recorded objective sequence of each restart is non-increasing, and
@@ -319,19 +320,15 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     obj = _objective(_apply_product_channel_matrix(sups, sigma, dims), rho)
     step = np.full(n, INITIAL_STEP)
     accepted, rejected = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    ids = np.arange(n)
+    ids = np.arange(n, dtype=np.int64)
     diags = [None] * n
     it = 0   # the iteration a stopping restart is in
-    # every recorded (restart, objective) pair, in order; the buffers
-    # double when full
-    who, vals, size = np.empty(8 * n, dtype=int), np.empty(8 * n), 0
+    # every recorded (restart, objective) pair, in order
+    who, vals = array("q"), array("d")
 
     def record():
-        nonlocal who, vals, size
-        if size + len(ids) > len(vals):
-            who, vals = (np.concatenate([a, np.empty_like(a)]) for a in (who, vals))
-        who[size:size + len(ids)], vals[size:size + len(ids)] = ids, obj
-        size += len(ids)
+        who.frombytes(ids.tobytes())
+        vals.frombytes(obj.tobytes())
 
     def leave(gone, reason):
         """The rows in mask gone stop: write them back, record their
@@ -417,7 +414,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     leave(np.ones(len(ids), dtype=bool), MAX_ITERS)
 
     # each restart's trace: its recorded objectives, in order
-    who, vals = who[:size], vals[:size]
+    who, vals = np.frombuffer(who, dtype=np.int64), np.frombuffer(vals)
     ends = np.cumsum(np.bincount(who, minlength=n))[:-1]
     traces = np.split(vals[np.argsort(who, kind="stable")], ends)
     return kraus, phis, [t.tolist() for t in traces], tuple(diags)

@@ -3,18 +3,38 @@
 Complex numbers are 2-element arrays [re, im].  A state file is
 {"shape": [d1,...,dn], "kind": "pure"|"density", "data": ...} where pure
 data is a flat amplitude list and density data is a row-major list of
-rows.  A channel file is {"dim": d, "kraus": [matrix, ...]}.  Writers emit
-full double precision; loaders re-validate every invariant.
+rows.  A channel file is {"dim": d, "kraus": [matrix, ...]}.  Every file
+is read by `_read_json` and written by `_write_json`.  Writers emit full
+double precision; loaders re-validate every invariant.
 """
 
+import dataclasses
 import itertools
 import json
 
 import numpy as np
 
 from .channels import LocalChannel
-from .states import (DensityMatrix, InvariantError, PureState, SystemShape,
-                     _is_int)
+from .locc import _stacked_corrections
+from .states import DensityMatrix, InvariantError, PureState, _shape_argument
+
+
+def _read_json(path):
+    """The JSON document in the file at path, read as UTF-8.  A file that
+    is not one (bytes that are not UTF-8, bad syntax, nesting too deep to
+    parse, an integer literal with too many digits) is an InvariantError
+    naming the file; a file that cannot be opened is an OSError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InvariantError(f"{path} is not a JSON document: {exc}") from None
+
+
+def _write_json(doc, path):
+    """Write doc to the file at path as one line of UTF-8 JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc))
 
 
 def _encode(a):
@@ -72,10 +92,7 @@ def state_from_dict(doc):
         data = doc["data"]
     except (KeyError, TypeError) as exc:
         raise InvariantError(f"malformed state document: {exc}")
-    if not (isinstance(dims, list) and all(_is_int(d) for d in dims)):
-        raise InvariantError(
-            f"state shape must be a list of integers, got {dims!r}")
-    shape = SystemShape(tuple(dims))
+    shape = _shape_argument("state shape", dims)
     if kind == "pure":
         return PureState(shape, _decode(data, 1))
     if kind == "density":
@@ -84,13 +101,11 @@ def state_from_dict(doc):
 
 
 def save_state(state, path):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(state_to_dict(state)))
+    _write_json(state_to_dict(state), path)
 
 
 def load_state(path):
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))
+    return state_from_dict(_read_json(path))
 
 
 def channel_to_dict(channel):
@@ -107,13 +122,11 @@ def channel_from_dict(doc):
 
 
 def save_channel(channel, path):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(channel_to_dict(channel)))
+    _write_json(channel_to_dict(channel), path)
 
 
 def load_channel(path):
-    with open(path) as fh:
-        return channel_from_dict(json.load(fh))
+    return channel_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +143,7 @@ def _protocol_docs(protocols):
     Kraus operators and each side's corrections are encoded as one stack."""
     targets = _pure_docs([p.target for p in protocols])
     kraus = _encode(np.stack([p.alice_kraus for p in protocols]))
-    alice, bob = (_encode(np.stack([[c[side] for c in p.corrections]
-                                    for p in protocols]))
-                  for side in (0, 1))
+    alice, bob = map(_encode, _stacked_corrections(protocols))
     return [{"cut": [list(p.cut[0]), list(p.cut[1])],
              "target": t,
              "alice_kraus": k,
@@ -165,11 +176,7 @@ def search_result_to_dict(result):
                 {"seed": int(s), "final_objective": float(o),
                  "trace_length": int(n)}
                 for s, o, n in result.per_restart_log],
-            "diagnostics": [
-                {"iterations": d.iterations, "stop_reason": d.stop_reason,
-                 "accepted_steps": d.accepted_steps,
-                 "rejected_steps": d.rejected_steps}
-                for d in result.diagnostics]}
+            "diagnostics": [dataclasses.asdict(d) for d in result.diagnostics]}
 
 
 def certificate_to_dict(cert):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import RANK_TOL, InvariantError
+from .states import RANK_TOL, InvariantError, _unfold
 
 TANGLE_TOL = 1e-10
 
@@ -69,12 +69,13 @@ def marginal_ranks(psi):
     """(r_A, r_B, r_C): ranks of the three single-party marginals.
 
     Party k's marginal has the squared singular values of the 2 x 4
-    unfolding with party k's index as rows for eigenvalues, so the ranks
-    are the counts of s^2 > RANK_TOL over one stacked SVD.
+    unfolding across the cut k|rest (`states._unfold`) for eigenvalues, so
+    the ranks are the counts of s^2 > RANK_TOL over one stacked SVD.
     """
     _require_three_qubits(psi)
-    t = psi.amplitudes.reshape(2, 2, 2)
-    unfoldings = np.stack([np.moveaxis(t, k, 0).reshape(2, 4) for k in range(3)])
+    unfoldings = np.stack([
+        _unfold(psi.amplitudes, psi.shape, (k,), tuple(j for j in range(3) if j != k))
+        for k in range(3)])
     s = np.linalg.svd(unfoldings, compute_uv=False)
     return tuple(int(r) for r in (s ** 2 > RANK_TOL).sum(axis=-1))
 

@@ -292,21 +292,17 @@ def _check_parties(shape, parties, name="party subset"):
 def partial_trace(rho, keep):
     """Trace out all parties not in `keep` (0-based indices).
 
-    Kept parties retain their relative order.
+    Kept parties retain their relative order.  Rows and columns are each
+    unfolded across the cut keep|rest (`_unfold`), and the rest's block is
+    traced once.
     """
-    keep = _check_parties(rho.shape, keep, "keep")
-    dims = rho.shape.local_dims
-    n = len(dims)
-    t = rho.entries.reshape(dims + dims)
-    drop = [k for k in range(n) if k not in keep]
-    for c, k in enumerate(drop):
-        # after c removals the row axis of party k sits at k - c and its
-        # column axis n - c further along
-        ax = k - c
-        t = np.trace(t, axis1=ax, axis2=ax + n - c)
-    d_keep = int(np.prod([dims[k] for k in keep]))
-    out = t.reshape(d_keep, d_keep)
-    return DensityMatrix(SystemShape(tuple(dims[k] for k in keep)), out)
+    shape = rho.shape
+    keep = tuple(_check_parties(shape, keep, "keep"))
+    drop = tuple(k for k in range(shape.n_parties) if k not in keep)
+    cols = _unfold(rho.entries.T, shape, keep, drop)          # [col, a, x]
+    t = _unfold(cols.transpose(1, 2, 0), shape, keep, drop)   # [a, x, b, y]
+    return DensityMatrix(SystemShape(tuple(shape.local_dims[k] for k in keep)),
+                         np.trace(t, axis1=1, axis2=3))
 
 
 def _sqrtm_psd(m):

@@ -5,7 +5,7 @@ import pytest
 
 from lcstates import (SystemShape, dephasing_channel, ghz_state,
                       identity_channel, max_entangled, w_state, z_mixture)
-from lcstates import reach, serialize
+from lcstates import cli, reach, serialize
 from lcstates.cli import main, run_command
 from conftest import random_density
 
@@ -58,6 +58,21 @@ class TestCli:
         assert out == ""
         assert "unsupported" in err and "Traceback" not in err
 
+    def test_param_count_refused_before_computing(self, monkeypatch, capsys):
+        # d^(2n) at n = 10^9 has 9.5e8 digits, known from 2n log10(d)
+        # without computing it
+        def computed(n, d):
+            raise AssertionError("counts were computed")
+        monkeypatch.setattr(cli, "parameter_counts", computed)
+        assert main(["param-count", "--n", "1000000000", "--d", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "unsupported" in err
+
+    @pytest.mark.parametrize("n, code", [("2150", 0), ("2151", 3)])
+    def test_param_count_digit_limit_edge(self, n, code):
+        # mixed_dim = 10^(2n) - 1 has 2n digits: 4300 print, 4302 do not
+        assert self._run("param-count", "--n", n, "--d", "10")[0] == code
+
     def test_state_then_classify(self, tmp_path):
         f = str(tmp_path / "w.json")
         code, _ = self._run("state", "--kind", "w", "--out", f)
@@ -84,6 +99,12 @@ class TestCli:
         code, report = self._run("frobnicate")
         assert code == 1
         assert report is None
+
+    def test_no_command_is_usage_error(self, capsys):
+        code, report = self._run()
+        assert code == 1
+        assert report is None
+        assert "usage: lcstates" in capsys.readouterr().err
 
     def test_missing_file_is_validation_failure(self):
         code, _ = self._run("classify", "--in", "/nonexistent/state.json")
@@ -267,6 +288,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert "invalid input" in err
         assert "Traceback" not in err
+
+    NOT_JSON = {
+        "not_utf8": b"\xff",
+        "deep_nesting": b"[" * 100000 + b"]" * 100000,
+        "long_integer": b"1" * 5000,
+    }
+
+    @pytest.mark.parametrize("command", ["obstruct", "noise-apply", "lc-search"])
+    @pytest.mark.parametrize("case", sorted(NOT_JSON))
+    def test_file_not_json_is_validation_failure(self, tmp_path, capsys,
+                                                 command, case):
+        # each file used to end in a traceback (UnicodeDecodeError,
+        # RecursionError, ValueError): only JSONDecodeError was caught
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(self.NOT_JSON[case])
+        sf = str(tmp_path / "ghz.json")
+        serialize.save_state(ghz_state().density(), sf)
+        cf = str(tmp_path / "id.json")
+        serialize.save_channel(identity_channel(2), cf)
+        argv = {"obstruct": ["obstruct", "--in", str(bad)],
+                "noise-apply": ["noise-apply", "--in", sf,
+                                "--channel", ",".join([cf, cf, str(bad)]),
+                                "--out", str(tmp_path / "out.json")],
+                "lc-search": ["lc-search", "--target", sf,
+                              "--config", str(bad)]}[command]
+        code, report = self._run(*argv)
+        assert code == 2
+        assert report is None
+        assert "invalid input" in capsys.readouterr().err
 
     def test_parser_keeps_no_state_between_commands(self, tmp_path):
         f = str(tmp_path / "bell.json")

@@ -215,6 +215,17 @@ class TestStrictDocuments:
         with pytest.raises(InvariantError, match="must be numbers"):
             serialize.state_from_dict({"shape": [2], "kind": "pure", "data": data})
 
+    @pytest.mark.parametrize("text", [b"\xff", b"[" * 100000 + b"]" * 100000,
+                                      b"1" * 5000, b"{"],
+                             ids=("not_utf8", "deep_nesting", "long_integer",
+                                  "bad_syntax"))
+    def test_file_not_json_names_the_file(self, tmp_path, text):
+        f = tmp_path / "bad.json"
+        f.write_bytes(text)
+        for load in (serialize.load_state, serialize.load_channel):
+            with pytest.raises(InvariantError, match="bad.json is not a JSON"):
+                load(f)
+
     def test_completeness_checked_at_construction_tolerance(self):
         # error 1e-8: inside the old loader's 1e-7, outside LocalChannel's 1e-9
         doc = serialize.channel_to_dict(LocalChannel(2, np.eye(2)[None]))

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -152,6 +155,24 @@ class TestPartialTrace:
         b = random_density(SystemShape((3,)), rng)
         marg = partial_trace(tensor_product(a, b), {0, 1})
         assert np.max(np.abs(marg.entries - a.entries)) < 1e-10
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (2, 2, 2, 2)])
+    def test_every_keep_matches_einsum(self, rng, dims):
+        # kept parties need not be adjacent, nor their dims equal
+        n = len(dims)
+        rho = random_density(SystemShape(dims), rng)
+        t = rho.entries.reshape(dims + dims)
+        rows, cols = "abcd"[:n], "efgh"[:n]
+        for r in range(1, n + 1):
+            for keep in itertools.combinations(range(n), r):
+                # a traced party's column index is its row index
+                col_in = "".join(cols[k] if k in keep else rows[k] for k in range(n))
+                out = "".join(rows[k] for k in keep) + "".join(cols[k] for k in keep)
+                d = math.prod(dims[k] for k in keep)
+                ref = np.einsum(f"{rows}{col_in}->{out}", t).reshape(d, d)
+                got = partial_trace(rho, keep)
+                assert got.shape.local_dims == tuple(dims[k] for k in keep)
+                assert np.max(np.abs(got.entries - ref)) <= 1e-14
 
     def test_errors(self):
         rho = ghz_state().density()
