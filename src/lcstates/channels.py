@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, InvariantError, _as_complex,
-                     _check_hermitian_psd, _check_int, _check_real)
+                     _check_hermitian_psd, _check_int, _check_real,
+                     deterministic_eigh)
 
 COMPLETENESS_ATOL = 1e-9
 GRAM_ATOL = 1e-7
@@ -147,12 +148,14 @@ class EnvironmentGram:
 def channel_from_environment_gram(g):
     """Realize the channel induced by an environment Gram matrix.
 
-    Factors G = V^dag V by eigendecomposition (negative dust below 1e-12
-    clipped to zero) and reads each Kraus operator off one row of V:
+    Factors G = V^dag V by `deterministic_eigh` (negative dust below 1e-12
+    clipped to zero), so each row of V, and with it each Kraus operator,
+    follows the package's degeneracy and phase rule: its largest-magnitude
+    entry is real positive.  Each Kraus operator is read off one row of V:
     K_m[j, i] = V[m, i*d + j].  env_dim equals the numerical rank of G.
     """
     d = g.dim
-    w, u = np.linalg.eigh((g.gram + g.gram.conj().T) / 2)
+    w, u = deterministic_eigh((g.gram + g.gram.conj().T) / 2)
     w = np.where(w < 1e-12, 0.0, w)
     keep = w > 0
     v = (np.sqrt(w[keep])[:, None] * u[:, keep].conj().T)  # rank x d^2

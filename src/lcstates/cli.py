@@ -12,6 +12,7 @@ identical inputs and seed the outputs are byte-identical across runs
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import sys
@@ -83,7 +84,8 @@ def _parse_cut(spec):
         raise InvariantError(f"bad cut specification {spec!r}")
 
 
-SEARCH_OPTIONS = ("restarts", "max_iters", "master_seed", "tol", "env_dims")
+# lc_distance_search's keyword parameters, after the target
+SEARCH_OPTIONS = tuple(inspect.signature(reach.lc_distance_search).parameters)[1:]
 
 
 def _search_options(opts):
@@ -140,11 +142,13 @@ def _dispatch(args):
 
     if cmd == "param-count":
         # Python refuses to print an int of over get_int_max_str_digits()
-        # digits (4300 by default, 0 for no limit).  mixed_dim = d^(2n) - 1
-        # has about 2n log10(d) digits, so counts certainly too long are
-        # refused before they are computed, the rest by printing them
-        n, d, limit = args.n, args.d, sys.get_int_max_str_digits()
-        printable = not (limit and d >= 2 and 2 * n * math.log10(d) > limit + 1)
+        # digits (4300 by default; 0, no limit, counts as the default so
+        # the refusal always holds).  mixed_dim = d^(2n) - 1 has about
+        # 2n log10(d) digits, so counts certainly too long are refused
+        # before they are computed, the rest by printing them
+        n, d = args.n, args.d
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        printable = not (d >= 2 and 2 * n * math.log10(d) > limit + 1)
         if printable:
             pc = parameter_counts(n, d)
             try:

@@ -15,9 +15,8 @@ import numpy as np
 
 from .channels import _completeness_residual
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
-                     RANK_TOL, _check_int, _check_unit_rows, _cut_permutation,
-                     _fold, _unfold, deterministic_eigh, distance,
-                     schmidt_decompose)
+                     _check_int, _check_unit_rows, _cut_permutation, _fold,
+                     _unfold, distance, schmidt_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +238,13 @@ class Ensemble:
 
 
 def spectral_ensemble(rho):
-    """Eigendecomposition of rho as an Ensemble, eigenvalues descending;
-    eigenvalues at or below RANK_TOL are dropped.
+    """rho's support eigensystem (`DensityMatrix.eigensystem`) as an
+    Ensemble: eigenvalues above RANK_TOL, largest first.
 
     Degenerate eigenspaces are resolved by the package-wide deterministic
     disambiguation, so the output depends only on the input bits.
     """
-    w, v = deterministic_eigh(rho.entries)
-    order = np.argsort(-w, kind="stable")  # descending, ties keep their order
-    w, v = w[order], v[:, order]
-    keep = w > RANK_TOL
-    w, v = w[keep], v[:, keep]
+    w, v = rho.eigensystem()
     states = tuple(PureState(rho.shape, v[:, i] / np.linalg.norm(v[:, i]))
                    for i in range(len(w)))
     return Ensemble(w / w.sum(), states)

@@ -43,9 +43,8 @@ from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
-from .states import (DEGENERACY_TOL, InvariantError, PureState, _check_int,
-                     _check_real, _check_unit_rows, _fix_phases,
-                     deterministic_eigh, distance)
+from .states import (InvariantError, PureState, _check_int, _check_real,
+                     _top_eigenvectors, distance)
 
 NOT_LCCC = "NotLCCC"
 LCCC_BIPARTITE = "LCCCBipartite"
@@ -115,26 +114,6 @@ def precursor_optimal_for_channels(channels, target):
     dims = target.shape.local_dims
     h = apply_adjoint_product_channel(channels, target.entries, dims)
     return PureState(target.shape, _top_eigenvectors(h[None])[0])
-
-
-def _top_eigenvectors(h):
-    """Normalized top eigenvectors of the Hermitian parts of a (B, D, D) stack.
-
-    One stacked eigh, its top columns phase-fixed by `_fix_phases`, which
-    is deterministic_eigh's top column wherever the top gap exceeds
-    DEGENERACY_TOL; elsewhere the element goes through deterministic_eigh
-    for the same tie-break.  The candidates get PureState's checks
-    (`_check_unit_rows`).
-    """
-    h = (h + h.conj().swapaxes(-1, -2)) / 2
-    w, v = np.linalg.eigh(h)
-    top = _fix_phases(v[..., -1:])[..., 0]
-    gap = w[:, -1] - w[:, -2] if w.shape[-1] > 1 else np.inf   # D = 1: no tie
-    for b in np.flatnonzero(~(gap > DEGENERACY_TOL)):
-        top[b] = deterministic_eigh(h[b])[1][:, -1]
-    top = top / np.linalg.norm(top, axis=-1, keepdims=True)
-    _check_unit_rows(top)
-    return top
 
 
 def _objective(x, rho_vec):

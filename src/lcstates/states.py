@@ -9,19 +9,21 @@ The rules behind the state types live here once, and both the validated
 dataclasses and the raw-array hot loops call them: finite entries
 (`_as_complex`), unit-norm rows (`_check_unit_rows`), Hermitian PSD
 matrices (`_check_hermitian_psd`), the eigenvector phase (`_fix_phases`),
-integer arguments (`_check_int`), real weights and tolerances
-(`_check_real`) and the layout of a bipartition (`_cut_permutation`,
-`_unfold`, `_fold`).  Every public entry point of `states`, `channels`
-and `reach` checks its counts and weights through `_check_int` and
-`_check_real` and keeps the value they return; a malformed argument is an
-InvariantError that names it.  The constructors' ranges: `ghz_state` n
-and d integers >= 1 (below 2 an UnsupportedError), `max_entangled` d an
-integer >= 1 (below 2 an UnsupportedError), `basis_state` index an
-integer in [0, D - 1], `z_mixture` p a finite real in [0, 1].  Arguments
-that are not numbers are checked the same way: `partial_trace` keep and
-`purify` ancilla_dims are collections, a `canonical_state` kind is a
-string (a basis state needs dims and index), and each `distance` operand
-is a DensityMatrix.
+the basis inside a degenerate eigenspace (`deterministic_eigh`, and
+`_top_eigenvectors` for a stack's top vectors), a density matrix's support
+(`DensityMatrix.eigensystem`), integer arguments (`_check_int`), real
+weights and tolerances (`_check_real`) and the layout of a bipartition
+(`_cut_permutation`, `_unfold`, `_fold`).  Every public entry point of
+`states`, `channels` and `reach` checks its counts and weights through
+`_check_int` and `_check_real` and keeps the value they return; a
+malformed argument is an InvariantError that names it.  The constructors'
+ranges: `ghz_state` n and d integers >= 1 (below 2 an UnsupportedError),
+`max_entangled` d an integer >= 1 (below 2 an UnsupportedError),
+`basis_state` index an integer in [0, D - 1], `z_mixture` p a finite real
+in [0, 1].  Arguments that are not numbers are checked the same way:
+`partial_trace` keep and `purify` ancilla_dims are collections, a
+`canonical_state` kind is a string (a basis state needs dims and index),
+and each `distance` operand is a DensityMatrix.
 """
 
 import math
@@ -192,12 +194,18 @@ class DensityMatrix:
         object.__setattr__(self, "entries", m)
 
     def eigensystem(self):
-        """Deterministic eigendecomposition, eigenvalues descending."""
+        """The support's eigenpairs (w, v): the eigenvalues above RANK_TOL,
+        largest first, with v's columns their eigenvectors.  Equal
+        eigenvalues keep deterministic_eigh's order and basis, so the
+        result depends only on the input bits.  This is the one support
+        rule: rank(), purify and locc.spectral_ensemble all read it."""
         w, v = deterministic_eigh(self.entries)
-        return w[::-1], v[:, ::-1]
+        order = np.argsort(-w, kind="stable")  # descending, ties keep their order
+        order = order[w[order] > RANK_TOL]
+        return w[order], v[:, order]
 
     def rank(self):
-        return int(np.sum(np.linalg.eigvalsh(self.entries) > RANK_TOL))
+        return len(self.eigensystem()[0])
 
     def purity(self):
         return float(np.trace(self.entries @ self.entries).real)
@@ -247,6 +255,26 @@ def deterministic_eigh(h):
             v[:, i:j] = block @ bv  # ascending <position> within the cluster
         i = j
     return w, _fix_phases(v)
+
+
+def _top_eigenvectors(h):
+    """Normalized top eigenvectors of the Hermitian parts of a (B, D, D) stack.
+
+    One stacked eigh, its top columns phase-fixed by `_fix_phases`, which
+    is deterministic_eigh's top column wherever the top gap exceeds
+    DEGENERACY_TOL; elsewhere the element goes through deterministic_eigh
+    for the same tie-break.  The candidates get PureState's checks
+    (`_check_unit_rows`).
+    """
+    h = (h + h.conj().swapaxes(-1, -2)) / 2
+    w, v = np.linalg.eigh(h)
+    top = _fix_phases(v[..., -1:])[..., 0]
+    gap = w[:, -1] - w[:, -2] if w.shape[-1] > 1 else np.inf   # D = 1: no tie
+    for b in np.flatnonzero(~(gap > DEGENERACY_TOL)):
+        top[b] = deterministic_eigh(h[b])[1][:, -1]
+    top = top / np.linalg.norm(top, axis=-1, keepdims=True)
+    _check_unit_rows(top)
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +541,15 @@ def purify(rho, ancilla_dims):
     """Purify rho on an appended ancilla register.
 
     The ancilla components are the first rank(rho) computational basis
-    states, paired with eigenvectors in descending-eigenvalue order, so the
-    ancilla parts of the purification are orthonormal by construction.
+    states, paired with the support's eigenvectors in `eigensystem()`'s
+    order, which is `locc.spectral_ensemble`'s: ancilla state mu
+    conditions the system on ensemble element mu.  The ancilla parts of
+    the purification are orthonormal by construction.
     ancilla_dims is a nonempty sequence of integers >= 1
     (`_shape_argument`).
     """
     ancilla = _shape_argument("ancilla_dims", ancilla_dims)
     w, v = rho.eigensystem()
-    keep = w > RANK_TOL
-    w, v = w[keep], v[:, keep]
     r = len(w)
     if ancilla.total_dim < r:
         raise InvariantError(

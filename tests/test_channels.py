@@ -374,6 +374,24 @@ class TestComposition:
             if e_outer == e_inner == 1:
                 assert both.env_dim == 1
 
+    def test_gram_factors_follow_the_phase_rule(self):
+        # each Kraus operator's environment row V[m, (i, j)] = K_m[j, i]
+        # has a real positive largest-magnitude entry, as `_fix_phases`
+        # leaves an eigenvector
+        pairs = [(random_local_channel(d, e1, 10 + e1), random_local_channel(d, e2, 20 + e2))
+                 for d in (2, 3) for e1 in (1, d, d * d) for e2 in (1, d, d * d)]
+        kinds = {2: ("depolarizing", "dephasing", "amplitude_damping"),
+                 3: ("depolarizing", "dephasing")}
+        pairs += [(standard_noise(a, d, 0.3), standard_noise(b, d, 0.6))
+                  for d in (2, 3) for a in kinds[d] for b in kinds[d]]
+        for outer, inner in pairs:
+            k = compose(outer, inner).kraus
+            e, d, _ = k.shape
+            rows = k.transpose(0, 2, 1).reshape(e, d * d)
+            peaks = rows[np.arange(e), np.argmax(np.abs(rows), axis=1)]
+            assert np.all(peaks.real > 0)
+            assert np.all(np.abs(peaks.imag) <= 1e-15 * peaks.real)
+
 
 class TestStandardNoise:
     def test_depolarizing_endpoint(self, rng):

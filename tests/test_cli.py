@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +68,23 @@ class TestCli:
         assert main(["param-count", "--n", "1000000000", "--d", "3"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "unsupported" in err
+
+    def test_param_count_refused_without_digit_limit(self, monkeypatch):
+        # a limit of 0 (no limit) counts as the default: the counts are
+        # still refused before they are computed
+        def computed(n, d):
+            raise AssertionError("counts were computed")
+        monkeypatch.setattr(cli, "parameter_counts", computed)
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert run_command(["param-count", "--n", "1000000", "--d", "3"]) == (3, None)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    def test_search_options_are_the_search_parameters(self):
+        assert set(cli.SEARCH_OPTIONS) == {"env_dims", "restarts", "max_iters",
+                                           "tol", "master_seed"}
 
     @pytest.mark.parametrize("n, code", [("2150", 0), ("2151", 3)])
     def test_param_count_digit_limit_edge(self, n, code):

@@ -7,10 +7,10 @@ import pytest
 from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       UnsupportedError, basis_state, canonical_state,
                       deterministic_eigh, distance, ghz_state, max_entangled,
-                      partial_trace, purify, schmidt_decompose, tensor_product,
-                      w_state, z_mixture)
-from lcstates.states import (MAX_TOTAL_DIM, _cut_permutation, _fix_phases,
-                             _fold, _unfold)
+                      partial_trace, purify, schmidt_decompose,
+                      spectral_ensemble, tensor_product, w_state, z_mixture)
+from lcstates.states import (ATOL, MAX_TOTAL_DIM, RANK_TOL, _cut_permutation,
+                             _fix_phases, _fold, _unfold)
 from conftest import random_density, random_pure, random_unitary
 
 Q1 = SystemShape((2,))
@@ -398,6 +398,46 @@ class TestPurify:
         rho = random_density(SystemShape((2, 2)), rng)  # rank 4
         with pytest.raises(InvariantError):
             purify(rho, (2,))
+
+    def test_ancilla_states_follow_spectral_ensemble(self):
+        # ancilla basis state mu conditions the system on ensemble element
+        # mu with weight probabilities[mu], equal eigenvalues included
+        # (I/4 once paired them in the reverse order)
+        q2 = SystemShape((2, 2))
+        rank3 = random_density(SystemShape((2, 3)), np.random.default_rng(3), rank=3)
+        for rho in (DensityMatrix(q2, np.eye(4) / 4),
+                    DensityMatrix(q2, np.diag([0.5, 0.25, 0.25, 0.0])),
+                    z_mixture(0.5), rank3):
+            ens = spectral_ensemble(rho)
+            d = rho.shape.total_dim
+            m = purify(rho, (d,)).amplitudes.reshape(d, d)
+            for mu in range(d):
+                weight = np.linalg.norm(m[:, mu]) ** 2
+                if mu >= len(ens.states):
+                    assert weight == 0
+                    continue
+                assert weight == pytest.approx(ens.probabilities[mu], abs=1e-12)
+                cond = PureState(rho.shape, m[:, mu] / np.sqrt(weight))
+                assert cond.equals_up_to_phase(ens.states[mu])
+
+
+class TestEigensystem:
+    @pytest.mark.parametrize("dims, rank", [((2, 2), 1), ((2, 2), 3),
+                                            ((2, 3), 2), ((2, 2, 2), 5)])
+    def test_support_only(self, dims, rank):
+        rng = np.random.default_rng(sum(dims) * 10 + rank)
+        rho = random_density(SystemShape(dims), rng, rank=rank)
+        w, v = rho.eigensystem()
+        assert len(w) == rank and v.shape == (rho.shape.total_dim, rank)
+        assert np.all(w > RANK_TOL) and np.all(w[:-1] >= w[1:])
+        assert np.max(np.abs((v * w) @ v.conj().T - rho.entries)) <= ATOL
+        assert rho.rank() == len(w) == len(spectral_ensemble(rho).states)
+
+    def test_equal_eigenvalues_keep_deterministic_order(self):
+        rho = DensityMatrix(SystemShape((2, 2)), np.diag([0.25, 0.5, 0.25, 0.0]))
+        w, v = rho.eigensystem()
+        assert w.tolist() == [0.5, 0.25, 0.25]
+        assert np.array_equal(v, np.eye(4)[:, [1, 0, 2]])
 
 
 class TestDeterministicEigh:
