@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (DensityMatrix, InvariantError, _as_complex,
+from .states import (DensityMatrix, InvariantError, _as_complex, _as_square,
                      _check_hermitian_psd, _check_int, _check_real,
-                     deterministic_eigh)
+                     _shape_argument, deterministic_eigh)
 
 COMPLETENESS_ATOL = 1e-9
 GRAM_ATOL = 1e-7
@@ -57,8 +57,9 @@ class LocalChannel:
         return self.kraus.shape[0]
 
     def __call__(self, m):
-        """Apply to a dim x dim matrix: one matvec of its Liouville matrix."""
-        vec = np.asarray(m, dtype=complex).reshape(-1)
+        """Apply to a finite dim x dim matrix (`_as_square`): one matvec of
+        its Liouville matrix."""
+        vec = _as_square("m", m, self.dim).reshape(-1)
         return (liouville(self.kraus) @ vec).reshape(self.dim, self.dim)
 
     def completeness_residual(self):
@@ -129,10 +130,7 @@ class EnvironmentGram:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", _check_int("channel dim", self.dim, 1))
-        g = _as_complex(self.gram)
-        d2 = self.dim ** 2
-        if g.shape != (d2, d2):
-            raise InvariantError(f"Gram matrix must be {d2}x{d2}")
+        g = _as_square("Gram matrix", self.gram, self.dim ** 2)
         _check_hermitian_psd(g, GRAM_ATOL, "Gram matrix")
         t = g.reshape(self.dim, self.dim, self.dim, self.dim)
         # sum over the shared environment output index j
@@ -260,11 +258,19 @@ def _apply_product_channel_matrix(sups, vec, dims):
     return vec
 
 
+def _check_channel(name, c):
+    """Raise unless c is a LocalChannel; `name` names it in the message."""
+    if not isinstance(c, LocalChannel):
+        raise InvariantError(f"{name} must be a LocalChannel, got {type(c).__name__}")
+
+
 def _check_channels(channels, dims):
-    """Raise unless there is one channel per party, of that party's dimension."""
+    """Raise unless there is one LocalChannel per party, of that party's
+    dimension."""
     if len(channels) != len(dims):
         raise InvariantError("need exactly one channel per party")
     for k, (c, d) in enumerate(zip(channels, dims)):
+        _check_channel(f"channel on party {k}", c)
         if c.dim != d:
             raise InvariantError(
                 f"channel on party {k} has dim {c.dim}, party has dim {d}")
@@ -280,10 +286,15 @@ def apply_product_channel(channels, rho):
 
 
 def apply_adjoint_product_channel(channels, mat, dims):
-    """Tensor product of per-party adjoints applied to a raw D x D matrix."""
+    """Tensor product of per-party adjoints applied to a raw D x D matrix.
+
+    dims is a nonempty sequence of integers >= 1 (`_shape_argument`) and
+    mat a finite D x D matrix (`_as_square`)."""
+    shape = _shape_argument("dims", dims)
+    dims = shape.local_dims
     _check_channels(channels, dims)
     sups = [liouville(c.kraus).conj().T for c in channels]
-    vec = _to_pairs(np.asarray(mat, dtype=complex), dims)
+    vec = _to_pairs(_as_square("mat", mat, shape.total_dim), dims)
     return _from_pairs(_apply_product_channel_matrix(sups, vec, dims), dims)
 
 
@@ -293,7 +304,10 @@ def compose(outer, inner):
     The raw product set has e_outer * e_inner elements.  Its environment
     Gram matrix is factored by `channel_from_environment_gram`, so the
     result has env_dim equal to the Gram matrix's numerical rank (<= d^2).
+    outer and inner must be LocalChannels.
     """
+    _check_channel("outer", outer)
+    _check_channel("inner", inner)
     if outer.dim != inner.dim:
         raise InvariantError("composition needs matching dimensions")
     d = outer.dim

@@ -141,22 +141,15 @@ def _dispatch(args):
         return {"three_tangle": three_tangle(psi)}, None
 
     if cmd == "param-count":
-        # Python refuses to print an int of over get_int_max_str_digits()
-        # digits (4300 by default; 0, no limit, counts as the default so
-        # the refusal always holds).  mixed_dim = d^(2n) - 1 has about
-        # 2n log10(d) digits, so counts certainly too long are refused
-        # before they are computed, the rest by printing them
+        # one rule: a count of more than `limit` digits is refused, limit
+        # being Python's get_int_max_str_digits() with 0 (no limit) counting
+        # as the default 4300.  mixed_dim = d^(2n) - 1 has about 2n log10(d)
+        # digits, so counts certainly too long are refused before they are
+        # computed, the rest by comparing the largest with 10^limit
         n, d = args.n, args.d
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-        printable = not (d >= 2 and 2 * n * math.log10(d) > limit + 1)
-        if printable:
-            pc = parameter_counts(n, d)
-            try:
-                for count in (pc.pure_dim, pc.lc_bound, pc.mixed_dim):
-                    str(count)
-            except ValueError:
-                printable = False
-        if not printable:
+        pc = None if d >= 2 and 2 * n * math.log10(d) > limit + 1 else parameter_counts(n, d)
+        if pc is None or max(pc.pure_dim, pc.lc_bound, pc.mixed_dim) >= 10 ** limit:
             raise UnsupportedError(f"parameter counts for n={n}, d={d} "
                                    "have too many digits to print")
         return {"pure_dim": pc.pure_dim, "lc_bound": pc.lc_bound,

@@ -28,9 +28,12 @@ MAJORIZATION_SLACK = 1e-12
 
 def _distribution(p):
     """p as a float array of its own (a copy, as `_as_complex` makes);
-    raises unless its entries are finite, non-negative and sum to 1 within
-    ATOL."""
+    raises unless it is a vector (one axis) whose entries are finite,
+    non-negative and sum to 1 within ATOL."""
     p = np.array(p, dtype=float)
+    if p.ndim != 1:
+        raise InvariantError("probability vectors must have one axis, "
+                             f"got shape {p.shape}")
     if not np.isfinite(p).all():
         raise InvariantError("probability vectors must be finite")
     if (p < 0).any():

@@ -526,10 +526,8 @@ def lccc_obstruction_check(rho):
     """
     if rho.shape.n_parties == 2:
         return Certificate(verdict=LCCC_BIPARTITE, plan=build_synthesis_plan(rho))
-    if rho.shape.local_dims != (2, 2, 2):
-        return Certificate(verdict=UNKNOWN, reason="no implemented criterion")
-    ens = spectral_ensemble(rho)
-    if len(ens.states) != 2:
+    if (rho.shape.local_dims != (2, 2, 2)
+            or len((ens := spectral_ensemble(rho)).states) != 2):
         return Certificate(verdict=UNKNOWN, reason="no implemented criterion")
     va, vb = (psi.amplitudes for psi in ens.states)
     candidates = []

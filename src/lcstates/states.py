@@ -7,18 +7,19 @@ module in this package shares that convention.
 
 The rules behind the state types live here once, and both the validated
 dataclasses and the raw-array hot loops call them: finite entries
-(`_as_complex`), unit-norm rows (`_check_unit_rows`), Hermitian PSD
-matrices (`_check_hermitian_psd`), the eigenvector phase (`_fix_phases`),
-the basis inside a degenerate eigenspace (`deterministic_eigh`, and
-`_top_eigenvectors` for a stack's top vectors), a density matrix's support
-(`DensityMatrix.eigensystem`), integer arguments (`_check_int`), real
-weights and tolerances (`_check_real`) and the layout of a bipartition
-(`_cut_permutation`, `_unfold`, `_fold`).  Every public entry point of
+(`_as_complex`, and `_as_square` for a d x d matrix), unit-norm rows
+(`_check_unit_rows`), Hermitian PSD matrices (`_check_hermitian_psd`),
+the eigenvector phase (`_fix_phases`), the basis inside a degenerate
+eigenspace (`deterministic_eigh`, and `_top_eigenvectors` for a stack's
+top vectors), a density matrix's support (`DensityMatrix.eigensystem`),
+integer arguments (`_check_int`), real weights and tolerances
+(`_check_real`) and the layout of a bipartition (`_cut_permutation`,
+`_unfold`, `_fold`).  Every public entry point of
 `states`, `channels` and `reach` checks its counts and weights through
 `_check_int` and `_check_real` and keeps the value they return; a
 malformed argument is an InvariantError that names it.  The constructors'
 ranges: `ghz_state` n and d integers >= 1 (below 2 an UnsupportedError),
-`max_entangled` d an integer >= 1 (below 2 an UnsupportedError),
+`max_entangled(d)` is `ghz_state(2, d)`, with its checks,
 `basis_state` index an integer in [0, D - 1], `z_mixture` p a finite real
 in [0, 1].  Arguments that are not numbers are checked the same way:
 `partial_trace` keep and `purify` ancilla_dims are collections, a
@@ -121,6 +122,15 @@ def _as_complex(a):
     return out
 
 
+def _as_square(name, a, d):
+    """`_as_complex(a)`, raising unless it is a d x d matrix; `name` names
+    it in the message."""
+    m = _as_complex(a)
+    if m.shape != (d, d):
+        raise InvariantError(f"{name} must be {d}x{d}, got shape {m.shape}")
+    return m
+
+
 def _check_hermitian_psd(m, atol, what):
     """Raise unless the finite square matrix m is Hermitian and positive
     semidefinite to atol; `what` names it in the message."""
@@ -180,10 +190,7 @@ class DensityMatrix:
     symmetrize: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        m = _as_complex(self.entries)
-        d = self.shape.total_dim
-        if m.shape != (d, d):
-            raise InvariantError(f"expected a {d}x{d} matrix, got {m.shape}")
+        m = _as_square("density matrix", self.entries, self.shape.total_dim)
         if self.symmetrize:
             # allowed only at construction from external input
             m = (m + m.conj().T) / 2
@@ -480,15 +487,9 @@ def w_state():
 
 
 def max_entangled(d):
-    """Maximally entangled pair (1/sqrt(d)) sum_i |ii>; d an integer >= 1
-    (`_check_int`), and d = 1 an UnsupportedError."""
-    d = _check_int("d", d, 1)
-    if d < 2:
-        raise UnsupportedError("need local dimension >= 2")
-    shape = SystemShape((d, d))   # checks the size before allocating
-    amps = np.zeros(d * d, dtype=complex)
-    amps[:: d + 1] = 1 / np.sqrt(d)
-    return PureState(shape, amps)
+    """Maximally entangled pair (1/sqrt(d)) sum_i |ii>: `ghz_state(2, d)`,
+    with its checks (d an integer >= 1, and d = 1 an UnsupportedError)."""
+    return ghz_state(2, d)
 
 
 def _shape_argument(name, dims):

@@ -327,6 +327,50 @@ class TestAdjoint:
             assert np.max(np.abs(adj(np.eye(2)) - np.eye(2))) < 1e-10
 
 
+class TestBoundary:
+    """Malformed arguments at the channel API are InvariantErrors; the
+    message names the argument, or the party whose channel it is."""
+
+    QUBIT = depolarizing_channel(2, 0.3)
+
+    @pytest.mark.parametrize("mat, dims, match", [
+        (np.eye(4), (2, 2, 2), "^mat must be 8x8"),
+        (np.ones(64), (2, 2, 2), "^mat must be 8x8"),
+        (np.full((8, 8), np.nan), (2, 2, 2), "finite"),
+        (np.eye(8), (2, 2, "2"), "^dims must be"),
+        (np.eye(8), (2, 2, 2.0), "^dims must be"),
+        (np.eye(8), 8, "^dims must be")])
+    def test_adjoint_product_channel(self, mat, dims, match):
+        with pytest.raises(InvariantError, match=match):
+            apply_adjoint_product_channel([self.QUBIT] * 3, mat, dims)
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("m, match", [
+        (np.eye(3), "^m must be 2x2"),
+        (np.ones(4), "^m must be 2x2"),
+        (np.full((2, 2), np.nan), "finite")])
+    def test_local_channel_call(self, adjoint, m, match):
+        c = adjoint_channel(self.QUBIT) if adjoint else self.QUBIT
+        with pytest.raises(InvariantError, match=match):
+            c(m)
+
+    @pytest.mark.parametrize("channels, party", [
+        ([1, 2, 3], 0),
+        ([QUBIT, "x", QUBIT], 1),
+        ([QUBIT, QUBIT, adjoint_channel(QUBIT)], 2)])
+    def test_product_channel_entries(self, channels, party):
+        with pytest.raises(InvariantError, match=f"^channel on party {party} "
+                           "must be a LocalChannel"):
+            apply_product_channel(channels, ghz_state().density())
+
+    @pytest.mark.parametrize("outer, inner, name", [
+        (QUBIT, "x", "inner"), ("x", QUBIT, "outer"),
+        (QUBIT, adjoint_channel(QUBIT), "inner")])
+    def test_compose(self, outer, inner, name):
+        with pytest.raises(InvariantError, match=f"^{name} must be a LocalChannel"):
+            compose(outer, inner)
+
+
 class TestRandomChannel:
     def test_env_one_is_unitary(self):
         c = random_local_channel(4, 1, 11)

@@ -82,6 +82,23 @@ class TestCli:
         finally:
             sys.set_int_max_str_digits(old)
 
+    def test_param_count_one_digit_rule_without_limit(self):
+        # mixed_dim = 3^9014 - 1 has 4301 digits: the early estimate lets
+        # it through, and the computed counts are refused against the
+        # default 4300 digits that a limit of 0 stands for
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            assert run_command(["param-count", "--n", "4507", "--d", "3"]) == (3, None)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("n, code", [("4506", 0), ("4507", 3)])
+    def test_param_count_digit_limit_edge_qutrits(self, n, code):
+        # mixed_dim = 3^(2n) - 1 has 4300 digits at n = 4506 and 4301 at
+        # n = 4507: not a whole multiple of 2n, as at d = 10
+        assert self._run("param-count", "--n", n, "--d", "3")[0] == code
+
     def test_search_options_are_the_search_parameters(self):
         assert set(cli.SEARCH_OPTIONS) == {"env_dims", "restarts", "max_iters",
                                            "tol", "master_seed"}

@@ -47,6 +47,12 @@ class TestMajorizes:
         with pytest.raises(InvariantError, match="finite"):
             majorizes(x, y)
 
+    @pytest.mark.parametrize("x, y", [([[0.5, 0.5]], [1.0]), ([1.0], [[1.0]]),
+                                      (1.0, [1.0])])
+    def test_not_a_vector_rejected(self, x, y):
+        with pytest.raises(InvariantError, match="one axis"):
+            majorizes(x, y)
+
 
 class TestCanConvert:
     def test_max_entangled_reaches_anything(self, rng):
@@ -196,6 +202,11 @@ class TestSpectralEnsemble:
         states = (ghz_state(), w_state())
         with pytest.raises(InvariantError):
             locc.Ensemble(np.array(p), states)
+
+    @pytest.mark.parametrize("p", [np.array([[1.0]]), np.array(1.0)])
+    def test_probabilities_not_a_vector_rejected(self, p):
+        with pytest.raises(InvariantError, match="one axis"):
+            locc.Ensemble(p, (ghz_state(),))
 
     def test_owns_its_probabilities(self):
         # the caller's array stays writable, and changing it leaves the

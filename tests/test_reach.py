@@ -19,6 +19,7 @@ from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
                             _party_gradient, _run_lock_step, _starts,
                             _top_eigenvectors, CONVERGED, MAX_ITERS, NOT_LCCC,
                             STEP_UNDERFLOW, LCCC_BIPARTITE, UNKNOWN)
+from lcstates.locc import spectral_ensemble
 from lcstates.slocc import classify_three_qubit
 from conftest import random_density, random_pure, random_unitary
 
@@ -84,6 +85,14 @@ class TestPrecursorStep:
             precursor_optimal_for_channels(chans, z_mixture(0.5))
         with pytest.raises(InvariantError, match="one channel per party"):
             LCConfiguration(ghz_state(), tuple(chans))
+
+    @pytest.mark.parametrize("channels, party", [
+        (("a", "b", "c"), 0),
+        ((identity_channel(2), identity_channel(2), None), 2)])
+    def test_configuration_channels_are_local_channels(self, channels, party):
+        with pytest.raises(InvariantError, match=f"^channel on party {party} "
+                           "must be a LocalChannel"):
+            LCConfiguration(ghz_state(), channels)
 
     @pytest.mark.parametrize("dim", [8, 16, 27])
     def test_top_eigenvectors_match_deterministic_eigh(self, dim):
@@ -530,6 +539,28 @@ class TestObstruction:
         # zero-tangle pairs of its support fail the reconstruction check
         for _ in range(40):
             assert lccc_obstruction_check(random_density(Q3, rng, rank=2)).verdict == UNKNOWN
+
+    def test_unknown_reasons(self, rng):
+        # what no criterion covers, (2,2,3) or a three-qubit rank other
+        # than 2, is one exit; a rank-2 three-qubit support without a
+        # W/GHZ decomposition is the other
+        for rho in (random_density(SystemShape((2, 2, 3)), rng),
+                    random_density(Q3, rng)):
+            assert lccc_obstruction_check(rho).reason == "no implemented criterion"
+        cert = lccc_obstruction_check(random_density(Q3, rng, rank=2))
+        assert cert.reason == "argument inapplicable"
+
+    @pytest.mark.parametrize("dims, calls", [((2, 2, 3), 0), ((2, 2, 2), 1),
+                                             ((2, 2, 2, 2), 0)])
+    def test_spectral_ensemble_only_for_three_qubits(self, dims, calls,
+                                                     monkeypatch, rng):
+        seen = []
+        def counted(rho):
+            seen.append(rho)
+            return spectral_ensemble(rho)
+        monkeypatch.setattr(reach, "spectral_ensemble", counted)
+        lccc_obstruction_check(random_density(SystemShape(dims), rng))
+        assert len(seen) == calls
 
     def test_four_party_unknown(self, rng):
         cert = lccc_obstruction_check(random_density(SystemShape((2, 2, 2, 2)), rng))

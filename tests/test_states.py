@@ -347,6 +347,11 @@ class TestCanonicalStates:
         assert np.allclose(amps[[0, 3]], 1 / np.sqrt(2), atol=1e-12)
         assert np.allclose(amps[[1, 2]], 0, atol=1e-12)
 
+    def test_max_entangled_is_two_party_ghz(self):
+        for d in range(2, 7):
+            assert (max_entangled(d).amplitudes.tobytes()
+                    == ghz_state(2, d).amplitudes.tobytes())
+
     def test_dispatcher(self):
         assert canonical_state("ghz", n=4).shape.local_dims == (2, 2, 2, 2)
         with pytest.raises(Exception):
