@@ -108,7 +108,8 @@ class AdjointMap:
 
 
 def adjoint_channel(c):
-    """Adjoint of a LocalChannel, satisfying Tr(rho L(sig)) = Tr(L^dag(rho) sig)."""
+    """Adjoint of a LocalChannel c, satisfying Tr(rho L(sig)) = Tr(L^dag(rho) sig)."""
+    _check_channel("c", c)
     return AdjointMap(c.dim, np.transpose(c.kraus, (0, 2, 1)).conj())
 
 
@@ -173,7 +174,9 @@ def _environment_gram(kraus):
 
 
 def environment_gram_from_channel(c):
-    """Inverse direction: G[(i,j),(i',j')] = sum_m conj(K_m[j,i]) K_m[j',i']."""
+    """Inverse direction for a LocalChannel c:
+    G[(i,j),(i',j')] = sum_m conj(K_m[j,i]) K_m[j',i']."""
+    _check_channel("c", c)
     return EnvironmentGram(c.dim, _environment_gram(c.kraus))
 
 
@@ -265,9 +268,14 @@ def _check_channel(name, c):
 
 
 def _check_channels(channels, dims):
-    """Raise unless there is one LocalChannel per party, of that party's
-    dimension."""
-    if len(channels) != len(dims):
+    """Raise unless channels is a sequence (it has a length) of one
+    LocalChannel per party, of that party's dimension."""
+    try:
+        count = len(channels)
+    except TypeError:
+        raise InvariantError("channels must be a sequence of LocalChannels, "
+                             f"got {type(channels).__name__}") from None
+    if count != len(dims):
         raise InvariantError("need exactly one channel per party")
     for k, (c, d) in enumerate(zip(channels, dims)):
         _check_channel(f"channel on party {k}", c)

@@ -28,9 +28,14 @@ MAJORIZATION_SLACK = 1e-12
 
 def _distribution(p):
     """p as a float array of its own (a copy, as `_as_complex` makes);
-    raises unless it is a vector (one axis) whose entries are finite,
-    non-negative and sum to 1 within ATOL."""
-    p = np.array(p, dtype=float)
+    raises unless it is a vector (one axis) of real numbers that numpy
+    converts (the conversion's own errors become InvariantErrors), finite,
+    non-negative and summing to 1 within ATOL."""
+    try:
+        p = np.array(p, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantError("probability vectors must be arrays of real "
+                             f"numbers, got {type(p).__name__}") from None
     if p.ndim != 1:
         raise InvariantError("probability vectors must have one axis, "
                              f"got shape {p.shape}")

@@ -6,8 +6,12 @@ whose product maps the precursor onto the target?  We search numerically by
 alternating two moves on the squared Hilbert-Schmidt objective
 ||Lambda(|Phi><Phi|) - rho||^2:
 
-  * precursor move - for fixed channels the overlap term is maximized by
-    the top eigenvector of the adjoint product channel applied to rho;
+  * precursor move - a gradient step on the unit sphere.  The output X is
+    quadratic in the precursor Phi, so along Phi(t) = (Phi - t g) /
+    ||Phi - t g|| it is (X - t A1 + t^2 A2) / ||Phi - t g||^2, with A1 and
+    A2 the channel images of g Phi^H + Phi g^H and g g^H: every trial step
+    is scored from one 4 x 4 Gram matrix (`_line_objective`), with no
+    kernel call and no eigensolve;
   * channel move - per-party gradient descent over Stinespring isometry
     coordinates with a polar-decomposition retraction, so every iterate is
     a valid channel.  The output is linear in party k's Liouville matrix
@@ -17,11 +21,13 @@ alternating two moves on the squared Hilbert-Schmidt objective
     (R the same view of rho), two d^2 x d^2 matrices: a trial step does no
     D x D work.
 
-The search keeps rho, the precursor states sigma and every partial output
-Y_k as party-paired vectors (`channels._to_pairs`), the layout the channel
-kernel works in: a channel move does no D x D round trip, and party k's
-column view is one swapaxes of Y_k as the kernel returns it.  Only the
-precursor move leaves the layout, for its eigensolve.
+The search keeps rho, the precursor states sigma, the output X and every
+partial output Y_k as party-paired vectors (`channels._to_pairs`), the
+layout the channel kernel works in: a channel move does no D x D round
+trip, and party k's column view is one swapaxes of Y_k as the kernel
+returns it.  The precursor move leaves the layout once, to multiply the
+adjoint image Lambda^dag(X - rho) with Phi; no step of the loop solves an
+eigenproblem (only the starts do, `_starts`).
 
 A finite search only gathers evidence: results report residuals and never
 claim impossibility.  The structural certificate lives in
@@ -30,6 +36,7 @@ and one GHZ-class state (not producible even with classical communication)
 and the universally-producible bipartite case.
 """
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -179,6 +186,69 @@ def _polar_retract(v):
     return iso
 
 
+def _sphere_gradient(phis, resid, sups, dims):
+    """Precursor direction g = M Phi - Re<Phi, M Phi> Phi of each row.
+
+    M = Lambda^dag(X - rho) as a D x D matrix, from resid = X - rho as
+    paired vectors by one adjoint product (the Liouville matrices'
+    conjugate transposes).  The objective f(Phi) = ||Lambda(Phi Phi^H) -
+    rho||^2 has the differential df = 4 Re<dPhi, M Phi>, so g, its
+    projection on the tangent space at a unit Phi, is the Riemannian
+    gradient on the unit sphere divided by 4.  Leading axes are a batch.
+    """
+    h = _apply_product_channel_matrix(
+        [s.conj().swapaxes(-1, -2) for s in sups], resid, dims)
+    mphi = (_from_pairs(h, dims) @ phis[..., None])[..., 0]
+    return mphi - (phis.conj() * mphi).real.sum(axis=-1)[..., None] * phis
+
+
+def _precursor_line(phis, x, rho, sups, dims):
+    """What the precursor move needs to score every step along its line.
+
+    Returns (g, v, norms, gram) per row: the direction g
+    (`_sphere_gradient`, from the residual X - rho); v, (..., 4, D^2), the
+    vectors (X - rho, A1, A2, rho), with A1 = Lambda(g Phi^H + Phi g^H) and
+    A2 = Lambda(g g^H) from one product over the stacked pair; norms,
+    (..., 2, 2), and gram, (..., 4, 4), the real Gram matrices
+    Re<u_i, u_j> of u = (Phi, g) and of v, each one product of float
+    views.  x and rho are paired vectors, x with the batch axes.
+    """
+    v = np.empty(x.shape[:-1] + (4, x.shape[-1]), dtype=complex)
+    v[..., 3, :] = rho
+    g = _sphere_gradient(phis, np.subtract(x, rho, out=v[..., 0, :]), sups, dims)
+    u = np.concatenate([phis[..., None, :], g[..., None, :]], axis=-2)
+    s = g[..., None, :, None] * u.conj()[..., :, None, :]   # g Phi^H, g g^H
+    s[..., 0, :, :] += s[..., 0, :, :].conj().swapaxes(-1, -2)   # + Phi g^H
+    v[..., 1:3, :] = _apply_product_channel_matrix(
+        [w[..., None, :, :] for w in sups], _to_pairs(s, dims), dims)
+    uf, vf = u.view(float), v.view(float)
+    return g, v, uf @ uf.swapaxes(-1, -2), vf @ vf.swapaxes(-1, -2)
+
+
+def _line_norm(t, norms):
+    """||Phi - t g||^2 = ||Phi||^2 - 2 t Re<Phi, g> + t^2 ||g||^2 for steps
+    t (..., R), from the Gram matrix norms of (Phi, g) (`_precursor_line`)."""
+    return norms[..., 0, :1] - t * (2 * norms[..., 0, 1:] - t * norms[..., 1, 1:])
+
+
+def _line_objective(t, norms, gram):
+    """The objective at Phi(t) = (Phi - t g) / ||Phi - t g|| for steps t
+    (..., R), in closed form from `_precursor_line`'s Gram matrices.
+
+    With N = ||Phi - t g||^2 (`_line_norm`) the output is
+    (X - t A1 + t^2 A2) / N, so the residual is sum_i w_i v_i over
+    v = (X - rho, A1, A2, rho), with w = (1, -t, t^2, 1 - N) / N, and the
+    objective is w^T gram w.  Written around the residual X - rho rather
+    than X, every term is as small as the residual near a minimum, so the
+    score does not lose the digits of ||rho||^2 to cancellation.
+    """
+    n = _line_norm(t, norms)
+    w = np.empty(t.shape + (4,))
+    w[..., 0], w[..., 1], w[..., 2], w[..., 3] = 1, -t, t * t, 1 - n
+    w /= n[..., None]
+    return ((w @ gram) * w).sum(axis=-1)
+
+
 def _starts(target, env_dims, seeds):
     """Starting points of one search as raw stacks, one per seed.
 
@@ -242,11 +312,25 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
 
     All restarts advance together through stacked raw arrays: one Kraus
     stack (B, e, d, d) and Liouville matrix (B, d^2, d^2) per party, the
-    precursor states sigma as paired vectors (B, D^2), and obj and step of
-    shape (B,); each kernel call serves every live restart at once.  Each
-    restart still follows its own serial algorithm, with its own step size:
+    precursor states sigma and their outputs X as paired vectors (B, D^2),
+    and obj and the two step sizes of shape (B,); each kernel call serves
+    every live restart at once.  Each restart still follows its own serial
+    algorithm, with its own step sizes:
 
-      * precursor move, kept only if it does not increase the objective;
+      * precursor move, a gradient step on the unit sphere: from X, one
+        adjoint product gives the direction g (`_sphere_gradient`) and one
+        product over a stacked pair the outputs A1 and A2
+        (`_precursor_line`).  The trial steps form a ladder, the
+        restart's precursor step halved again and again down to the last
+        rung >= STEP_FLOOR (at most floor(log2(STEP_CAP / STEP_FLOOR)) + 1
+        rungs), all scored at once in closed form (`_line_objective`):
+        no trial makes a kernel call.  The first rung that does not raise
+        the objective (by more than 1e-15) is taken: Phi, sigma and X =
+        (X - t A1 + t^2 A2) / ||Phi - t g||^2 are updated with no kernel
+        call, the recorded objective is X's own (`_objective`), and the
+        step becomes the rung taken times STEP_GROWTH, capped at STEP_CAP.
+        If no rung passes, Phi and the step stay as they were and the
+        restart goes on to its channel moves;
       * per party k, Y_k (the other parties applied to sigma) is computed
         once and reduced to its Gram pair (`_gram_pair`), which gives the
         gradient and scores every trial: a trial is a retraction and
@@ -254,14 +338,15 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         the moved parties 0..k-1 applied: parties k+1..n-1 complete it,
         in ascending order as in `_apply_product_channel_matrix`, and
         after the move it is extended by party k's new Liouville matrix,
-        so the channel moves make n(n-1)/2 + n - 1 kernel calls
-        (`_apply_local`) per iteration rather than n(n-1).  Every restart
-        still pending tries a step; an accepted one grows its step by
-        STEP_GROWTH (capped at STEP_CAP), a rejected one halves it, and
-        below STEP_FLOOR the restart dies: it records this party's
-        objective and skips the rest;
-      * a restart stops on step underflow, when an iteration lowers its
-        objective by less than tol, or after max_iters.
+        so after the last party it is the next iteration's X: the channel
+        moves make n(n-1)/2 + n kernel calls (`_apply_local`) per
+        iteration rather than n(n-1).  Every restart still pending tries a
+        step; an accepted one grows its step by STEP_GROWTH (capped at
+        STEP_CAP), a rejected one halves it, and below STEP_FLOOR the
+        restart dies: it records this party's objective and skips the rest;
+      * a restart stops on step underflow in a channel move, when an
+        iteration lowers its objective by less than tol, or after
+        max_iters.
 
     The working arrays hold only the live restarts' rows, and ids maps
     each row to its restart.  A restart leaves once, when it stops: its
@@ -292,12 +377,15 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     rho_views = [_column_view(rho, dims, k) for k in range(len(dims))]
     rho_sq = np.vdot(rho, rho).real
     n = len(phis)
+    # the precursor move's ladder of trial steps, as fractions of its step
+    rungs = 0.5 ** np.arange(math.floor(math.log2(STEP_CAP / STEP_FLOOR)) + 1)
     # the working set: row i belongs to restart ids[i]
     ks, ph = list(kraus), phis
     sups = [liouville(kr) for kr in ks]
     sigma = _to_pairs(ph[:, :, None] * ph[:, None, :].conj(), dims)
-    obj = _objective(_apply_product_channel_matrix(sups, sigma, dims), rho)
-    step = np.full(n, INITIAL_STEP)
+    x = _apply_product_channel_matrix(sups, sigma, dims)
+    obj = _objective(x, rho)
+    step, pstep = np.full(n, INITIAL_STEP), np.full(n, INITIAL_STEP)
     accepted, rejected = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     ids = np.arange(n, dtype=np.int64)
     diags = [None] * n
@@ -312,7 +400,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     def leave(gone, reason):
         """The rows in mask gone stop: write them back, record their
         diagnostics and compact the working set; returns the kept mask."""
-        nonlocal ks, sups, ph, sigma, obj, step, accepted, rejected, ids
+        nonlocal ks, sups, ph, sigma, x, obj, step, pstep, accepted, rejected, ids
         out = ids[gone]
         for kr, w in zip(kraus, ks):
             kr[out] = w[gone]
@@ -322,8 +410,9 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             diags[r] = RestartDiagnostics(it, reason, a, j)
         keep = ~gone
         ks, sups = [w[keep] for w in ks], [s[keep] for s in sups]
-        ph, sigma, obj, step, accepted, rejected, ids = (
-            a[keep] for a in (ph, sigma, obj, step, accepted, rejected, ids))
+        ph, sigma, x, obj, step, pstep, accepted, rejected, ids = (
+            a[keep] for a in (ph, sigma, x, obj, step, pstep, accepted,
+                              rejected, ids))
         return keep
 
     record()
@@ -332,16 +421,25 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             break
         prev = obj.copy()
 
-        # precursor move (guarded: the eigenvector maximizes only the
-        # overlap term, so accept it only when the full objective drops)
-        h = _apply_product_channel_matrix(
-            [s.conj().swapaxes(-1, -2) for s in sups], rho, dims)
-        cand = _top_eigenvectors(_from_pairs(h, dims))
-        cand_sigma = _to_pairs(cand[:, :, None] * cand[:, None, :].conj(), dims)
-        cand_obj = _objective(_apply_product_channel_matrix(sups, cand_sigma, dims),
-                              rho)
-        keep = cand_obj <= obj
-        ph[keep], sigma[keep], obj[keep] = cand[keep], cand_sigma[keep], cand_obj[keep]
+        # precursor move: the first rung of the ladder that does not raise
+        # the objective, every rung scored in closed form
+        g, v, norms, gram = _precursor_line(ph, x, rho, sups, dims)
+        t = pstep[:, None] * rungs
+        ok = (_line_objective(t, norms, gram) <= obj[:, None] + 1e-15) \
+            & (t >= STEP_FLOOR)
+        rows = np.arange(len(ids))
+        first = ok.argmax(axis=1)
+        up = ok[rows, first]
+        if up.any():
+            # the rows that move: usually all, then a slice and no gathers
+            up = slice(None) if up.all() else up
+            tu = t[rows, first][up, None]
+            nu = _line_norm(tu, norms[up])
+            ph[up] = (ph[up] - tu * g[up]) / np.sqrt(nu)
+            x[up] = (x[up] - tu * v[up, 1] + tu * tu * v[up, 2]) / nu
+            sigma[up] = _to_pairs(ph[up, :, None] * ph[up, None, :].conj(), dims)
+            obj[up] = _objective(x[up], rho)
+            pstep[up] = np.minimum(tu[:, 0] * STEP_GROWTH, STEP_CAP)
         record()
 
         # channel moves, one party at a time; left is sigma with the
@@ -385,8 +483,8 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             if dead.any():
                 keep = leave(dead, STEP_UNDERFLOW)
                 left, prev = left[keep], prev[keep]
-            if k + 1 < len(dims):
-                left = _apply_local(left, sups[k], dims, k)
+            left = _apply_local(left, sups[k], dims, k)
+        x = left
         done = prev - obj < tol
         if done.any():
             leave(done, CONVERGED)
@@ -403,21 +501,26 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
                        tol=1e-14, master_seed=0):
     """Multi-restart variational search for an LC representation of target.
 
-    Restart 0 always starts from the identity-like configuration (precursor
-    = top eigenvector of the target, identity channels padded to env_dims),
-    so pure targets converge immediately.  For mixed targets that start is
-    stationary: the output is quadratic in each Kraus operator, so the
-    zero-padded ones get zero gradient, and restart 0 typically stops after
-    one iteration at the objective of the top-eigenvector precursor.
-    Remaining restarts draw seeded Haar-random channels and precursors;
-    per-restart seeds derive from the master seed.  The starts are built
-    as raw stacks (`_starts`); only the best configuration is built from
-    validated LocalChannels and a PureState.  All restarts run in lock step
-    on one batch axis (`_run_lock_step`); a restart's arithmetic does not
-    depend on the others, so its result is the same however many restarts
-    run beside it.  The best restart wins, ties broken by lowest index.
-    Per restart, `per_restart_log` holds (seed, final objective, trace
-    length) and `diagnostics` its RestartDiagnostics.
+    Each iteration is a precursor move, a gradient step on the unit sphere
+    whose trial steps are scored in closed form, then one channel move per
+    party (`_run_lock_step`).  Restart 0 always starts from the
+    identity-like configuration (precursor = top eigenvector of the target,
+    identity channels padded to env_dims), so pure targets converge
+    immediately.  For mixed targets that start is stationary: the output
+    is quadratic in each Kraus operator, so the zero-padded ones get zero
+    gradient, and the precursor is an eigenvector of Lambda^dag(X - rho) =
+    |Phi><Phi| - rho, so its gradient vanishes too; restart 0 typically
+    stops after one iteration at the objective of the top-eigenvector
+    precursor.  Remaining
+    restarts draw seeded Haar-random channels and precursors; per-restart
+    seeds derive from the master seed.  The starts are built as raw stacks
+    (`_starts`); only the best configuration is built from validated
+    LocalChannels and a PureState.  All restarts run in lock step on one
+    batch axis (`_run_lock_step`); a restart's arithmetic does not depend
+    on the others, so its result is the same however many restarts run
+    beside it.  The best restart wins, ties broken by lowest index.  Per
+    restart, `per_restart_log` holds (seed, final objective, trace length)
+    and `diagnostics` its RestartDiagnostics.
 
     Options are checked before any restart is built, and the search keeps
     the values the checks return (`states._check_int`, `states._check_real`:

@@ -6,8 +6,8 @@ i = sum_k i_k * prod_{m>k} d_m, i.e. party 0 is most significant.  Every
 module in this package shares that convention.
 
 The rules behind the state types live here once, and both the validated
-dataclasses and the raw-array hot loops call them: finite entries
-(`_as_complex`, and `_as_square` for a d x d matrix), unit-norm rows
+dataclasses and the raw-array hot loops call them: arrays of finite
+numbers (`_as_complex`, and `_as_square` for a d x d matrix), unit-norm rows
 (`_check_unit_rows`), Hermitian PSD matrices (`_check_hermitian_psd`),
 the eigenvector phase (`_fix_phases`), the basis inside a degenerate
 eigenspace (`deterministic_eigh`, and `_top_eigenvectors` for a stack's
@@ -115,8 +115,15 @@ def _check_real(name, value, lo, hi=math.inf):
 
 def _as_complex(a):
     """A C-contiguous complex copy of a, checked finite: a validated type
-    owns its arrays, so the caller cannot change them after the checks."""
-    out = np.array(a, dtype=complex, order="C")
+    owns its arrays, so the caller cannot change them after the checks.
+    Input numpy cannot convert (a ragged nesting, a string that is not a
+    number, an object, an int beyond the float range) is an InvariantError
+    too, raised by the conversion itself."""
+    try:
+        out = np.array(a, dtype=complex, order="C")
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantError("entries must be a rectangular array of numbers, "
+                             f"got {type(a).__name__}") from None
     if not np.isfinite(out).all():
         raise InvariantError("entries must be finite")
     return out
@@ -141,9 +148,9 @@ def _check_hermitian_psd(m, atol, what):
 
 
 def _check_unit_rows(amps):
-    """Raise unless amps' entries are finite (`_as_complex`) and each row
-    (last axis) has unit norm to ATOL; written so that NaN fails."""
-    norms = np.linalg.norm(_as_complex(amps), axis=-1)
+    """Raise unless each row (last axis) of the complex array amps has unit
+    norm to ATOL; written so that a NaN or infinite entry fails."""
+    norms = np.linalg.norm(amps, axis=-1)
     if not np.abs(norms - 1.0).max() <= ATOL:
         raise InvariantError("state vector is not normalized")
 
@@ -156,7 +163,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)   # own copy
+        amps = _as_complex(self.amplitudes).reshape(-1)   # own copy
         if amps.size != self.shape.total_dim:
             raise InvariantError(
                 f"amplitude vector has length {amps.size}, "

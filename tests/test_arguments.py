@@ -10,12 +10,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from lcstates import (InvariantError, UnsupportedError, canonical_state,
-                      dephasing_channel, depolarizing_channel, distance,
-                      ghz_state, identity_channel, max_entangled,
-                      parameter_counts, partial_trace, purify,
+from lcstates import (DensityMatrix, InvariantError, LocalChannel,
+                      PureState, SystemShape, UnsupportedError,
+                      adjoint_channel, apply_product_channel,
+                      canonical_state, dephasing_channel,
+                      depolarizing_channel, distance,
+                      environment_gram_from_channel, ghz_state,
+                      identity_channel, max_entangled, parameter_counts,
+                      partial_trace, precursor_optimal_for_channels, purify,
                       random_local_channel, standard_noise, z_mixture)
-from lcstates.channels import amplitude_damping_channel
+from lcstates.channels import (amplitude_damping_channel,
+                               apply_adjoint_product_channel)
+from lcstates.locc import majorizes
 
 DIMS = (2, 3, 4)
 WEIGHTS = (0, 0.3, 1)
@@ -89,6 +95,16 @@ CASES = [
      (ghz_state(), z_mixture(0.5).entries, None)),
     (lambda v: distance("trace", z_mixture(0.5), v), "b",
      (ghz_state(), z_mixture(0.5).entries, None)),
+    # a channel list without a length (a number, None, a generator)
+    (lambda v: apply_product_channel(v, z_mixture(0.5)), "channels",
+     (5, None, 2.5, iter([identity_channel(2)] * 3))),
+    (lambda v: apply_adjoint_product_channel(v, np.eye(8), (2, 2, 2)),
+     "channels", (5, None)),
+    (lambda v: precursor_optimal_for_channels(v, z_mixture(0.5)), "channels",
+     (5, None)),
+    (lambda v: adjoint_channel(v), "c", (None, 5, identity_channel(2).kraus)),
+    (lambda v: environment_gram_from_channel(v), "c",
+     (None, 5, identity_channel(2).kraus)),
 ]
 
 
@@ -149,3 +165,28 @@ def test_float32_weight_is_read_as_its_float_value():
                  lambda p: amplitude_damping_channel(p).kraus,
                  lambda p: z_mixture(p).entries):
         assert make(p32).tobytes() == make(float(p32)).tobytes()
+
+
+RAGGED = [[1, 0], [0]]
+
+
+# input numpy cannot convert to an array of numbers: a ragged nesting, a
+# string that is not a number, an object, a complex weight, an int beyond
+# the float range
+@pytest.mark.parametrize("call, match", [
+    (lambda: majorizes(["a"], [1.0]), "probability vectors"),
+    (lambda: majorizes([1j], [1.0]), "probability vectors"),
+    (lambda: majorizes([1.0], [[1.0], [0.0, 0.0]]), "probability vectors"),
+    (lambda: majorizes([10 ** 400], [1.0]), "probability vectors"),
+    (lambda: LocalChannel(2, [[[1, 0], [0]]]), "entries"),
+    (lambda: LocalChannel(2, object()), "entries"),
+    (lambda: PureState(SystemShape((2,)), RAGGED), "entries"),
+    (lambda: PureState(SystemShape((2,)), ["a", 1]), "entries"),
+    (lambda: DensityMatrix(SystemShape((2,)), RAGGED), "entries"),
+    (lambda: identity_channel(2)(RAGGED), "entries"),
+], ids=["str-weight", "complex-weight", "ragged-weights", "huge-weight",
+        "ragged-kraus", "object-kraus", "ragged-amplitudes", "str-amplitude",
+        "ragged-density", "ragged-channel-input"])
+def test_unconvertible_input_is_invariant_error(call, match):
+    with pytest.raises(InvariantError, match=f"^{match} must be"):
+        call()

@@ -16,7 +16,8 @@ from lcstates.channels import (_apply_local, _apply_product_channel_matrix,
 from lcstates.states import deterministic_eigh
 from lcstates import reach
 from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
-                            _party_gradient, _run_lock_step, _starts,
+                            _line_objective, _party_gradient,
+                            _precursor_line, _run_lock_step, _starts,
                             _top_eigenvectors, CONVERGED, MAX_ITERS, NOT_LCCC,
                             STEP_UNDERFLOW, LCCC_BIPARTITE, UNKNOWN)
 from lcstates.locc import spectral_ensemble
@@ -170,6 +171,77 @@ class TestPartyGradient:
                 assert abs(_gram_objective(s, gram, cross, rho_sq) - full) <= 1e-14
 
 
+class TestPrecursorLine:
+    SHAPES = ((2, 2, 2), (2, 3, 2), (3, 3, 3))
+
+    @staticmethod
+    def _line_inputs(dims, env, rng, batch=2):
+        """Random channels (env_dim env(d) per party), unit precursors,
+        their outputs X and a random target, as the loop holds them."""
+        shape = SystemShape(dims)
+        sups = [np.stack([liouville(random_local_channel(d, env(d), 5 * b + j).kraus)
+                          for b in range(batch)]) for j, d in enumerate(dims)]
+        phis = np.stack([random_pure(shape, rng).amplitudes for _ in range(batch)])
+        sigma = _to_pairs(phis[:, :, None] * phis[:, None, :].conj(), dims)
+        rho = _to_pairs(random_density(shape, rng).entries, dims)
+        return sups, phis, _apply_product_channel_matrix(sups, sigma, dims), rho
+
+    @staticmethod
+    def _direct(sups, phi, rho, dims):
+        """The objective of one precursor, by the product channel itself."""
+        phi = phi / np.linalg.norm(phi)
+        sigma = _to_pairs(np.outer(phi, phi.conj()), dims)
+        return reach._objective(_apply_product_channel_matrix(sups, sigma, dims), rho)
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    @pytest.mark.parametrize("env", [lambda d: 1, lambda d: d, lambda d: d * d],
+                             ids=["env1", "envd", "envd2"])
+    def test_closed_form_matches_direct_evaluation(self, dims, env, rng):
+        sups, phis, x, rho = self._line_inputs(dims, env, rng)
+        g, _, norms, gram = _precursor_line(phis, x, rho, sups, dims)
+        steps = np.array([0.0, 1e-8, 1e-3, 0.1, 1.0, 10.0])
+        closed = _line_objective(steps * np.ones((len(phis), 1)), norms, gram)
+        for b in range(len(phis)):
+            own = [s[b] for s in sups]
+            direct = [self._direct(own, phis[b] - t * g[b], rho, dims) for t in steps]
+            assert np.abs(closed[b] - direct).max() <= 1e-12, (dims, b)
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_direction_matches_central_differences(self, dims, rng):
+        # g is tangent to the sphere (Re<Phi, g> = 0), and along a tangent
+        # direction xi the objective on the sphere changes at rate
+        # 4 Re<xi, g>
+        sups, phis, x, rho = self._line_inputs(dims, lambda d: d, rng)
+        g = _precursor_line(phis, x, rho, sups, dims)[0]
+        eps = 1e-6
+        for b in range(len(phis)):
+            assert abs(np.vdot(phis[b], g[b]).real) <= 1e-14
+            own = [s[b] for s in sups]
+            for _ in range(3):
+                z = rng.standard_normal(phis.shape[1]) \
+                    + 1j * rng.standard_normal(phis.shape[1])
+                xi = z - np.vdot(phis[b], z).real * phis[b]
+                fd = (self._direct(own, phis[b] + eps * xi, rho, dims)
+                      - self._direct(own, phis[b] - eps * xi, rho, dims)) / (2 * eps)
+                analytic = 4 * np.vdot(xi, g[b]).real
+                assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(analytic)), (dims, b)
+
+    def test_lc_made_targets_reached(self):
+        # four states that local noise makes from a Haar-random pure state
+        # at (2, 2, 2), so each has an LC configuration at objective 0: a
+        # search that stalls short of it is missing an LC state
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            chans = [random_local_channel(2, 2, int(rng.integers(2 ** 31)))
+                     for _ in range(3)]
+            target = apply_product_channel(
+                chans, PureState(Q3, z / np.linalg.norm(z)).density())
+            res = lc_distance_search(target, restarts=4, max_iters=300,
+                                     master_seed=11)
+            assert min(obj for _, obj, _ in res.per_restart_log) <= 1e-4
+
+
 class TestSearch:
     def test_pure_target_converges_instantly(self):
         res = lc_distance_search(ghz_state().density(), restarts=1,
@@ -202,18 +274,19 @@ class TestSearch:
         finals = [obj for _, obj, _ in res.per_restart_log]
         lengths = [n for _, _, n in res.per_restart_log]
         assert finals == pytest.approx(
-            [0.10680000000000014, 0.00015934657013000922,
-             0.007153319732124939, 6.521818569649346e-06], rel=1e-8)
+            [0.10680000000000002, 2.295637454907684e-06,
+             6.027951407028276e-06, 5.265827319522742e-06], rel=1e-8)
         assert lengths == [5, 161, 161, 161]
 
     @pytest.mark.parametrize("target, finals, lengths", [
         (noisy_four_qubit_ghz,
-         [0.10680000000000012, 0.0010935239601771451, 0.0021009009074274276,
-          0.2951849390615271, 0.39259017895075077, 0.002025276126022768],
+         [0.10680000000000003, 5.345499925146768e-06,
+          1.0650626767971794e-05, 1.3683800177410887e-05,
+          1.6384775915923022e-05, 3.1378913192270375e-06],
          [6] + [201] * 5),
         (noisy_qutrit_ghz,
-         [0.1379555555555554, 0.23135819411976416, 0.19299930548816552,
-          0.23345468768388775, 0.20255610999852675, 0.23006619527295213],
+         [0.1379555555555554, 0.0003929524163082121, 0.0001296778319878067,
+          0.00026862182174480775, 3.761121502349196e-05, 0.00013835942870893403],
          [5] + [161] * 5),
     ])
     def test_seeded_wide_search_pinned(self, target, finals, lengths):
@@ -324,7 +397,8 @@ class TestSearch:
         # each channel move's Y_k, built from the running prefix of the
         # parties already moved, is bit for bit the other parties' current
         # Liouville matrices applied to sigma in ascending order; the
-        # moves make n(n-1)/2 + n - 1 kernel calls per iteration
+        # moves make n(n-1)/2 + n kernel calls per iteration, the last of
+        # them giving the next precursor move's output X
         target = random_density(SystemShape(dims), rng)
         kraus, phis = _starts(target, tuple(d * d for d in dims), [0, 11, 12, 13])
         seen, kernel_calls = [], []
@@ -347,25 +421,32 @@ class TestSearch:
         n = len(dims)
         assert [d.iterations for d in diags] == [3] * 4
         assert seen == list(range(n)) * 3
-        assert len(kernel_calls) == 3 * (n * (n - 1) // 2 + n - 1)
+        assert len(kernel_calls) == 3 * (n * (n - 1) // 2 + n)
 
     def test_step_underflow_ends_restart(self, monkeypatch):
-        # every objective after the first (full and Gram-pair alike) is
-        # inflated, so every precursor and channel trial is rejected: the
-        # step halves from 0.1 until it falls below 1e-8 (24 halvings)
-        # during party 0 of iteration 1, which still records its trace entry
-        calls = []
+        # every objective after the first (full, closed-form line and
+        # Gram-pair alike) is inflated, so every precursor and channel
+        # trial is rejected: the step halves from 0.1 until it falls below
+        # 1e-8 (24 halvings) during party 0 of iteration 1, which still
+        # records its trace entry
+        calls, line_calls = [], []
         true_objective = reach._objective
+        true_line_objective = reach._line_objective
         true_trial_objective = reach._gram_objective
 
         def rejecting(x, rho_mat):
             calls.append(None)
             return true_objective(x, rho_mat) + (len(calls) > 1)
 
+        def rejecting_line(t, norms, gram):
+            line_calls.append(None)
+            return true_line_objective(t, norms, gram) + 1
+
         def rejecting_trial(s, gram, cross, rho_sq):
             return true_trial_objective(s, gram, cross, rho_sq) + 1
 
         monkeypatch.setattr(reach, "_objective", rejecting)
+        monkeypatch.setattr(reach, "_line_objective", rejecting_line)
         monkeypatch.setattr(reach, "_gram_objective", rejecting_trial)
         res = lc_distance_search(noisy_ghz(), restarts=2, max_iters=10,
                                  master_seed=5)
@@ -374,6 +455,8 @@ class TestSearch:
             assert diag.iterations == 1
             assert (diag.accepted_steps, diag.rejected_steps) == (0, 24)
             assert length == 3
+        # the precursor move of iteration 1 scored its trials, and kept none
+        assert len(line_calls) == 1
 
     def test_total_dimension_one(self):
         # one eigenvalue, so the precursor move has no gap to test
