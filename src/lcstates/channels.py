@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, InvariantError, _as_complex, _as_square,
-                     _check_hermitian_psd, _check_int, _check_real,
-                     _shape_argument, deterministic_eigh)
+                     _check_density, _check_hermitian_psd, _check_int,
+                     _check_real, _shape_argument, deterministic_eigh)
 
 COMPLETENESS_ATOL = 1e-9
 GRAM_ATOL = 1e-7
@@ -285,7 +285,9 @@ def _check_channels(channels, dims):
 
 
 def apply_product_channel(channels, rho):
-    """(Lambda_1 (x) ... (x) Lambda_n)(rho) for one LocalChannel per party."""
+    """(Lambda_1 (x) ... (x) Lambda_n)(rho) for one LocalChannel per party;
+    rho a DensityMatrix (`_check_density`)."""
+    _check_density("rho", rho)
     dims = rho.shape.local_dims
     _check_channels(channels, dims)
     out = _apply_product_channel_matrix([liouville(c.kraus) for c in channels],

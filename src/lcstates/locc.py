@@ -15,8 +15,9 @@ import numpy as np
 
 from .channels import _completeness_residual
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
-                     _check_int, _check_unit_rows, _cut_permutation, _fold,
-                     _unfold, distance, schmidt_decompose)
+                     _check_density, _check_int, _check_unit_rows,
+                     _cut_permutation, _fold, _unfold, distance,
+                     schmidt_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +31,11 @@ def _distribution(p):
     """p as a float array of its own (a copy, as `_as_complex` makes);
     raises unless it is a vector (one axis) of real numbers that numpy
     converts (the conversion's own errors become InvariantErrors), finite,
-    non-negative and summing to 1 within ATOL."""
+    non-negative and summing to 1 within ATOL.  A complex dtype is refused
+    even with zero imaginary parts: numpy's cast would drop them."""
     try:
+        if np.iscomplexobj(p):
+            raise TypeError
         p = np.array(p, dtype=float)
     except (TypeError, ValueError, OverflowError):
         raise InvariantError("probability vectors must be arrays of real "
@@ -250,8 +254,10 @@ def spectral_ensemble(rho):
     Ensemble: eigenvalues above RANK_TOL, largest first.
 
     Degenerate eigenspaces are resolved by the package-wide deterministic
-    disambiguation, so the output depends only on the input bits.
+    disambiguation, so the output depends only on the input bits.  rho
+    must be a DensityMatrix (`_check_density`).
     """
+    _check_density("rho", rho)
     w, v = rho.eigensystem()
     states = tuple(PureState(rho.shape, v[:, i] / np.linalg.norm(v[:, i]))
                    for i in range(len(w)))
@@ -275,7 +281,9 @@ class SynthesisPlan:
 
 
 def build_synthesis_plan(rho):
-    """Spectral ensemble of rho plus a conversion protocol per element."""
+    """Spectral ensemble of rho, a bipartite DensityMatrix
+    (`_check_density`), plus a conversion protocol per element."""
+    _check_density("rho", rho)
     if rho.shape.n_parties != 2:
         raise InvariantError("synthesis is defined for bipartite states")
     ens = spectral_ensemble(rho)

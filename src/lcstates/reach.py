@@ -21,13 +21,14 @@ alternating two moves on the squared Hilbert-Schmidt objective
     (R the same view of rho), two d^2 x d^2 matrices: a trial step does no
     D x D work.
 
-The search keeps rho, the precursor states sigma, the output X and every
-partial output Y_k as party-paired vectors (`channels._to_pairs`), the
-layout the channel kernel works in: a channel move does no D x D round
-trip, and party k's column view is one swapaxes of Y_k as the kernel
-returns it.  The precursor move leaves the layout once, to multiply the
-adjoint image Lambda^dag(X - rho) with Phi; no step of the loop solves an
-eigenproblem (only the starts do, `_starts`).
+The search keeps rho, the output X and every partial output Y_k as
+party-paired vectors (`channels._to_pairs`), the layout the channel kernel
+works in: a channel move does no D x D round trip, and party k's column
+view is one swapaxes of Y_k as the kernel returns it.  The precursor
+states Phi Phi^H are not kept: each iteration's channel moves pair them
+from the working Phi once.  The precursor move leaves the layout once, to
+multiply the adjoint image Lambda^dag(X - rho) with Phi; no step of the
+loop solves an eigenproblem (only the starts do, `_starts`).
 
 A finite search only gathers evidence: results report residuals and never
 claim impossibility.  The structural certificate lives in
@@ -50,8 +51,8 @@ from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
-from .states import (InvariantError, PureState, _check_int, _check_real,
-                     _top_eigenvectors, distance)
+from .states import (InvariantError, PureState, _check_density, _check_int,
+                     _check_real, _top_eigenvector, distance)
 
 NOT_LCCC = "NotLCCC"
 LCCC_BIPARTITE = "LCCCBipartite"
@@ -116,11 +117,13 @@ def precursor_optimal_for_channels(channels, target):
 
     Maximizes Tr(rho Lambda(|Phi><Phi|)) = <Phi| Lambda^dag(rho) |Phi>, so
     the answer is the top eigenvector of the adjoint-channel image of the
-    target (deterministic tie-break in degenerate cases).
+    target (deterministic tie-break in degenerate cases).  target must be
+    a DensityMatrix (`_check_density`).
     """
+    _check_density("target", target)
     dims = target.shape.local_dims
     h = apply_adjoint_product_channel(channels, target.entries, dims)
-    return PureState(target.shape, _top_eigenvectors(h[None])[0])
+    return PureState(target.shape, _top_eigenvector(h))
 
 
 def _objective(x, rho_vec):
@@ -134,7 +137,7 @@ def _gram_pair(y, rho_view, dims, k):
     """Party k's Gram pair (G, C) = (T T^H, R T^H), each (..., d^2, d^2).
 
     T and R are the column views (`_column_view`) of the paired vectors Y
-    (the other parties' channels applied to sigma, as the kernel returns
+    (the other parties' channels applied to Phi Phi^H, as the kernel returns
     it) and rho around party k.  The output is X = S T in that view, so
     for any Liouville matrix S of party k
     ||S T - R||^2 = Re<S, S G - 2 C> + ||rho||^2: party k's objective
@@ -255,7 +258,7 @@ def _starts(target, env_dims, seeds):
     Returns (kraus, phis): per party a (B, e, d, d) Kraus stack, and the
     (B, D) precursor amplitudes, B = len(seeds).  Element 0 is the
     identity channel padded with zero Kraus operators and the target's
-    top eigenvector (`_top_eigenvectors`); element b >= 1 draws from
+    top eigenvector (`_top_eigenvector`); element b >= 1 draws from
     default_rng(seeds[b]) a Haar isometry haar_isometry(d e, d) per party,
     then a complex Gaussian precursor, normalized.
     """
@@ -265,7 +268,7 @@ def _starts(target, env_dims, seeds):
     phis = np.empty((len(seeds), dim), dtype=complex)
     for kr, d in zip(kraus, dims):
         kr[0, 0] = np.eye(d)
-    phis[0] = _top_eigenvectors(target.entries[None])[0]
+    phis[0] = _top_eigenvector(target.entries)
     for b, seed in enumerate(seeds[1:], start=1):
         rng = np.random.default_rng(seed)
         for kr, d, e in zip(kraus, dims, env_dims):
@@ -312,10 +315,10 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
 
     All restarts advance together through stacked raw arrays: one Kraus
     stack (B, e, d, d) and Liouville matrix (B, d^2, d^2) per party, the
-    precursor states sigma and their outputs X as paired vectors (B, D^2),
-    and obj and the two step sizes of shape (B,); each kernel call serves
-    every live restart at once.  Each restart still follows its own serial
-    algorithm, with its own step sizes:
+    precursor amplitudes Phi (B, D), their outputs X as paired vectors
+    (B, D^2), and obj and the two step sizes of shape (B,); each kernel
+    call serves every live restart at once.  Each restart still follows
+    its own serial algorithm, with its own step sizes:
 
       * precursor move, a gradient step on the unit sphere: from X, one
         adjoint product gives the direction g (`_sphere_gradient`) and one
@@ -325,18 +328,19 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         rung >= STEP_FLOOR (at most floor(log2(STEP_CAP / STEP_FLOOR)) + 1
         rungs), all scored at once in closed form (`_line_objective`):
         no trial makes a kernel call.  The first rung that does not raise
-        the objective (by more than 1e-15) is taken: Phi, sigma and X =
+        the objective (by more than 1e-15) is taken: Phi and X =
         (X - t A1 + t^2 A2) / ||Phi - t g||^2 are updated with no kernel
         call, the recorded objective is X's own (`_objective`), and the
         step becomes the rung taken times STEP_GROWTH, capped at STEP_CAP.
         If no rung passes, Phi and the step stay as they were and the
         restart goes on to its channel moves;
-      * per party k, Y_k (the other parties applied to sigma) is computed
-        once and reduced to its Gram pair (`_gram_pair`), which gives the
-        gradient and scores every trial: a trial is a retraction and
-        d^2 x d^2 products.  Y_k comes from a running prefix, sigma with
-        the moved parties 0..k-1 applied: parties k+1..n-1 complete it,
-        in ascending order as in `_apply_product_channel_matrix`, and
+      * per party k, Y_k (the other parties applied to Phi Phi^H, paired
+        once per iteration from the working Phi) is computed once and
+        reduced to its Gram pair (`_gram_pair`), which gives the gradient
+        and scores every trial: a trial is a retraction and d^2 x d^2
+        products.  Y_k comes from a running prefix, Phi Phi^H with the
+        moved parties 0..k-1 applied: parties k+1..n-1 complete it, in
+        ascending order as in `_apply_product_channel_matrix`, and
         after the move it is extended by party k's new Liouville matrix,
         so after the last party it is the next iteration's X: the channel
         moves make n(n-1)/2 + n kernel calls (`_apply_local`) per
@@ -382,8 +386,8 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     # the working set: row i belongs to restart ids[i]
     ks, ph = list(kraus), phis
     sups = [liouville(kr) for kr in ks]
-    sigma = _to_pairs(ph[:, :, None] * ph[:, None, :].conj(), dims)
-    x = _apply_product_channel_matrix(sups, sigma, dims)
+    x = _apply_product_channel_matrix(
+        sups, _to_pairs(ph[:, :, None] * ph[:, None, :].conj(), dims), dims)
     obj = _objective(x, rho)
     step, pstep = np.full(n, INITIAL_STEP), np.full(n, INITIAL_STEP)
     accepted, rejected = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
@@ -400,7 +404,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     def leave(gone, reason):
         """The rows in mask gone stop: write them back, record their
         diagnostics and compact the working set; returns the kept mask."""
-        nonlocal ks, sups, ph, sigma, x, obj, step, pstep, accepted, rejected, ids
+        nonlocal ks, sups, ph, x, obj, step, pstep, accepted, rejected, ids
         out = ids[gone]
         for kr, w in zip(kraus, ks):
             kr[out] = w[gone]
@@ -410,9 +414,9 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             diags[r] = RestartDiagnostics(it, reason, a, j)
         keep = ~gone
         ks, sups = [w[keep] for w in ks], [s[keep] for s in sups]
-        ph, sigma, x, obj, step, pstep, accepted, rejected, ids = (
-            a[keep] for a in (ph, sigma, x, obj, step, pstep, accepted,
-                              rejected, ids))
+        ph, x, obj, step, pstep, accepted, rejected, ids = (
+            a[keep] for a in (ph, x, obj, step, pstep, accepted, rejected,
+                              ids))
         return keep
 
     record()
@@ -437,14 +441,13 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             nu = _line_norm(tu, norms[up])
             ph[up] = (ph[up] - tu * g[up]) / np.sqrt(nu)
             x[up] = (x[up] - tu * v[up, 1] + tu * tu * v[up, 2]) / nu
-            sigma[up] = _to_pairs(ph[up, :, None] * ph[up, None, :].conj(), dims)
             obj[up] = _objective(x[up], rho)
             pstep[up] = np.minimum(tu[:, 0] * STEP_GROWTH, STEP_CAP)
         record()
 
-        # channel moves, one party at a time; left is sigma with the
+        # channel moves, one party at a time; left is Phi Phi^H with the
         # moved parties 0..k-1 applied
-        left = sigma
+        left = _to_pairs(ph[:, :, None] * ph[:, None, :].conj(), dims)
         for k, d in enumerate(dims):
             if not ids.size:
                 break
@@ -527,8 +530,10 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     numpy numbers count, booleans do not): restarts an integer in
     [1, RESTART_LIMIT], max_iters in [0, ITERATION_LIMIT], master_seed
     >= 0, every env_dims entry in [1, d^2], and tol a finite real >= 0;
-    otherwise an InvariantError that names the option.
+    otherwise an InvariantError that names the option.  Before them,
+    target must be a DensityMatrix (`_check_density`).
     """
+    _check_density("target", target)
     dims = target.shape.local_dims
     if env_dims is None:
         env_dims = tuple(d * d for d in dims)
@@ -625,8 +630,10 @@ def lccc_obstruction_check(rho):
     increasing reconstruction error, so the certificate carries the pair
     that fits rho best.  The support stays well conditioned where
     the eigenvectors do not (p near 1/2), so the verdict does not depend on
-    a local-unitary frame.  Everything else is Unknown - never an error.
+    a local-unitary frame.  Everything else is Unknown - never an error;
+    rho that is not a DensityMatrix is an InvariantError (`_check_density`).
     """
+    _check_density("rho", rho)
     if rho.shape.n_parties == 2:
         return Certificate(verdict=LCCC_BIPARTITE, plan=build_synthesis_plan(rho))
     if (rho.shape.local_dims != (2, 2, 2)

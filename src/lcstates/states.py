@@ -10,8 +10,8 @@ dataclasses and the raw-array hot loops call them: arrays of finite
 numbers (`_as_complex`, and `_as_square` for a d x d matrix), unit-norm rows
 (`_check_unit_rows`), Hermitian PSD matrices (`_check_hermitian_psd`),
 the eigenvector phase (`_fix_phases`), the basis inside a degenerate
-eigenspace (`deterministic_eigh`, and `_top_eigenvectors` for a stack's
-top vectors), a density matrix's support (`DensityMatrix.eigensystem`),
+eigenspace (`deterministic_eigh`, and `_top_eigenvector`, its normalized
+top column), a density matrix's support (`DensityMatrix.eigensystem`),
 integer arguments (`_check_int`), real weights and tolerances
 (`_check_real`) and the layout of a bipartition (`_cut_permutation`,
 `_unfold`, `_fold`).  Every public entry point of
@@ -24,7 +24,8 @@ ranges: `ghz_state` n and d integers >= 1 (below 2 an UnsupportedError),
 in [0, 1].  Arguments that are not numbers are checked the same way:
 `partial_trace` keep and `purify` ancilla_dims are collections, a
 `canonical_state` kind is a string (a basis state needs dims and index),
-and each `distance` operand is a DensityMatrix.
+and a density-matrix argument of any entry point in `states`, `channels`,
+`locc` or `reach` is a DensityMatrix (`_check_density`).
 """
 
 import math
@@ -225,6 +226,14 @@ class DensityMatrix:
         return float(np.trace(self.entries @ self.entries).real)
 
 
+def _check_density(name, value):
+    """Raise unless value is a DensityMatrix; `name` names it in the
+    message."""
+    if not isinstance(value, DensityMatrix):
+        raise InvariantError(f"{name} must be a DensityMatrix, "
+                             f"got {type(value).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # deterministic linear algebra helpers
 
@@ -271,22 +280,15 @@ def deterministic_eigh(h):
     return w, _fix_phases(v)
 
 
-def _top_eigenvectors(h):
-    """Normalized top eigenvectors of the Hermitian parts of a (B, D, D) stack.
-
-    One stacked eigh, its top columns phase-fixed by `_fix_phases`, which
-    is deterministic_eigh's top column wherever the top gap exceeds
-    DEGENERACY_TOL; elsewhere the element goes through deterministic_eigh
-    for the same tie-break.  The candidates get PureState's checks
-    (`_check_unit_rows`).
-    """
-    h = (h + h.conj().swapaxes(-1, -2)) / 2
-    w, v = np.linalg.eigh(h)
-    top = _fix_phases(v[..., -1:])[..., 0]
-    gap = w[:, -1] - w[:, -2] if w.shape[-1] > 1 else np.inf   # D = 1: no tie
-    for b in np.flatnonzero(~(gap > DEGENERACY_TOL)):
-        top[b] = deterministic_eigh(h[b])[1][:, -1]
-    top = top / np.linalg.norm(top, axis=-1, keepdims=True)
+def _top_eigenvector(h):
+    """The normalized top eigenvector of h's Hermitian part: the last
+    column of deterministic_eigh, so a degenerate top eigenspace gets its
+    tie-break, with PureState's checks (`_check_unit_rows`)."""
+    top = deterministic_eigh((h + h.conj().T) / 2)[1][:, -1]
+    # the norm along an axis, as for a stack of rows: np.linalg.norm of
+    # the whole vector sums in another order, and a start one ulp away
+    # can stop a search at another iteration
+    top = top / np.linalg.norm(top, axis=-1)
     _check_unit_rows(top)
     return top
 
@@ -336,8 +338,9 @@ def partial_trace(rho, keep):
 
     Kept parties retain their relative order.  Rows and columns are each
     unfolded across the cut keep|rest (`_unfold`), and the rest's block is
-    traced once.
+    traced once.  rho must be a DensityMatrix (`_check_density`).
     """
+    _check_density("rho", rho)
     shape = rho.shape
     keep = tuple(_check_parties(shape, keep, "keep"))
     drop = tuple(k for k in range(shape.n_parties) if k not in keep)
@@ -362,10 +365,8 @@ def distance(metric, a, b):
 
     a or b not a DensityMatrix is an InvariantError naming it.
     """
-    for name, m in (("a", a), ("b", b)):
-        if not isinstance(m, DensityMatrix):
-            raise InvariantError(f"{name} must be a DensityMatrix, "
-                                 f"got {type(m).__name__}")
+    _check_density("a", a)
+    _check_density("b", b)
     if a.shape != b.shape:
         raise InvariantError("shape mismatch")
     diff = a.entries - b.entries
@@ -554,8 +555,9 @@ def purify(rho, ancilla_dims):
     conditions the system on ensemble element mu.  The ancilla parts of
     the purification are orthonormal by construction.
     ancilla_dims is a nonempty sequence of integers >= 1
-    (`_shape_argument`).
+    (`_shape_argument`), and rho a DensityMatrix (`_check_density`).
     """
+    _check_density("rho", rho)
     ancilla = _shape_argument("ancilla_dims", ancilla_dims)
     w, v = rho.eigensystem()
     r = len(w)

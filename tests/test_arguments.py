@@ -13,12 +13,15 @@ import pytest
 from lcstates import (DensityMatrix, InvariantError, LocalChannel,
                       PureState, SystemShape, UnsupportedError,
                       adjoint_channel, apply_product_channel,
-                      canonical_state, dephasing_channel,
-                      depolarizing_channel, distance,
+                      build_synthesis_plan, canonical_state,
+                      dephasing_channel, depolarizing_channel, distance,
                       environment_gram_from_channel, ghz_state,
-                      identity_channel, max_entangled, parameter_counts,
-                      partial_trace, precursor_optimal_for_channels, purify,
-                      random_local_channel, standard_noise, z_mixture)
+                      identity_channel, lc_distance_search,
+                      lccc_obstruction_check, max_entangled,
+                      parameter_counts, partial_trace,
+                      precursor_optimal_for_channels, purify,
+                      random_local_channel, spectral_ensemble,
+                      standard_noise, z_mixture)
 from lcstates.channels import (amplitude_damping_channel,
                                apply_adjoint_product_channel)
 from lcstates.locc import majorizes
@@ -64,6 +67,8 @@ INT_BAD = (2.5, True, "2", None)
 NOT_A_COLLECTION = (0, 2, 2.5, True, None)
 REAL_BAD = (float("nan"), float("inf"), -0.1, 1.5, 10 ** 400, True, "0.1",
             None)
+# not a DensityMatrix: a number, nothing, a pure state
+NOT_A_DENSITY = (5, None, ghz_state())
 
 # (entry point of one argument, the name its message gives, malformed values)
 CASES = [
@@ -105,6 +110,18 @@ CASES = [
     (lambda v: adjoint_channel(v), "c", (None, 5, identity_channel(2).kraus)),
     (lambda v: environment_gram_from_channel(v), "c",
      (None, 5, identity_channel(2).kraus)),
+    # the density-matrix argument, checked before any other
+    (lambda v: apply_product_channel([identity_channel(2)] * 3, v), "rho",
+     NOT_A_DENSITY),
+    (lambda v: precursor_optimal_for_channels([identity_channel(2)] * 3, v),
+     "target", NOT_A_DENSITY),
+    (lambda v: lc_distance_search(v), "target", NOT_A_DENSITY),
+    (lambda v: lc_distance_search(v, restarts=0), "target", NOT_A_DENSITY),
+    (lambda v: lccc_obstruction_check(v), "rho", NOT_A_DENSITY),
+    (lambda v: spectral_ensemble(v), "rho", NOT_A_DENSITY),
+    (lambda v: build_synthesis_plan(v), "rho", NOT_A_DENSITY),
+    (lambda v: partial_trace(v, (0,)), "rho", NOT_A_DENSITY),
+    (lambda v: purify(v, (2,)), "rho", NOT_A_DENSITY),
 ]
 
 

@@ -53,6 +53,15 @@ class TestMajorizes:
         with pytest.raises(InvariantError, match="one axis"):
             majorizes(x, y)
 
+    @pytest.mark.parametrize("p", [np.array([1j, 0]), np.array([1 + 0j, 0j])],
+                             ids=["imaginary", "zero-imaginary"])
+    def test_complex_array_rejected(self, p):
+        # numpy's cast to float would drop the imaginary parts
+        with pytest.raises(InvariantError, match="real numbers"):
+            majorizes(p, [1.0])
+        with pytest.raises(InvariantError, match="real numbers"):
+            majorizes([1.0], p)
+
 
 class TestCanConvert:
     def test_max_entangled_reaches_anything(self, rng):
@@ -202,6 +211,12 @@ class TestSpectralEnsemble:
         states = (ghz_state(), w_state())
         with pytest.raises(InvariantError):
             locc.Ensemble(np.array(p), states)
+
+    @pytest.mark.parametrize("p", [np.array([1j, 0]), np.array([1 + 0j, 0j])],
+                             ids=["imaginary", "zero-imaginary"])
+    def test_complex_probabilities_rejected(self, p):
+        with pytest.raises(InvariantError, match="real numbers"):
+            locc.Ensemble(p, (ghz_state(), w_state()))
 
     @pytest.mark.parametrize("p", [np.array([[1.0]]), np.array(1.0)])
     def test_probabilities_not_a_vector_rejected(self, p):

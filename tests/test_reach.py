@@ -18,7 +18,7 @@ from lcstates import reach
 from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
                             _line_objective, _party_gradient,
                             _precursor_line, _run_lock_step, _starts,
-                            _top_eigenvectors, CONVERGED, MAX_ITERS, NOT_LCCC,
+                            _top_eigenvector, CONVERGED, MAX_ITERS, NOT_LCCC,
                             STEP_UNDERFLOW, LCCC_BIPARTITE, UNKNOWN)
 from lcstates.locc import spectral_ensemble
 from lcstates.slocc import classify_three_qubit
@@ -106,7 +106,7 @@ class TestPrecursorStep:
         herm = (h + np.swapaxes(h.conj(), -1, -2)) / 2
         ref = np.stack([deterministic_eigh(m)[1][:, -1] for m in herm])
         ref = ref / np.linalg.norm(ref, axis=-1, keepdims=True)
-        assert _top_eigenvectors(h).tobytes() == ref.tobytes()
+        assert np.stack([_top_eigenvector(m) for m in h]).tobytes() == ref.tobytes()
 
 
 def _others_applied(sups, sigma, dims, k):
@@ -328,7 +328,7 @@ class TestSearch:
             pad = np.zeros((e, d, d), dtype=complex)
             pad[0] = np.eye(d)
             assert np.array_equal(kr[0], pad)
-        assert phis[0].tobytes() == _top_eigenvectors(rho.entries[None])[0].tobytes()
+        assert phis[0].tobytes() == _top_eigenvector(rho.entries).tobytes()
         # later elements: one isometry per party, then the precursor
         for b, seed in enumerate(seeds[1:], start=1):
             rng = np.random.default_rng(seed)
