@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, InvariantError, _as_complex, _as_square,
-                     _check_density, _check_hermitian_psd, _check_int,
-                     _check_real, _shape_argument, deterministic_eigh)
+                     _check_hermitian_psd, _check_int, _check_real,
+                     _check_type, _shape_argument, deterministic_eigh)
 
 COMPLETENESS_ATOL = 1e-9
 GRAM_ATOL = 1e-7
@@ -109,7 +109,7 @@ class AdjointMap:
 
 def adjoint_channel(c):
     """Adjoint of a LocalChannel c, satisfying Tr(rho L(sig)) = Tr(L^dag(rho) sig)."""
-    _check_channel("c", c)
+    _check_type("c", c, LocalChannel)
     return AdjointMap(c.dim, np.transpose(c.kraus, (0, 2, 1)).conj())
 
 
@@ -176,7 +176,7 @@ def _environment_gram(kraus):
 def environment_gram_from_channel(c):
     """Inverse direction for a LocalChannel c:
     G[(i,j),(i',j')] = sum_m conj(K_m[j,i]) K_m[j',i']."""
-    _check_channel("c", c)
+    _check_type("c", c, LocalChannel)
     return EnvironmentGram(c.dim, _environment_gram(c.kraus))
 
 
@@ -261,12 +261,6 @@ def _apply_product_channel_matrix(sups, vec, dims):
     return vec
 
 
-def _check_channel(name, c):
-    """Raise unless c is a LocalChannel; `name` names it in the message."""
-    if not isinstance(c, LocalChannel):
-        raise InvariantError(f"{name} must be a LocalChannel, got {type(c).__name__}")
-
-
 def _check_channels(channels, dims):
     """Raise unless channels is a sequence (it has a length) of one
     LocalChannel per party, of that party's dimension."""
@@ -278,7 +272,7 @@ def _check_channels(channels, dims):
     if count != len(dims):
         raise InvariantError("need exactly one channel per party")
     for k, (c, d) in enumerate(zip(channels, dims)):
-        _check_channel(f"channel on party {k}", c)
+        _check_type(f"channel on party {k}", c, LocalChannel)
         if c.dim != d:
             raise InvariantError(
                 f"channel on party {k} has dim {c.dim}, party has dim {d}")
@@ -286,8 +280,8 @@ def _check_channels(channels, dims):
 
 def apply_product_channel(channels, rho):
     """(Lambda_1 (x) ... (x) Lambda_n)(rho) for one LocalChannel per party;
-    rho a DensityMatrix (`_check_density`)."""
-    _check_density("rho", rho)
+    rho a DensityMatrix (`_check_type`)."""
+    _check_type("rho", rho, DensityMatrix)
     dims = rho.shape.local_dims
     _check_channels(channels, dims)
     out = _apply_product_channel_matrix([liouville(c.kraus) for c in channels],
@@ -316,8 +310,8 @@ def compose(outer, inner):
     result has env_dim equal to the Gram matrix's numerical rank (<= d^2).
     outer and inner must be LocalChannels.
     """
-    _check_channel("outer", outer)
-    _check_channel("inner", inner)
+    _check_type("outer", outer, LocalChannel)
+    _check_type("inner", inner, LocalChannel)
     if outer.dim != inner.dim:
         raise InvariantError("composition needs matching dimensions")
     d = outer.dim

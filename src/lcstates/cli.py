@@ -24,7 +24,8 @@ from . import reach, serialize
 from .channels import apply_product_channel, parameter_counts
 from .locc import build_conversion, lccc_synthesize_bipartite
 from .slocc import classify_three_qubit, three_tangle
-from .states import InvariantError, UnsupportedError, canonical_state, z_mixture
+from .states import (InvariantError, PureState, UnsupportedError,
+                     canonical_state, z_mixture)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,13 +103,13 @@ def _search_options(opts):
 
 
 def _as_pure(state):
-    if hasattr(state, "amplitudes"):
+    if isinstance(state, PureState):
         return state
     raise InvariantError("command needs a pure state file")
 
 
 def _as_density(state):
-    return state.density() if hasattr(state, "amplitudes") else state
+    return state.density() if isinstance(state, PureState) else state
 
 
 def _dispatch(args):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import _completeness_residual
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
-                     _check_density, _check_int, _check_unit_rows,
+                     _check_int, _check_type, _check_unit_rows,
                      _cut_permutation, _fold, _unfold, distance,
                      schmidt_decompose)
 
@@ -66,8 +66,11 @@ def can_convert(psi, phi, cut):
     """Deterministic LOCC convertibility psi -> phi across a cut.
 
     Nielsen's criterion: possible iff the squared Schmidt coefficients of
-    the target majorize those of the source.
+    the target majorize those of the source.  psi and phi must be
+    PureStates (`_check_type`).
     """
+    _check_type("psi", psi, PureState)
+    _check_type("phi", phi, PureState)
     if psi.shape != phi.shape:
         raise InvariantError("states must share one shape")
     lam_src = schmidt_decompose(psi, cut).coefficients ** 2
@@ -218,8 +221,10 @@ def build_conversion(target, cut):
     above; completeness follows from sum_i lam_i = 1 and every outcome
     occurs with probability exactly 1/d.  The corrections for outcome m
     are U and V^T with their first d columns shifted cyclically by m
-    (a column gather), which undoes the shift the outcome leaves.
+    (a column gather), which undoes the shift the outcome leaves.  target
+    must be a PureState (`_check_type`).
     """
+    _check_type("target", target, PureState)
     return _build_conversions((target,), cut)[0]
 
 
@@ -255,9 +260,9 @@ def spectral_ensemble(rho):
 
     Degenerate eigenspaces are resolved by the package-wide deterministic
     disambiguation, so the output depends only on the input bits.  rho
-    must be a DensityMatrix (`_check_density`).
+    must be a DensityMatrix (`_check_type`).
     """
-    _check_density("rho", rho)
+    _check_type("rho", rho, DensityMatrix)
     w, v = rho.eigensystem()
     states = tuple(PureState(rho.shape, v[:, i] / np.linalg.norm(v[:, i]))
                    for i in range(len(w)))
@@ -282,8 +287,8 @@ class SynthesisPlan:
 
 def build_synthesis_plan(rho):
     """Spectral ensemble of rho, a bipartite DensityMatrix
-    (`_check_density`), plus a conversion protocol per element."""
-    _check_density("rho", rho)
+    (`_check_type`), plus a conversion protocol per element."""
+    _check_type("rho", rho, DensityMatrix)
     if rho.shape.n_parties != 2:
         raise InvariantError("synthesis is defined for bipartite states")
     ens = spectral_ensemble(rho)
@@ -304,7 +309,9 @@ def simulate_synthesis(plan, n_samples, seed):
     shape, cut and outcome count, else InvariantError); its cost grows
     with the number of outcomes, not with n_samples.
     Returns the empirical state and its trace distance to the target.
+    plan must be a SynthesisPlan (`_check_type`), checked first.
     """
+    _check_type("plan", plan, SynthesisPlan)
     _check_int("n_samples", n_samples, 1, np.iinfo(np.int64).max)
     _check_int("seed", seed, 0)
     _, amps = _outcome_amplitudes(plan.protocols)

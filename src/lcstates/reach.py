@@ -51,8 +51,8 @@ from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
-from .states import (InvariantError, PureState, _check_density, _check_int,
-                     _check_real, _top_eigenvector, distance)
+from .states import (DensityMatrix, InvariantError, PureState, _check_int,
+                     _check_real, _check_type, _top_eigenvector, distance)
 
 NOT_LCCC = "NotLCCC"
 LCCC_BIPARTITE = "LCCCBipartite"
@@ -64,13 +64,16 @@ class LCConfiguration:
     """Search point: a pure precursor plus one local channel per party.
 
     The precursor lives in the same party structure as the target; the
-    membership question is posed with no extra system dimensions.
+    membership question is posed with no extra system dimensions.  The
+    precursor must be a PureState (`_check_type`), checked before the
+    channels.
     """
 
     precursor: PureState
     channels: tuple
 
     def __post_init__(self):
+        _check_type("precursor", self.precursor, PureState)
         _check_channels(self.channels, self.precursor.shape.local_dims)
 
     def output(self):
@@ -87,9 +90,7 @@ class SearchResult:
     master_seed: int
     # (seed, final objective, len(trace)) per restart; the trace holds the
     # initial objective plus n + 1 entries per iteration (precursor move,
-    # then one per party), so len(trace) = 1 + iters * (n + 1), except
-    # that a restart ended by step underflow records no entry for the
-    # parties after the one whose step fell below STEP_FLOOR
+    # then one per party), so len(trace) = 1 + iters * (n + 1)
     per_restart_log: tuple
     # one RestartDiagnostics per restart, in the same order
     diagnostics: tuple
@@ -118,9 +119,9 @@ def precursor_optimal_for_channels(channels, target):
     Maximizes Tr(rho Lambda(|Phi><Phi|)) = <Phi| Lambda^dag(rho) |Phi>, so
     the answer is the top eigenvector of the adjoint-channel image of the
     target (deterministic tie-break in degenerate cases).  target must be
-    a DensityMatrix (`_check_density`).
+    a DensityMatrix (`_check_type`).
     """
-    _check_density("target", target)
+    _check_type("target", target, DensityMatrix)
     dims = target.shape.local_dims
     h = apply_adjoint_product_channel(channels, target.entries, dims)
     return PureState(target.shape, _top_eigenvector(h))
@@ -297,11 +298,12 @@ MAX_ITERS = "max_iters"
 class RestartDiagnostics:
     """How one restart of the search ran.
 
-    iterations: iterations started (each begins with the precursor move);
-    stop_reason: CONVERGED (an iteration lowered the objective by less
-    than tol), STEP_UNDERFLOW (a channel move's step fell below STEP_FLOOR)
-    or MAX_ITERS; accepted_steps / rejected_steps: channel-move trials
-    that were kept / that halved the step.
+    iterations: iterations run (each begins with the precursor move);
+    stop_reason, decided at the end of an iteration: STEP_UNDERFLOW (a
+    channel move's step fell below STEP_FLOOR during it), else CONVERGED
+    (it lowered the objective by less than tol), or MAX_ITERS after the
+    last one; accepted_steps / rejected_steps: channel-move trials that
+    were kept / that halved the step.
     """
 
     iterations: int
@@ -346,19 +348,23 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         moves make n(n-1)/2 + n kernel calls (`_apply_local`) per
         iteration rather than n(n-1).  Every restart still pending tries a
         step; an accepted one grows its step by STEP_GROWTH (capped at
-        STEP_CAP), a rejected one halves it, and below STEP_FLOOR the
-        restart dies: it records this party's objective and skips the rest;
-      * a restart stops on step underflow in a channel move, when an
-        iteration lowers its objective by less than tol, or after
-        max_iters.
+        STEP_CAP), a rejected one halves it.  A restart whose step falls
+        below STEP_FLOOR sits out the iteration's remaining channel moves:
+        it takes no more trials and records its unchanged objective for
+        each party left;
+      * every stop is decided once, at the end of an iteration: a restart
+        whose step underflowed stops with STEP_UNDERFLOW, else one whose
+        objective fell by less than tol over the iteration with CONVERGED;
+        after max_iters the rest stop with MAX_ITERS.  So every trace has
+        1 + iterations * (n + 1) entries.
 
     The working arrays hold only the live restarts' rows, and ids maps
-    each row to its restart.  A restart leaves once, when it stops: its
-    rows are written back to kraus and phis, and every working array (and,
-    mid-iteration, the running prefix) is compacted by one mask.  So in
-    steady state the moves use the working arrays directly, and only a
-    trial round after the first gathers its pending rows.  Until the first
-    restart stops, the working Kraus stacks and precursors are the
+    each row to its restart.  A restart leaves once, at the end of the
+    iteration it stops in: its rows are written back to kraus and phis,
+    and every working array is compacted by one mask.  So in steady state
+    the moves use the working arrays directly, and only a trial round
+    where some row is not pending gathers the pending ones.  Until the
+    first restart stops, the working Kraus stacks and precursors are the
     caller's arrays themselves, updated in place.  Each recorded step
     appends its (ids, obj) pairs to two flat `array` buffers, 16 bytes per
     pair (so their size follows the steps taken, never max_iters); the
@@ -401,23 +407,23 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         who.frombytes(ids.tobytes())
         vals.frombytes(obj.tobytes())
 
-    def leave(gone, reason):
-        """The rows in mask gone stop: write them back, record their
-        diagnostics and compact the working set; returns the kept mask."""
+    def leave(gone, reasons):
+        """The rows in mask gone stop, each for its entry of reasons (one
+        per row): write them back, record their diagnostics and compact
+        the working set."""
         nonlocal ks, sups, ph, x, obj, step, pstep, accepted, rejected, ids
         out = ids[gone]
         for kr, w in zip(kraus, ks):
             kr[out] = w[gone]
         phis[out] = ph[gone]
-        for r, a, j in zip(out.tolist(), accepted[gone].tolist(),
-                           rejected[gone].tolist()):
-            diags[r] = RestartDiagnostics(it, reason, a, j)
+        for r, why, a, j in zip(out.tolist(), reasons[gone].tolist(),
+                                accepted[gone].tolist(), rejected[gone].tolist()):
+            diags[r] = RestartDiagnostics(it, why, a, j)
         keep = ~gone
         ks, sups = [w[keep] for w in ks], [s[keep] for s in sups]
         ph, x, obj, step, pstep, accepted, rejected, ids = (
             a[keep] for a in (ph, x, obj, step, pstep, accepted, rejected,
                               ids))
-        return keep
 
     record()
     for it in range(1, max_iters + 1):
@@ -449,19 +455,20 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         # moved parties 0..k-1 applied
         left = _to_pairs(ph[:, :, None] * ph[:, None, :].conj(), dims)
         for k, d in enumerate(dims):
-            if not ids.size:
-                break
             y = left
             for j in range(k + 1, len(dims)):
                 y = _apply_local(y, sups[j], dims, j)
             gram, cross = _gram_pair(y, rho_views[k], dims, k)
             v0 = ks[k].reshape(len(ids), -1, d)
             g = _party_gradient(ks[k], sups[k], gram, cross).reshape(v0.shape)
-            pend = np.arange(len(ids))   # rows still trying
-            # pend's rows of v0, g and the Gram pair: all of them in the
-            # first round, gathered in later ones
-            v, gp, gr, cr = v0, g, gram, cross
-            while True:
+            # rows still trying: a row whose step fell below STEP_FLOOR
+            # sits out the rest of the iteration
+            pend = (step >= STEP_FLOOR).nonzero()[0]
+            while pend.size:
+                # pend's rows of v0, g and the Gram pair: gathered only
+                # when some row is not pending
+                v, gp, gr, cr = ((v0, g, gram, cross) if pend.size == len(ids) else
+                                 (v0[pend], g[pend], gram[pend], cross[pend]))
                 cand_k = _polar_retract(v - step[pend, None, None] * gp)
                 cand_k = cand_k.reshape(-1, *ks[k].shape[1:])
                 cand_s = liouville(cand_k)
@@ -477,21 +484,15 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
                 step[down] /= 2
                 rejected[down] += 1
                 pend = down[step[down] >= STEP_FLOOR]
-                if not pend.size:
-                    break
-                v, gp, gr, cr = v0[pend], g[pend], gram[pend], cross[pend]
             record()
-            # a step only drops below STEP_FLOOR by the halving that kills
-            dead = step < STEP_FLOOR
-            if dead.any():
-                keep = leave(dead, STEP_UNDERFLOW)
-                left, prev = left[keep], prev[keep]
             left = _apply_local(left, sups[k], dims, k)
         x = left
-        done = prev - obj < tol
+        # every stop is decided here, once per iteration; underflow wins
+        dead = step < STEP_FLOOR
+        done = dead | (prev - obj < tol)
         if done.any():
-            leave(done, CONVERGED)
-    leave(np.ones(len(ids), dtype=bool), MAX_ITERS)
+            leave(done, np.where(dead, STEP_UNDERFLOW, CONVERGED))
+    leave(np.ones(len(ids), dtype=bool), np.full(len(ids), MAX_ITERS))
 
     # each restart's trace: its recorded objectives, in order
     who, vals = np.frombuffer(who, dtype=np.int64), np.frombuffer(vals)
@@ -522,8 +523,9 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     batch axis (`_run_lock_step`); a restart's arithmetic does not depend
     on the others, so its result is the same however many restarts run
     beside it.  The best restart wins, ties broken by lowest index.  Per
-    restart, `per_restart_log` holds (seed, final objective, trace length)
-    and `diagnostics` its RestartDiagnostics.
+    restart, `per_restart_log` holds (seed, final objective, trace length,
+    always 1 + iterations * (n + 1)) and `diagnostics` its
+    RestartDiagnostics.
 
     Options are checked before any restart is built, and the search keeps
     the values the checks return (`states._check_int`, `states._check_real`:
@@ -531,9 +533,9 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     [1, RESTART_LIMIT], max_iters in [0, ITERATION_LIMIT], master_seed
     >= 0, every env_dims entry in [1, d^2], and tol a finite real >= 0;
     otherwise an InvariantError that names the option.  Before them,
-    target must be a DensityMatrix (`_check_density`).
+    target must be a DensityMatrix (`_check_type`).
     """
-    _check_density("target", target)
+    _check_type("target", target, DensityMatrix)
     dims = target.shape.local_dims
     if env_dims is None:
         env_dims = tuple(d * d for d in dims)
@@ -631,9 +633,9 @@ def lccc_obstruction_check(rho):
     that fits rho best.  The support stays well conditioned where
     the eigenvectors do not (p near 1/2), so the verdict does not depend on
     a local-unitary frame.  Everything else is Unknown - never an error;
-    rho that is not a DensityMatrix is an InvariantError (`_check_density`).
+    rho that is not a DensityMatrix is an InvariantError (`_check_type`).
     """
-    _check_density("rho", rho)
+    _check_type("rho", rho, DensityMatrix)
     if rho.shape.n_parties == 2:
         return Certificate(verdict=LCCC_BIPARTITE, plan=build_synthesis_plan(rho))
     if (rho.shape.local_dims != (2, 2, 2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import RANK_TOL, InvariantError, _unfold
+from .states import RANK_TOL, InvariantError, PureState, _check_type, _unfold
 
 TANGLE_TOL = 1e-10
 
@@ -35,6 +35,8 @@ class SloccClass:
 
 
 def _require_three_qubits(psi):
+    """Raise unless psi is a PureState (`_check_type`) of three qubits."""
+    _check_type("psi", psi, PureState)
     if psi.shape.local_dims != (2, 2, 2):
         raise InvariantError("operation is defined for three qubits only")
 

@@ -24,8 +24,9 @@ ranges: `ghz_state` n and d integers >= 1 (below 2 an UnsupportedError),
 in [0, 1].  Arguments that are not numbers are checked the same way:
 `partial_trace` keep and `purify` ancilla_dims are collections, a
 `canonical_state` kind is a string (a basis state needs dims and index),
-and a density-matrix argument of any entry point in `states`, `channels`,
-`locc` or `reach` is a DensityMatrix (`_check_density`).
+and a state argument of any entry point in `states`, `channels`, `slocc`,
+`locc` or `reach` is a DensityMatrix or a PureState, as the entry point
+needs (`_check_type`, which also checks channels and synthesis plans).
 """
 
 import math
@@ -226,11 +227,11 @@ class DensityMatrix:
         return float(np.trace(self.entries @ self.entries).real)
 
 
-def _check_density(name, value):
-    """Raise unless value is a DensityMatrix; `name` names it in the
-    message."""
-    if not isinstance(value, DensityMatrix):
-        raise InvariantError(f"{name} must be a DensityMatrix, "
+def _check_type(name, value, cls):
+    """Raise unless value is an instance of cls (a state, channel or plan
+    class); `name` names it in the message."""
+    if not isinstance(value, cls):
+        raise InvariantError(f"{name} must be a {cls.__name__}, "
                              f"got {type(value).__name__}")
 
 
@@ -338,9 +339,9 @@ def partial_trace(rho, keep):
 
     Kept parties retain their relative order.  Rows and columns are each
     unfolded across the cut keep|rest (`_unfold`), and the rest's block is
-    traced once.  rho must be a DensityMatrix (`_check_density`).
+    traced once.  rho must be a DensityMatrix (`_check_type`).
     """
-    _check_density("rho", rho)
+    _check_type("rho", rho, DensityMatrix)
     shape = rho.shape
     keep = tuple(_check_parties(shape, keep, "keep"))
     drop = tuple(k for k in range(shape.n_parties) if k not in keep)
@@ -365,8 +366,8 @@ def distance(metric, a, b):
 
     a or b not a DensityMatrix is an InvariantError naming it.
     """
-    _check_density("a", a)
-    _check_density("b", b)
+    _check_type("a", a, DensityMatrix)
+    _check_type("b", b, DensityMatrix)
     if a.shape != b.shape:
         raise InvariantError("shape mismatch")
     diff = a.entries - b.entries
@@ -444,8 +445,9 @@ def schmidt_decompose(psi, cut):
     (`_cut_permutation`), and the decomposition is one SVD of the state's
     dl x dr unfolding (`_unfold`); the basis columns index each side's
     parties big-endian in ascending order, as `left_parties` and
-    `right_parties` list them.
+    `right_parties` list them.  psi must be a PureState (`_check_type`).
     """
+    _check_type("psi", psi, PureState)
     left, right, dl, dr = _cut_permutation(psi.shape, cut)
     u, s, vh = np.linalg.svd(_unfold(psi.amplitudes, psi.shape, left, right))
     r = min(dl, dr)
@@ -555,9 +557,9 @@ def purify(rho, ancilla_dims):
     conditions the system on ensemble element mu.  The ancilla parts of
     the purification are orthonormal by construction.
     ancilla_dims is a nonempty sequence of integers >= 1
-    (`_shape_argument`), and rho a DensityMatrix (`_check_density`).
+    (`_shape_argument`), and rho a DensityMatrix (`_check_type`).
     """
-    _check_density("rho", rho)
+    _check_type("rho", rho, DensityMatrix)
     ancilla = _shape_argument("ancilla_dims", ancilla_dims)
     w, v = rho.eigensystem()
     r = len(w)

@@ -10,18 +10,20 @@ import hashlib
 import numpy as np
 import pytest
 
-from lcstates import (DensityMatrix, InvariantError, LocalChannel,
-                      PureState, SystemShape, UnsupportedError,
+from lcstates import (DensityMatrix, InvariantError, LCConfiguration,
+                      LocalChannel, PureState, SystemShape, UnsupportedError,
                       adjoint_channel, apply_product_channel,
-                      build_synthesis_plan, canonical_state,
+                      build_conversion, build_synthesis_plan, can_convert,
+                      canonical_state, classify_three_qubit,
                       dephasing_channel, depolarizing_channel, distance,
                       environment_gram_from_channel, ghz_state,
                       identity_channel, lc_distance_search,
-                      lccc_obstruction_check, max_entangled,
+                      lccc_obstruction_check, marginal_ranks, max_entangled,
                       parameter_counts, partial_trace,
                       precursor_optimal_for_channels, purify,
-                      random_local_channel, spectral_ensemble,
-                      standard_noise, z_mixture)
+                      random_local_channel, schmidt_decompose,
+                      simulate_synthesis, spectral_ensemble, standard_noise,
+                      three_tangle, z_mixture)
 from lcstates.channels import (amplitude_damping_channel,
                                apply_adjoint_product_channel)
 from lcstates.locc import majorizes
@@ -69,6 +71,9 @@ REAL_BAD = (float("nan"), float("inf"), -0.1, 1.5, 10 ** 400, True, "0.1",
             None)
 # not a DensityMatrix: a number, nothing, a pure state
 NOT_A_DENSITY = (5, None, ghz_state())
+# not a PureState: a number, nothing, a density matrix
+NOT_A_PURE = (5, None, z_mixture(0.5))
+CUT = ((0,), (1,))
 
 # (entry point of one argument, the name its message gives, malformed values)
 CASES = [
@@ -122,6 +127,18 @@ CASES = [
     (lambda v: build_synthesis_plan(v), "rho", NOT_A_DENSITY),
     (lambda v: partial_trace(v, (0,)), "rho", NOT_A_DENSITY),
     (lambda v: purify(v, (2,)), "rho", NOT_A_DENSITY),
+    # the pure-state argument (and a synthesis plan), checked before any
+    # other
+    (lambda v: schmidt_decompose(v, CUT), "psi", NOT_A_PURE),
+    (lambda v: classify_three_qubit(v), "psi", NOT_A_PURE),
+    (lambda v: three_tangle(v), "psi", NOT_A_PURE),
+    (lambda v: marginal_ranks(v), "psi", NOT_A_PURE),
+    (lambda v: build_conversion(v, CUT), "target", NOT_A_PURE),
+    (lambda v: can_convert(v, max_entangled(2), CUT), "psi", NOT_A_PURE),
+    (lambda v: can_convert(max_entangled(2), v, CUT), "phi", NOT_A_PURE),
+    (lambda v: LCConfiguration(v, (identity_channel(2),) * 3), "precursor",
+     NOT_A_PURE),
+    (lambda v: simulate_synthesis(v, 10, 0), "plan", NOT_A_PURE),
 ]
 
 

@@ -215,7 +215,7 @@ class TestCli:
         assert report["outputs"]["trace_distance"] <= 1e-8
 
     def test_lc_search_reports_trace_length(self, tmp_path):
-        # the initial objective plus n + 1 entries per completed iteration
+        # the initial objective plus n + 1 entries per iteration
         tf = str(tmp_path / "z.json")
         self._run("state", "--kind", "z", "--p", "0.3", "--out", tf)
         cfg = str(tmp_path / "cfg.json")
@@ -236,6 +236,9 @@ class TestCli:
                             "rejected_steps": diags[1]["rejected_steps"]}
         assert diags[0]["stop_reason"] in ("converged", "max_iters",
                                            "step_underflow")
+        # every restart, whatever stopped it
+        for entry, diag in zip(log, diags):
+            assert entry["trace_length"] == 1 + diag["iterations"] * 4
 
     def test_linalg_error_is_validation_failure(self, tmp_path, monkeypatch,
                                                 capsys):

@@ -242,6 +242,16 @@ class TestPrecursorLine:
             assert min(obj for _, obj, _ in res.per_restart_log) <= 1e-4
 
 
+def _configuration_objective(rho, kraus, phis, b):
+    """The objective of restart b's configuration in raw stacks, from a
+    full product-channel application."""
+    dims = rho.shape.local_dims
+    sups = [liouville(kr[b]) for kr in kraus]
+    sigma = np.outer(phis[b], phis[b].conj())
+    out = _apply_product_channel_matrix(sups, _to_pairs(sigma, dims), dims)
+    return reach._objective(out, _to_pairs(rho.entries, dims))
+
+
 class TestSearch:
     def test_pure_target_converges_instantly(self):
         res = lc_distance_search(ghz_state().density(), restarts=1,
@@ -358,12 +368,42 @@ class TestSearch:
         rho = target()
         kraus, phis = _starts(rho, env_dims, [0, 11, 12, 13])
         kraus, phis, traces, _ = _run_lock_step(rho, kraus, phis, 30, 1e-14)
-        dims = rho.shape.local_dims
         for b, trace in enumerate(traces):
-            sups = [liouville(kr[b]) for kr in kraus]
-            sigma = np.outer(phis[b], phis[b].conj())
-            out = _apply_product_channel_matrix(sups, _to_pairs(sigma, dims), dims)
-            assert abs(reach._objective(out, _to_pairs(rho.entries, dims))
+            assert abs(_configuration_objective(rho, kraus, phis, b)
+                       - trace[-1]) <= 1e-15
+
+    @pytest.mark.parametrize("target, threshold", [
+        (noisy_ghz, 0.3), (noisy_qutrit_ghz, 0.1)])
+    def test_partial_step_underflow(self, target, threshold, monkeypatch):
+        # a party's trials are all rejected where its Gram matrix's leading
+        # entry exceeds threshold, so some restarts underflow mid-iteration
+        # while the others go on: a dead row sits out the rest of its
+        # iteration in the batch and stops at the iteration's end
+        true_trial_objective = reach._gram_objective
+
+        def rejecting_some(s, gram, cross, rho_sq):
+            return (true_trial_objective(s, gram, cross, rho_sq)
+                    + (gram[..., 0, 0].real > threshold))
+
+        monkeypatch.setattr(reach, "_gram_objective", rejecting_some)
+        rho = target()
+        n = rho.shape.n_parties
+        small = lc_distance_search(rho, restarts=3, max_iters=30, master_seed=7)
+        large = lc_distance_search(rho, restarts=6, max_iters=30, master_seed=7)
+        reasons = [d.stop_reason for d in large.diagnostics]
+        assert STEP_UNDERFLOW in reasons[:3] and MAX_ITERS in reasons
+        for (_, _, length), diag in zip(large.per_restart_log, large.diagnostics):
+            assert length == 1 + diag.iterations * (n + 1)
+        assert small.per_restart_log == large.per_restart_log[:3]
+        assert small.diagnostics == large.diagnostics[:3]
+        # a dead row's configuration is its last recorded one
+        seeds = [seed for seed, _, _ in large.per_restart_log]
+        env_dims = tuple(d * d for d in rho.shape.local_dims)
+        kraus, phis, traces, diags = _run_lock_step(
+            rho, *_starts(rho, env_dims, seeds), 30, 1e-14)
+        assert diags == large.diagnostics
+        for b, trace in enumerate(traces):
+            assert abs(_configuration_objective(rho, kraus, phis, b)
                        - trace[-1]) <= 1e-15
 
     @pytest.mark.parametrize("target", [noisy_ghz, noisy_qutrit_ghz])
@@ -427,8 +467,9 @@ class TestSearch:
         # every objective after the first (full, closed-form line and
         # Gram-pair alike) is inflated, so every precursor and channel
         # trial is rejected: the step halves from 0.1 until it falls below
-        # 1e-8 (24 halvings) during party 0 of iteration 1, which still
-        # records its trace entry
+        # 1e-8 (24 halvings) during party 0 of iteration 1; the dead row
+        # sits out parties 1-2, recording its unchanged objective for
+        # each, and stops at the iteration's end
         calls, line_calls = [], []
         true_objective = reach._objective
         true_line_objective = reach._line_objective
@@ -454,7 +495,7 @@ class TestSearch:
             assert diag.stop_reason == STEP_UNDERFLOW
             assert diag.iterations == 1
             assert (diag.accepted_steps, diag.rejected_steps) == (0, 24)
-            assert length == 3
+            assert length == 5   # 1 + 1 iteration * (3 parties + 1)
         # the precursor move of iteration 1 scored its trials, and kept none
         assert len(line_calls) == 1
 
