@@ -152,7 +152,9 @@ def channel_from_environment_gram(g):
     follows the package's degeneracy and phase rule: its largest-magnitude
     entry is real positive.  Each Kraus operator is read off one row of V:
     K_m[j, i] = V[m, i*d + j].  env_dim equals the numerical rank of G.
+    g must be an EnvironmentGram (`_check_type`).
     """
+    _check_type("g", g, EnvironmentGram)
     d = g.dim
     w, u = deterministic_eigh((g.gram + g.gram.conj().T) / 2)
     w = np.where(w < 1e-12, 0.0, w)

@@ -123,7 +123,9 @@ class ConversionProtocol:
                 for n, v in zip(norms, amps)]
 
     def outcome_state(self, m):
-        """(probability, corrected PureState) for outcome m."""
+        """(probability, corrected PureState) for outcome m, an integer in
+        [0, n_outcomes - 1] (`_check_int`)."""
+        m = _check_int("m", m, 0, self.n_outcomes - 1)
         return self.outcome_states()[m]
 
     def verify(self):
@@ -234,13 +236,19 @@ def build_conversion(target, cut):
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Mixture of pure states: pairs (p_mu, psi_mu) over one shape."""
+    """Mixture of pure states: pairs (p_mu, psi_mu) over one shape.
+
+    states must be a tuple of PureStates (`_check_type`).
+    """
 
     probabilities: np.ndarray
     states: tuple
 
     def __post_init__(self):
         p = _distribution(self.probabilities)
+        _check_type("states", self.states, tuple)
+        for i, s in enumerate(self.states):
+            _check_type(f"ensemble state {i}", s, PureState)
         shapes = {s.shape for s in self.states}
         if len(self.states) != len(p) or len(shapes) != 1:
             raise InvariantError("ensemble states must match probabilities and share a shape")

@@ -38,7 +38,6 @@ and the universally-producible bipartite case.
 """
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +87,9 @@ class SearchResult:
     trace_distance: float
     restarts_run: int
     master_seed: int
-    # (seed, final objective, len(trace)) per restart; the trace holds the
-    # initial objective plus n + 1 entries per iteration (precursor move,
-    # then one per party), so len(trace) = 1 + iters * (n + 1)
+    # (seed, final objective, trace length) per restart; the trace length
+    # counts the initial objective plus one per move (the precursor move,
+    # then one per party), so it is 1 + iterations * (n + 1)
     per_restart_log: tuple
     # one RestartDiagnostics per restart, in the same order
     diagnostics: tuple
@@ -286,6 +285,7 @@ STEP_CAP = 10.0
 
 # caps on one search's size: a restart at (3,3,3) with env 9 holds about
 # 0.33 MB of stacked arrays, so RESTART_LIMIT restarts stay near 85 MB
+# whatever max_iters is
 RESTART_LIMIT = 256
 ITERATION_LIMIT = 10 ** 6
 
@@ -332,7 +332,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         no trial makes a kernel call.  The first rung that does not raise
         the objective (by more than 1e-15) is taken: Phi and X =
         (X - t A1 + t^2 A2) / ||Phi - t g||^2 are updated with no kernel
-        call, the recorded objective is X's own (`_objective`), and the
+        call, the objective becomes X's own (`_objective`), and the
         step becomes the rung taken times STEP_GROWTH, capped at STEP_CAP.
         If no rung passes, Phi and the step stay as they were and the
         restart goes on to its channel moves;
@@ -350,13 +350,11 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         step; an accepted one grows its step by STEP_GROWTH (capped at
         STEP_CAP), a rejected one halves it.  A restart whose step falls
         below STEP_FLOOR sits out the iteration's remaining channel moves:
-        it takes no more trials and records its unchanged objective for
-        each party left;
+        it takes no more trials and keeps its objective;
       * every stop is decided once, at the end of an iteration: a restart
         whose step underflowed stops with STEP_UNDERFLOW, else one whose
         objective fell by less than tol over the iteration with CONVERGED;
-        after max_iters the rest stop with MAX_ITERS.  So every trace has
-        1 + iterations * (n + 1) entries.
+        after max_iters the rest stop with MAX_ITERS.
 
     The working arrays hold only the live restarts' rows, and ids maps
     each row to its restart.  A restart leaves once, at the end of the
@@ -365,22 +363,20 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     the moves use the working arrays directly, and only a trial round
     where some row is not pending gathers the pending ones.  Until the
     first restart stops, the working Kraus stacks and precursors are the
-    caller's arrays themselves, updated in place.  Each recorded step
-    appends its (ids, obj) pairs to two flat `array` buffers, 16 bytes per
-    pair (so their size follows the steps taken, never max_iters); the
-    per-restart traces are split from them once, at the end.
+    caller's arrays themselves, updated in place.  Nothing is kept per
+    move or per iteration, so the memory a search holds does not grow with
+    max_iters.
 
-    The recorded objective sequence of each restart is non-increasing, and
-    element b's arithmetic does not depend on the other elements, so a
-    restart's result does not depend on how restarts are batched.
+    No move raises a restart's objective, and element b's arithmetic does
+    not depend on the other elements, so a restart's result does not
+    depend on how restarts are batched.
 
     The starting points come as raw stacks (`_starts`): kraus, one
     (B, e, d, d) Kraus stack per party, and phis, the (B, D) precursor
     amplitudes.  On return they hold each restart's final values.
 
-    Returns (kraus, phis, traces, diagnostics): the final Kraus stacks per
-    party, the final precursor amplitudes (B, D), each restart's objective
-    trace and its RestartDiagnostics.
+    Returns (finals, diagnostics): each restart's final objective (its
+    initial one if max_iters is 0) and its RestartDiagnostics.
     """
     dims = target.shape.local_dims
     rho = _to_pairs(target.entries, dims)
@@ -398,24 +394,19 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     step, pstep = np.full(n, INITIAL_STEP), np.full(n, INITIAL_STEP)
     accepted, rejected = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     ids = np.arange(n, dtype=np.int64)
-    diags = [None] * n
+    diags, finals = [None] * n, np.empty(n)
     it = 0   # the iteration a stopping restart is in
-    # every recorded (restart, objective) pair, in order
-    who, vals = array("q"), array("d")
-
-    def record():
-        who.frombytes(ids.tobytes())
-        vals.frombytes(obj.tobytes())
 
     def leave(gone, reasons):
         """The rows in mask gone stop, each for its entry of reasons (one
-        per row): write them back, record their diagnostics and compact
-        the working set."""
+        per row): write them back with their final objectives, record
+        their diagnostics and compact the working set."""
         nonlocal ks, sups, ph, x, obj, step, pstep, accepted, rejected, ids
         out = ids[gone]
         for kr, w in zip(kraus, ks):
             kr[out] = w[gone]
         phis[out] = ph[gone]
+        finals[out] = obj[gone]
         for r, why, a, j in zip(out.tolist(), reasons[gone].tolist(),
                                 accepted[gone].tolist(), rejected[gone].tolist()):
             diags[r] = RestartDiagnostics(it, why, a, j)
@@ -425,7 +416,6 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             a[keep] for a in (ph, x, obj, step, pstep, accepted, rejected,
                               ids))
 
-    record()
     for it in range(1, max_iters + 1):
         if not ids.size:
             break
@@ -449,7 +439,6 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             x[up] = (x[up] - tu * v[up, 1] + tu * tu * v[up, 2]) / nu
             obj[up] = _objective(x[up], rho)
             pstep[up] = np.minimum(tu[:, 0] * STEP_GROWTH, STEP_CAP)
-        record()
 
         # channel moves, one party at a time; left is Phi Phi^H with the
         # moved parties 0..k-1 applied
@@ -484,7 +473,6 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
                 step[down] /= 2
                 rejected[down] += 1
                 pend = down[step[down] >= STEP_FLOOR]
-            record()
             left = _apply_local(left, sups[k], dims, k)
         x = left
         # every stop is decided here, once per iteration; underflow wins
@@ -493,12 +481,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         if done.any():
             leave(done, np.where(dead, STEP_UNDERFLOW, CONVERGED))
     leave(np.ones(len(ids), dtype=bool), np.full(len(ids), MAX_ITERS))
-
-    # each restart's trace: its recorded objectives, in order
-    who, vals = np.frombuffer(who, dtype=np.int64), np.frombuffer(vals)
-    ends = np.cumsum(np.bincount(who, minlength=n))[:-1]
-    traces = np.split(vals[np.argsort(who, kind="stable")], ends)
-    return kraus, phis, [t.tolist() for t in traces], tuple(diags)
+    return finals.tolist(), tuple(diags)
 
 
 def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
@@ -523,9 +506,10 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     batch axis (`_run_lock_step`); a restart's arithmetic does not depend
     on the others, so its result is the same however many restarts run
     beside it.  The best restart wins, ties broken by lowest index.  Per
-    restart, `per_restart_log` holds (seed, final objective, trace length,
-    always 1 + iterations * (n + 1)) and `diagnostics` its
-    RestartDiagnostics.
+    restart, `per_restart_log` holds (seed, final objective, trace length)
+    and `diagnostics` its RestartDiagnostics.  The trace length counts the
+    initial objective plus one per move, 1 + iterations * (n + 1); the
+    search keeps no per-move objectives, only each restart's final one.
 
     Options are checked before any restart is built, and the search keeps
     the values the checks return (`states._check_int`, `states._check_real`:
@@ -554,9 +538,8 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
 
     seeds = [int(np.random.SeedSequence([master_seed, r]).generate_state(1)[0])
              for r in range(restarts)]
-    kraus, phis, traces, diags = _run_lock_step(
-        target, *_starts(target, env_dims, seeds), max_iters, tol)
-    finals = [trace[-1] for trace in traces]
+    kraus, phis = _starts(target, env_dims, seeds)
+    finals, diags = _run_lock_step(target, kraus, phis, max_iters, tol)
     b = int(np.argmin(finals))
     best = LCConfiguration(
         PureState(target.shape, phis[b]),
@@ -568,7 +551,8 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
                         restarts_run=restarts,
                         master_seed=master_seed,
                         per_restart_log=tuple(
-                            (s, f, len(t)) for s, f, t in zip(seeds, finals, traces)),
+                            (s, f, 1 + d.iterations * (len(dims) + 1))
+                            for s, f, d in zip(seeds, finals, diags)),
                         diagnostics=diags)
 
 

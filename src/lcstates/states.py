@@ -159,12 +159,13 @@ def _check_unit_rows(amps):
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector over a SystemShape."""
+    """Normalized state vector over a SystemShape (`_check_type`)."""
 
     shape: SystemShape
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _check_type("shape", self.shape, SystemShape)
         amps = _as_complex(self.amplitudes).reshape(-1)   # own copy
         if amps.size != self.shape.total_dim:
             raise InvariantError(
@@ -192,13 +193,15 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive semidefinite, unit-trace operator."""
+    """Hermitian, positive semidefinite, unit-trace operator over a
+    SystemShape (`_check_type`)."""
 
     shape: SystemShape
     entries: np.ndarray
     symmetrize: bool = field(default=False, compare=False)
 
     def __post_init__(self):
+        _check_type("shape", self.shape, SystemShape)
         m = _as_square("density matrix", self.entries, self.shape.total_dim)
         if self.symmetrize:
             # allowed only at construction from external input
@@ -464,8 +467,10 @@ def schmidt_decompose(psi, cut):
 
 
 def basis_state(shape, index):
-    """Computational basis state |index> (flat index) over shape; index an
-    integer in [0, D - 1] (`_check_int`)."""
+    """Computational basis state |index> (flat index) over shape, a
+    SystemShape (`_check_type`); index an integer in [0, D - 1]
+    (`_check_int`)."""
+    _check_type("shape", shape, SystemShape)
     d = shape.total_dim
     index = _check_int("basis index", index, 0, d - 1)
     amps = np.zeros(d, dtype=complex)

@@ -10,11 +10,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from lcstates import (DensityMatrix, InvariantError, LCConfiguration,
-                      LocalChannel, PureState, SystemShape, UnsupportedError,
-                      adjoint_channel, apply_product_channel,
-                      build_conversion, build_synthesis_plan, can_convert,
-                      canonical_state, classify_three_qubit,
+from lcstates import (DensityMatrix, Ensemble, InvariantError,
+                      LCConfiguration, LocalChannel, PureState, SystemShape,
+                      UnsupportedError, adjoint_channel,
+                      apply_product_channel, basis_state, build_conversion,
+                      build_synthesis_plan, can_convert, canonical_state,
+                      channel_from_environment_gram, classify_three_qubit,
                       dephasing_channel, depolarizing_channel, distance,
                       environment_gram_from_channel, ghz_state,
                       identity_channel, lc_distance_search,
@@ -73,6 +74,8 @@ REAL_BAD = (float("nan"), float("inf"), -0.1, 1.5, 10 ** 400, True, "0.1",
 NOT_A_DENSITY = (5, None, ghz_state())
 # not a PureState: a number, nothing, a density matrix
 NOT_A_PURE = (5, None, z_mixture(0.5))
+# not a SystemShape: a number, nothing, a tuple of local dimensions
+NOT_A_SHAPE = (5, None, (2,))
 CUT = ((0,), (1,))
 
 # (entry point of one argument, the name its message gives, malformed values)
@@ -139,6 +142,18 @@ CASES = [
     (lambda v: LCConfiguration(v, (identity_channel(2),) * 3), "precursor",
      NOT_A_PURE),
     (lambda v: simulate_synthesis(v, 10, 0), "plan", NOT_A_PURE),
+    # rows added after the ids above were fixed, so those keep their index
+    (lambda v: channel_from_environment_gram(v), "g",
+     (None, 5, np.eye(4), identity_channel(2))),
+    (lambda v: PureState(v, [1, 0]), "shape", NOT_A_SHAPE),
+    (lambda v: DensityMatrix(v, np.eye(2) / 2), "shape", NOT_A_SHAPE),
+    (lambda v: basis_state(v, 0), "shape", NOT_A_SHAPE),
+    (lambda v: Ensemble([1.0], v), "states", (5, None, [ghz_state()])),
+    (lambda v: Ensemble([1.0], (v,)), "ensemble state 0", NOT_A_PURE),
+    (lambda v: Ensemble([0.5, 0.5], (ghz_state(), v)), "ensemble state 1",
+     NOT_A_PURE),
+    (lambda v: build_conversion(max_entangled(2), CUT).outcome_state(v), "m",
+     INT_BAD + (-1, 2)),
 ]
 
 

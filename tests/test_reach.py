@@ -326,6 +326,23 @@ class TestSearch:
         assert res.diagnostics[0].iterations == 1
         assert peak < 4 * 2 ** 20
 
+    def test_memory_not_grown_by_iterations(self):
+        # noisy GHZ's random restarts run every iteration: the search keeps
+        # no per-move record, so ten times the iterations costs no memory;
+        # a first search pays the one-time allocations before measuring
+        lc_distance_search(noisy_ghz(), restarts=2, max_iters=1, master_seed=4)
+        peaks = []
+        for max_iters in (20, 200):
+            tracemalloc.start()
+            try:
+                res = lc_distance_search(noisy_ghz(), restarts=2,
+                                         max_iters=max_iters, master_seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.diagnostics[1].iterations == max_iters
+        assert peaks[1] - peaks[0] < 4096
+
     @pytest.mark.parametrize("target, env_dims", [
         (noisy_ghz, (4, 3, 2)), (noisy_qutrit_ghz, (9, 5, 1))])
     def test_starts_match_inline_reference(self, target, env_dims):
@@ -349,11 +366,16 @@ class TestSearch:
             assert phis[b].tobytes() == (z / np.linalg.norm(z)).tobytes()
 
     def test_objective_monotone_within_restart(self):
-        target = noisy_ghz()
-        kraus, phis = _starts(target, (2, 2, 2), [0])   # the identity start
-        _, _, traces, _ = _run_lock_step(target, kraus, phis, 200, 1e-14)
-        diffs = np.diff(np.asarray(traces[0]))
-        assert np.all(diffs <= 1e-12)
+        # a restart run for k iterations is the first k iterations of a
+        # longer run, so its final objective does not rise with max_iters
+        for target, env_dims in ((noisy_ghz, (4, 4, 4)),
+                                 (lambda: z_mixture(0.5), (4, 4, 4)),
+                                 (noisy_qutrit_ghz, (9, 9, 9))):
+            rho = target()
+            finals = [_run_lock_step(rho, *_starts(rho, env_dims, [0, 11, 12, 13]),
+                                     k, 1e-14)[0]
+                      for k in range(13)]
+            assert np.all(np.diff(finals, axis=0) <= 1e-12)
 
     @pytest.mark.parametrize("target, env_dims", [
         (noisy_ghz, (4, 4, 4)),
@@ -363,14 +385,15 @@ class TestSearch:
         (noisy_qutrit_ghz, (9, 9, 9)),
     ])
     def test_recorded_finals_match_configurations(self, target, env_dims):
-        # channel trials are scored from the Gram pair; the recorded final
-        # objective must still be that of the configuration returned
+        # channel trials are scored from the Gram pair; each returned final
+        # objective must still be that of the configuration left in the
+        # caller's arrays
         rho = target()
         kraus, phis = _starts(rho, env_dims, [0, 11, 12, 13])
-        kraus, phis, traces, _ = _run_lock_step(rho, kraus, phis, 30, 1e-14)
-        for b, trace in enumerate(traces):
+        finals, _ = _run_lock_step(rho, kraus, phis, 30, 1e-14)
+        for b, final in enumerate(finals):
             assert abs(_configuration_objective(rho, kraus, phis, b)
-                       - trace[-1]) <= 1e-15
+                       - final) <= 1e-15
 
     @pytest.mark.parametrize("target, threshold", [
         (noisy_ghz, 0.3), (noisy_qutrit_ghz, 0.1)])
@@ -396,15 +419,15 @@ class TestSearch:
             assert length == 1 + diag.iterations * (n + 1)
         assert small.per_restart_log == large.per_restart_log[:3]
         assert small.diagnostics == large.diagnostics[:3]
-        # a dead row's configuration is its last recorded one
+        # a dead row's final objective is that of its configuration
         seeds = [seed for seed, _, _ in large.per_restart_log]
         env_dims = tuple(d * d for d in rho.shape.local_dims)
-        kraus, phis, traces, diags = _run_lock_step(
-            rho, *_starts(rho, env_dims, seeds), 30, 1e-14)
+        kraus, phis = _starts(rho, env_dims, seeds)
+        finals, diags = _run_lock_step(rho, kraus, phis, 30, 1e-14)
         assert diags == large.diagnostics
-        for b, trace in enumerate(traces):
+        for b, final in enumerate(finals):
             assert abs(_configuration_objective(rho, kraus, phis, b)
-                       - trace[-1]) <= 1e-15
+                       - final) <= 1e-15
 
     @pytest.mark.parametrize("target", [noisy_ghz, noisy_qutrit_ghz])
     def test_batch_composition_invariant(self, target):
@@ -457,7 +480,7 @@ class TestSearch:
 
         monkeypatch.setattr(reach, "_gram_pair", checked)
         monkeypatch.setattr(reach, "_apply_local", counted)
-        _, _, _, diags = _run_lock_step(target, kraus, phis, 3, 0.0)
+        _, diags = _run_lock_step(target, kraus, phis, 3, 0.0)
         n = len(dims)
         assert [d.iterations for d in diags] == [3] * 4
         assert seen == list(range(n)) * 3
