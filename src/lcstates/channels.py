@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import (DensityMatrix, InvariantError, _as_complex, _as_square,
-                     _check_hermitian_psd, _check_int, _check_real,
-                     _check_type, _shape_argument, deterministic_eigh)
+from .states import (DensityMatrix, InvariantError, UnsupportedError,
+                     _as_complex, _as_square, _check_hermitian_psd,
+                     _check_int, _check_real, _check_type, _shape_argument,
+                     deterministic_eigh)
 
 COMPLETENESS_ATOL = 1e-9
 GRAM_ATOL = 1e-7
@@ -396,14 +397,15 @@ def amplitude_damping_channel(p):
 
 def standard_noise(kind, d, p):
     """Named noise families: depolarizing, dephasing, amplitude_damping;
-    d and p as the family's constructor takes them."""
+    d and p as the family's constructor takes them.  Amplitude damping is
+    a qubit channel: another integer d >= 1 is an UnsupportedError."""
     if kind == "depolarizing":
         return depolarizing_channel(d, p)
     if kind == "dephasing":
         return dephasing_channel(d, p)
     if kind == "amplitude_damping":
         if _check_int("d", d, 1) != 2:
-            raise InvariantError("amplitude damping is only defined for qubits here")
+            raise UnsupportedError("amplitude damping is only implemented for qubits")
         return amplitude_damping_channel(p)
     raise InvariantError(f"unknown noise kind {kind!r}")
 

@@ -102,12 +102,6 @@ def _search_options(opts):
     return opts
 
 
-def _as_pure(state):
-    if isinstance(state, PureState):
-        return state
-    raise InvariantError("command needs a pure state file")
-
-
 def _as_density(state):
     return state.density() if isinstance(state, PureState) else state
 
@@ -133,10 +127,8 @@ def _dispatch(args):
         return {"written": args.out}, None
 
     if cmd in ("classify", "tangle"):
-        state = serialize.load_state(args.infile)
-        psi = _as_pure(state)
-        if psi.shape.local_dims != (2, 2, 2):
-            raise UnsupportedError("three-qubit pure states only")
+        # the library checks psi: a PureState, of three qubits
+        psi = serialize.load_state(args.infile)
         if cmd == "classify":
             return {"class": classify_three_qubit(psi).label}, None
         return {"three_tangle": three_tangle(psi)}, None
@@ -158,8 +150,8 @@ def _dispatch(args):
                 "lc_strictly_smaller": pc.lc_strictly_smaller}, None
 
     if cmd == "convert":
-        target = _as_pure(serialize.load_state(args.target))
-        proto = build_conversion(target, _parse_cut(args.cut))
+        proto = build_conversion(serialize.load_state(args.target),
+                                 _parse_cut(args.cut))
         proto.verify()
         return serialize.protocol_to_dict(proto), None
 

@@ -15,9 +15,9 @@ import numpy as np
 
 from .channels import _completeness_residual
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
-                     _check_int, _check_type, _check_unit_rows,
-                     _cut_permutation, _fold, _unfold, distance,
-                     schmidt_decompose)
+                     UnsupportedError, _check_int, _check_type,
+                     _check_unit_rows, _cut_permutation, _fold, _unfold,
+                     distance, schmidt_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +295,13 @@ class SynthesisPlan:
 
 def build_synthesis_plan(rho):
     """Spectral ensemble of rho, a bipartite DensityMatrix
-    (`_check_type`), plus a conversion protocol per element."""
+    (`_check_type`, checked first), plus a conversion protocol per element.
+    A target of another party count is an UnsupportedError: this plan is
+    the bipartite construction, and not every multipartite mixed state is
+    LCCC."""
     _check_type("rho", rho, DensityMatrix)
     if rho.shape.n_parties != 2:
-        raise InvariantError("synthesis is defined for bipartite states")
+        raise UnsupportedError("synthesis is implemented for bipartite states only")
     ens = spectral_ensemble(rho)
     cut = ((0,), (1,))
     protocols = _build_conversions(ens.states, cut)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import RANK_TOL, InvariantError, PureState, _check_type, _unfold
+from .states import (RANK_TOL, InvariantError, PureState, UnsupportedError,
+                     _check_type, _unfold)
 
 TANGLE_TOL = 1e-10
 
@@ -35,10 +36,13 @@ class SloccClass:
 
 
 def _require_three_qubits(psi):
-    """Raise unless psi is a PureState (`_check_type`) of three qubits."""
+    """Raise unless psi is a PureState of three qubits.  The type is
+    checked first (`_check_type`, an InvariantError); a PureState of
+    another shape is an UnsupportedError.  The CLI's classify and tangle
+    rely on this check for their scope."""
     _check_type("psi", psi, PureState)
     if psi.shape.local_dims != (2, 2, 2):
-        raise InvariantError("operation is defined for three qubits only")
+        raise UnsupportedError("three-qubit pure states only")
 
 
 def hyperdeterminant(a):

@@ -17,16 +17,22 @@ integer arguments (`_check_int`), real weights and tolerances
 `_unfold`, `_fold`).  Every public entry point of
 `states`, `channels` and `reach` checks its counts and weights through
 `_check_int` and `_check_real` and keeps the value they return; a
-malformed argument is an InvariantError that names it.  The constructors'
-ranges: `ghz_state` n and d integers >= 1 (below 2 an UnsupportedError),
+malformed argument is an InvariantError that names it.  A well-formed
+request outside what the package implements is an UnsupportedError,
+raised after the argument checks, where its scope is decided: a
+SystemShape above MAX_TOTAL_DIM, `ghz_state` n or d below 2, a
+`canonical_state` W state not of three qubits or an unknown kind,
+`slocc`'s functions given a PureState not of three qubits,
+`locc.build_synthesis_plan` given a target that is not bipartite and
+`channels.standard_noise` amplitude damping with d other than 2.  The
+constructors' ranges: `ghz_state` n and d integers >= 1,
 `max_entangled(d)` is `ghz_state(2, d)`, with its checks,
 `basis_state` index an integer in [0, D - 1], `z_mixture` p a finite real
 in [0, 1].  Arguments that are not numbers are checked the same way:
 `partial_trace` keep and `purify` ancilla_dims are collections, a
 `canonical_state` kind is a string (a basis state needs dims and index),
-and a state argument of any entry point in `states`, `channels`, `slocc`,
-`locc` or `reach` is a DensityMatrix or a PureState, as the entry point
-needs (`_check_type`, which also checks channels and synthesis plans).
+and every state, channel, shape and plan argument is checked first, by
+`_check_type`.
 """
 
 import math
@@ -181,11 +187,14 @@ class PureState:
                                                   self.amplitudes.conj()))
 
     def overlap(self, other):
-        """<self|other> (complex)."""
+        """<self|other> (complex); other a PureState (`_check_type`)."""
+        _check_type("other", other, PureState)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def equals_up_to_phase(self, other):
-        """Physical equality: |<self|other>| = 1 within ATOL."""
+        """Physical equality: |<self|other>| = 1 within ATOL; other a
+        PureState (`_check_type`)."""
+        _check_type("other", other, PureState)
         if self.shape != other.shape:
             return False
         return abs(abs(self.overlap(other)) - 1.0) <= ATOL
@@ -232,9 +241,11 @@ class DensityMatrix:
 
 def _check_type(name, value, cls):
     """Raise unless value is an instance of cls (a state, channel or plan
-    class); `name` names it in the message."""
+    class, or a tuple of them); `name` names it in the message."""
     if not isinstance(value, cls):
-        raise InvariantError(f"{name} must be a {cls.__name__}, "
+        classes = cls if isinstance(cls, tuple) else (cls,)
+        names = " or a ".join(c.__name__ for c in classes)
+        raise InvariantError(f"{name} must be a {names}, "
                              f"got {type(value).__name__}")
 
 
@@ -305,15 +316,16 @@ def tensor_product(a, b):
     """Kronecker product of two pure states or two density matrices.
 
     The result's shape is the concatenation of the operand shapes, in the
-    fixed index ordering (left operand most significant).
+    fixed index ordering (left operand most significant).  a must be a
+    PureState or a DensityMatrix and b of a's class (`_check_type`).
     """
-    if isinstance(a, PureState) and isinstance(b, PureState):
+    _check_type("a", a, (PureState, DensityMatrix))
+    _check_type("b", b, type(a))
+    if isinstance(a, PureState):
         return PureState(a.shape.concat(b.shape),
                          np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.shape.concat(b.shape),
-                             np.kron(a.entries, b.entries))
-    raise InvariantError("cannot tensor a pure state with a density matrix")
+    return DensityMatrix(a.shape.concat(b.shape),
+                         np.kron(a.entries, b.entries))
 
 
 def _check_parties(shape, parties, name="party subset"):

@@ -24,7 +24,7 @@ from lcstates import (DensityMatrix, Ensemble, InvariantError,
                       precursor_optimal_for_channels, purify,
                       random_local_channel, schmidt_decompose,
                       simulate_synthesis, spectral_ensemble, standard_noise,
-                      three_tangle, z_mixture)
+                      tensor_product, three_tangle, z_mixture)
 from lcstates.channels import (amplitude_damping_channel,
                                apply_adjoint_product_channel)
 from lcstates.locc import majorizes
@@ -154,6 +154,12 @@ CASES = [
      NOT_A_PURE),
     (lambda v: build_conversion(max_entangled(2), CUT).outcome_state(v), "m",
      INT_BAD + (-1, 2)),
+    (lambda v: ghz_state().overlap(v), "other", NOT_A_PURE),
+    (lambda v: ghz_state().equals_up_to_phase(v), "other", NOT_A_PURE),
+    (lambda v: tensor_product(v, ghz_state()), "a",
+     (5, None, ghz_state().amplitudes)),
+    (lambda v: tensor_product(ghz_state(), v), "b", NOT_A_PURE),
+    (lambda v: tensor_product(z_mixture(0.5), v), "b", NOT_A_DENSITY),
 ]
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from lcstates import (DensityMatrix, EnvironmentGram, InvariantError,
-                      LocalChannel, SystemShape, adjoint_channel,
-                      apply_product_channel, channel_from_environment_gram,
-                      compose, dephasing_channel, depolarizing_channel,
+                      LocalChannel, SystemShape, UnsupportedError,
+                      adjoint_channel, apply_product_channel,
+                      channel_from_environment_gram, compose,
+                      dephasing_channel, depolarizing_channel,
                       environment_gram_from_channel, ghz_state,
                       identity_channel, parameter_counts, partial_trace,
                       random_local_channel, standard_noise)
@@ -457,7 +458,7 @@ class TestStandardNoise:
 
     def test_amplitude_damping_qubit_only(self):
         standard_noise("amplitude_damping", 2, 0.5)
-        with pytest.raises(InvariantError):
+        with pytest.raises(UnsupportedError):
             standard_noise("amplitude_damping", 3, 0.5)
 
     def test_strength_validated(self):

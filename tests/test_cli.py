@@ -130,6 +130,35 @@ class TestCli:
         code, _ = self._run("classify", "--in", f)
         assert code == 3
 
+    @pytest.mark.parametrize("cmd, n", [("classify", "2"), ("tangle", "2"),
+                                        ("tangle", "4")])
+    def test_pure_state_not_of_three_qubits_unsupported(self, tmp_path, cmd, n):
+        # slocc decides the scope: a PureState of another shape
+        f = str(tmp_path / "ghz.json")
+        assert self._run("state", "--kind", "ghz", "--n", n, "--out", f)[0] == 0
+        assert self._run(cmd, "--in", f) == (3, None)
+
+    @pytest.mark.parametrize("argv, name", [
+        (["classify", "--in"], "psi"), (["tangle", "--in"], "psi"),
+        (["convert", "--cut", "0|1,2", "--target"], "target")])
+    def test_density_file_where_pure_needed(self, tmp_path, capsys, argv, name):
+        # a density file is a malformed argument, whatever its shape
+        f = str(tmp_path / "z.json")
+        assert self._run("state", "--kind", "z", "--out", f)[0] == 0
+        assert main(argv + [f]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{name} must be a PureState" in err and "Traceback" not in err
+
+    def test_synthesize_three_parties_unsupported(self, tmp_path, capsys):
+        # LCCC synthesis is implemented for bipartite targets only
+        f = str(tmp_path / "z.json")
+        assert self._run("state", "--kind", "z", "--out", f)[0] == 0
+        assert main(["synthesize", "--target", f, "--samples", "100"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unsupported" in err and "Traceback" not in err
+
     def test_unknown_command(self):
         code, report = self._run("frobnicate")
         assert code == 1

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
-                      basis_state, build_conversion, can_convert, ghz_state,
-                      lccc_synthesize_bipartite, majorizes, max_entangled,
-                      schmidt_decompose, spectral_ensemble, w_state, z_mixture)
+                      UnsupportedError, basis_state, build_conversion,
+                      can_convert, ghz_state, lccc_synthesize_bipartite,
+                      majorizes, max_entangled, schmidt_decompose,
+                      spectral_ensemble, w_state, z_mixture)
 from lcstates import locc, serialize
 from lcstates.locc import build_synthesis_plan, simulate_synthesis
 from lcstates.states import _cut_permutation, _fold
@@ -391,5 +392,5 @@ class TestSynthesis:
             simulate_synthesis(plan, 100, seed)
 
     def test_not_bipartite(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(UnsupportedError):
             lccc_synthesize_bipartite(z_mixture(0.5), 100, 0)

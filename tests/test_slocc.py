@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lcstates import (InvariantError, PureState, SystemShape, basis_state,
-                      classify_three_qubit, ghz_state, marginal_ranks,
-                      max_entangled, partial_trace, tensor_product,
-                      three_tangle, w_state)
+from lcstates import (InvariantError, PureState, SystemShape,
+                      UnsupportedError, basis_state, classify_three_qubit,
+                      ghz_state, marginal_ranks, max_entangled,
+                      partial_trace, tensor_product, three_tangle, w_state)
 from lcstates.slocc import hyperdeterminant
 from conftest import random_pure, random_unitary
 
@@ -42,7 +42,7 @@ class TestThreeTangle:
                 assert abs(three_tangle(rotated) - tau0) < 1e-9
 
     def test_wrong_shape(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(UnsupportedError):
             three_tangle(max_entangled(2))
 
 
@@ -56,6 +56,12 @@ class TestMarginalRanks:
 
     def test_product(self):
         assert marginal_ranks(basis_state(Q3, 0)) == (1, 1, 1)
+
+    def test_density_matrix_of_three_qubits_is_invalid(self):
+        # the type is checked before the shape: a three-qubit density
+        # matrix is a malformed argument, not an unsupported shape
+        with pytest.raises(InvariantError, match="^psi must be a PureState"):
+            marginal_ranks(ghz_state().density())
 
     def test_matches_partial_trace_ranks(self, rng):
         # GHZ and W under local GL and local unitaries, products, the
@@ -129,5 +135,5 @@ class TestClassify:
             assert hits > 50
 
     def test_wrong_shape(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(UnsupportedError):
             classify_three_qubit(max_entangled(2))
