@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (DensityMatrix, InvariantError, UnsupportedError,
-                     _as_complex, _as_square, _check_hermitian_psd,
-                     _check_int, _check_real, _check_type, _shape_argument,
-                     deterministic_eigh)
+                     _as_complex, _as_square, _check_choice,
+                     _check_hermitian_psd, _check_int, _check_real,
+                     _check_type, _shape_argument, deterministic_eigh)
 
 COMPLETENESS_ATOL = 1e-9
 GRAM_ATOL = 1e-7
@@ -396,18 +396,21 @@ def amplitude_damping_channel(p):
 
 
 def standard_noise(kind, d, p):
-    """Named noise families: depolarizing, dephasing, amplitude_damping;
-    d and p as the family's constructor takes them.  Amplitude damping is
-    a qubit channel: another integer d >= 1 is an UnsupportedError."""
+    """Named noise families: kind one of depolarizing, dephasing,
+    amplitude_damping (`_check_choice`); d and p as the family's
+    constructor takes them.  Amplitude damping is a qubit channel: once d
+    is an integer >= 1 and p a finite real in [0, 1], another d is an
+    UnsupportedError."""
+    kind = _check_choice("kind", kind,
+                         ("depolarizing", "dephasing", "amplitude_damping"))
     if kind == "depolarizing":
         return depolarizing_channel(d, p)
     if kind == "dephasing":
         return dephasing_channel(d, p)
-    if kind == "amplitude_damping":
-        if _check_int("d", d, 1) != 2:
-            raise UnsupportedError("amplitude damping is only implemented for qubits")
-        return amplitude_damping_channel(p)
-    raise InvariantError(f"unknown noise kind {kind!r}")
+    d, p = _check_int("d", d, 1), _check_real("noise strength p", p, 0, 1)
+    if d != 2:
+        raise UnsupportedError("amplitude damping is only implemented for qubits")
+    return amplitude_damping_channel(p)
 
 
 # ---------------------------------------------------------------------------

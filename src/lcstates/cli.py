@@ -25,7 +25,7 @@ from .channels import apply_product_channel, parameter_counts
 from .locc import build_conversion, lccc_synthesize_bipartite
 from .slocc import classify_three_qubit, three_tangle
 from .states import (InvariantError, PureState, UnsupportedError,
-                     canonical_state, z_mixture)
+                     canonical_state)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,9 +40,10 @@ def _parser():
 
     sp = sub.add_parser("state", help="write a canonical state file")
     sp.add_argument("--kind", required=True, choices=["ghz", "w", "maxent", "z"])
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--p", type=float, default=0.5)
+    # canonical_state decides which of these a kind takes, and their defaults
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--d", type=int)
+    sp.add_argument("--p", type=float)
     sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("noise-apply", help="apply a product channel to a state")
@@ -110,14 +111,12 @@ def _dispatch(args):
     """Run one command; returns (outputs dict, seed or None)."""
     cmd = args.command
     if cmd == "state":
-        if args.kind == "z":
-            state = z_mixture(args.p)
-        else:
-            state = canonical_state(args.kind, n=args.n, d=args.d)
+        given = {k: v for k in ("n", "d", "p") if (v := getattr(args, k)) is not None}
+        state = canonical_state(args.kind, **given)
         serialize.save_state(state, args.out)
         return {"written": args.out,
                 "shape": list(state.shape.local_dims),
-                "kind": "density" if args.kind == "z" else "pure"}, None
+                "kind": "pure" if isinstance(state, PureState) else "density"}, None
 
     if cmd == "noise-apply":
         rho = _as_density(serialize.load_state(args.infile))

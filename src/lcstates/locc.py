@@ -323,8 +323,7 @@ def simulate_synthesis(plan, n_samples, seed):
     plan must be a SynthesisPlan (`_check_type`), checked first.
     """
     _check_type("plan", plan, SynthesisPlan)
-    _check_int("n_samples", n_samples, 1, np.iinfo(np.int64).max)
-    _check_int("seed", seed, 0)
+    _check_shots(n_samples, seed)
     _, amps = _outcome_amplitudes(plan.protocols)
     d = plan.protocols[0].n_outcomes
     probs = np.repeat(plan.ensemble.probabilities / d, d)
@@ -334,8 +333,22 @@ def simulate_synthesis(plan, n_samples, seed):
     return empirical, distance("trace", empirical, plan.target)
 
 
+def _check_shots(n_samples, seed):
+    """Raise unless n_samples is an integer in [1, 2^63) and seed one >= 0
+    (`_check_int`)."""
+    _check_int("n_samples", n_samples, 1, np.iinfo(np.int64).max)
+    _check_int("seed", seed, 0)
+
+
 def lccc_synthesize_bipartite(rho, n_samples, seed):
-    """Full pipeline: plan, simulate, report (plan, empirical, trace distance)."""
+    """Full pipeline: plan, simulate, report (plan, empirical, trace distance).
+
+    Every argument is checked before the plan decides the scope: rho must
+    be a DensityMatrix (`_check_type`), then n_samples and seed as
+    `simulate_synthesis` takes them (`_check_shots`); only then is a
+    target that is not bipartite an UnsupportedError."""
+    _check_type("rho", rho, DensityMatrix)
+    _check_shots(n_samples, seed)
     plan = build_synthesis_plan(rho)
     empirical, td = simulate_synthesis(plan, n_samples, seed)
     return plan, empirical, td

@@ -13,7 +13,8 @@ the eigenvector phase (`_fix_phases`), the basis inside a degenerate
 eigenspace (`deterministic_eigh`, and `_top_eigenvector`, its normalized
 top column), a density matrix's support (`DensityMatrix.eigensystem`),
 integer arguments (`_check_int`), real weights and tolerances
-(`_check_real`) and the layout of a bipartition (`_cut_permutation`,
+(`_check_real`), enumerated arguments such as a kind or a metric name
+(`_check_choice`) and the layout of a bipartition (`_cut_permutation`,
 `_unfold`, `_fold`).  Every public entry point of
 `states`, `channels` and `reach` checks its counts and weights through
 `_check_int` and `_check_real` and keeps the value they return; a
@@ -21,7 +22,7 @@ malformed argument is an InvariantError that names it.  A well-formed
 request outside what the package implements is an UnsupportedError,
 raised after the argument checks, where its scope is decided: a
 SystemShape above MAX_TOTAL_DIM, `ghz_state` n or d below 2, a
-`canonical_state` W state not of three qubits or an unknown kind,
+`canonical_state` W state or W/GHZ mixture not of three qubits,
 `slocc`'s functions given a PureState not of three qubits,
 `locc.build_synthesis_plan` given a target that is not bipartite and
 `channels.standard_noise` amplitude damping with d other than 2.  The
@@ -29,10 +30,12 @@ constructors' ranges: `ghz_state` n and d integers >= 1,
 `max_entangled(d)` is `ghz_state(2, d)`, with its checks,
 `basis_state` index an integer in [0, D - 1], `z_mixture` p a finite real
 in [0, 1].  Arguments that are not numbers are checked the same way:
-`partial_trace` keep and `purify` ancilla_dims are collections, a
-`canonical_state` kind is a string (a basis state needs dims and index),
-and every state, channel, shape and plan argument is checked first, by
-`_check_type`.
+SystemShape local_dims, `partial_trace` keep and `purify` ancilla_dims
+are collections; a `canonical_state` kind, a `channels.standard_noise`
+kind and a `distance` metric are one of their names; a `canonical_state`
+kind takes only its own parameters (a basis state needs dims and
+index); and every state, channel, shape and plan argument is checked
+first, by `_check_type`.
 """
 
 import math
@@ -62,17 +65,22 @@ class UnsupportedError(ValueError):
 class SystemShape:
     """Party structure: n parties with local dimensions (d_1, ..., d_n).
 
-    A total dimension above MAX_TOTAL_DIM is an UnsupportedError, raised
-    before any array of that size exists.
+    local_dims must be a nonempty collection of integers >= 1, else an
+    InvariantError naming it (a single integer or None included).  A total
+    dimension above MAX_TOTAL_DIM is an UnsupportedError, raised before
+    any array of that size exists.
     """
 
     local_dims: tuple
 
     def __post_init__(self):
-        dims = tuple(self.local_dims)
+        try:
+            dims = tuple(self.local_dims)
+        except TypeError:   # not a collection
+            dims = None
         if not (dims and all(_is_int(d) and d >= 1 for d in dims)):
-            raise InvariantError(
-                f"need n >= 1 parties with integer local dims >= 1, got {dims!r}")
+            raise InvariantError("local_dims must be a nonempty collection of "
+                                 f"integers >= 1, got {self.local_dims!r}")
         object.__setattr__(self, "local_dims", tuple(int(d) for d in dims))
         if self.total_dim > MAX_TOTAL_DIM:
             raise UnsupportedError(f"total dimension {self.total_dim} exceeds "
@@ -103,6 +111,15 @@ def _check_int(name, value, lo, hi=None):
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise InvariantError(f"{name} must be an integer {bounds}, got {value!r}")
     return int(value)
+
+
+def _check_choice(name, value, choices):
+    """value if it is one of the strings in choices; otherwise (a
+    non-string included) InvariantError naming it."""
+    if not (isinstance(value, str) and value in choices):
+        raise InvariantError(f"{name} must be one of "
+                             f"{', '.join(map(repr, choices))}, got {value!r}")
+    return value
 
 
 def _check_real(name, value, lo, hi=math.inf):
@@ -379,10 +396,13 @@ def distance(metric, a, b):
     hilbert_schmidt:  Frobenius norm of (a - b)
     fidelity:         Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2
 
-    a or b not a DensityMatrix is an InvariantError naming it.
+    a or b not a DensityMatrix is an InvariantError naming it, checked
+    first; so is a metric not one of the three names (`_check_choice`).
     """
     _check_type("a", a, DensityMatrix)
     _check_type("b", b, DensityMatrix)
+    metric = _check_choice("metric", metric,
+                           ("trace", "hilbert_schmidt", "fidelity"))
     if a.shape != b.shape:
         raise InvariantError("shape mismatch")
     diff = a.entries - b.entries
@@ -390,11 +410,9 @@ def distance(metric, a, b):
         return float(np.sum(np.linalg.svd(diff, compute_uv=False)) / 2)
     if metric == "hilbert_schmidt":
         return float(np.linalg.norm(diff))
-    if metric == "fidelity":
-        sa = _sqrtm_psd(a.entries)
-        sv = np.linalg.svd(sa @ _sqrtm_psd(b.entries), compute_uv=False)
-        return float(np.sum(sv) ** 2)
-    raise InvariantError(f"unknown metric {metric!r}")
+    sa = _sqrtm_psd(a.entries)
+    sv = np.linalg.svd(sa @ _sqrtm_psd(b.entries), compute_uv=False)
+    return float(np.sum(sv) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,39 +538,58 @@ def max_entangled(d):
 
 
 def _shape_argument(name, dims):
-    """SystemShape(tuple(dims)) for an argument that lists local
-    dimensions; InvariantError naming it unless dims is a nonempty
-    sequence of integers >= 1."""
+    """SystemShape(dims) for an argument that lists local dimensions;
+    InvariantError naming it unless dims is a nonempty sequence of
+    integers >= 1."""
     try:
-        return SystemShape(tuple(dims))
-    except (TypeError, InvariantError):
+        return SystemShape(dims)
+    except InvariantError:
         raise InvariantError(f"{name} must be a nonempty sequence of integers "
                              f">= 1, got {dims!r}") from None
 
 
-def canonical_state(kind, **params):
-    """Dispatch constructor: GHZ_n, W3, MaxEntangled_d or Basis(index).
+# each canonical kind's accepted spellings (after case folding), and the
+# parameters it takes
+_KIND_ALIASES = {"ghz": "ghz", "ghz_n": "ghz", "w": "w", "w3": "w",
+                 "maxent": "maxent", "max_entangled": "maxent",
+                 "maxentangled_d": "maxent", "z": "z", "basis": "basis"}
+_KIND_PARAMS = {"ghz": ("n", "d"), "w": ("n", "d"), "maxent": ("d",),
+                "z": ("n", "d", "p"), "basis": ("dims", "index")}
 
-    kind is a string; a kind that is not, and a basis state without its
-    dims or index, is an InvariantError naming the argument.
+
+def canonical_state(kind, **params):
+    """Dispatch constructor, the one owner of the named states: GHZ_n
+    (`ghz`: n = 3, d = 2), W3 (`w`: n = 3, d = 2), MaxEntangled_d
+    (`maxent`: d = 2), the W/GHZ mixture (`z`: n = 3, d = 2, p = 0.5, as
+    `z_mixture(p)`) or Basis(index) (`basis`: dims and index, no
+    defaults).
+
+    kind is one of the spellings in _KIND_ALIASES, case folded
+    (`_check_choice`); a parameter its kind does not take, and a basis
+    state without its dims or index, is an InvariantError naming the
+    parameter.  `w` and `z` check n and d (`_check_int`) and `z` its p
+    (`_check_real`), then (n, d) other than (3, 2) is an UnsupportedError.
     """
-    if not isinstance(kind, str):
-        raise InvariantError(f"kind must be a string, got {kind!r}")
-    kind = kind.lower()
-    if kind in ("ghz", "ghz_n"):
+    folded = kind.lower() if isinstance(kind, str) else kind
+    kind = _KIND_ALIASES[_check_choice("kind", folded, _KIND_ALIASES)]
+    extra = sorted(set(params) - set(_KIND_PARAMS[kind]))
+    if extra:
+        raise InvariantError(f"{extra[0]} must not be given for a {kind} state")
+    if kind == "ghz":
         return ghz_state(n=params.get("n", 3), d=params.get("d", 2))
-    if kind in ("w", "w3"):
-        if _check_int("n", params.get("n", 3), 1) != 3:
-            raise UnsupportedError("W state only implemented for 3 qubits")
-        return w_state()
-    if kind in ("maxent", "max_entangled", "maxentangled_d"):
+    if kind == "maxent":
         return max_entangled(params.get("d", 2))
     if kind == "basis":
         for name in ("dims", "index"):
             if name not in params:
                 raise InvariantError(f"{name} must be given for a basis state")
         return basis_state(_shape_argument("dims", params["dims"]), params["index"])
-    raise UnsupportedError(f"unknown canonical state kind {kind!r}")
+    n = _check_int("n", params.get("n", 3), 1)
+    d = _check_int("d", params.get("d", 2), 1)
+    p = _check_real("mixing weight p", params.get("p", 0.5), 0, 1)
+    if (n, d) != (3, 2):
+        raise UnsupportedError(f"kind {kind!r} is only implemented for 3 qubits")
+    return w_state() if kind == "w" else z_mixture(p)
 
 
 def z_mixture(p):

@@ -19,7 +19,8 @@ from lcstates import (DensityMatrix, Ensemble, InvariantError,
                       dephasing_channel, depolarizing_channel, distance,
                       environment_gram_from_channel, ghz_state,
                       identity_channel, lc_distance_search,
-                      lccc_obstruction_check, marginal_ranks, max_entangled,
+                      lccc_obstruction_check, lccc_synthesize_bipartite,
+                      marginal_ranks, max_entangled,
                       parameter_counts, partial_trace,
                       precursor_optimal_for_channels, purify,
                       random_local_channel, schmidt_decompose,
@@ -101,7 +102,7 @@ CASES = [
     (lambda v: partial_trace(z_mixture(0.5), v), "keep", NOT_A_COLLECTION),
     (lambda v: purify(z_mixture(0.5), v), "ancilla_dims",
      NOT_A_COLLECTION + ((), (0,), (2.5,), ("2",))),
-    (lambda v: canonical_state(v), "kind", (3, None, 2.5, ("ghz",))),
+    (lambda v: canonical_state(v), "kind", (3, None, 2.5, ("ghz",), "foo")),
     (lambda v: canonical_state("basis", dims=v, index=0), "dims",
      NOT_A_COLLECTION + ((), (0, 2))),
     (lambda v: distance("trace", v, z_mixture(0.5)), "a",
@@ -160,6 +161,24 @@ CASES = [
      (5, None, ghz_state().amplitudes)),
     (lambda v: tensor_product(ghz_state(), v), "b", NOT_A_PURE),
     (lambda v: tensor_product(z_mixture(0.5), v), "b", NOT_A_DENSITY),
+    # every argument is checked before the scope is decided: these used to
+    # be an UnsupportedError (a three-party synthesis target, d = 3
+    # amplitude damping, a four-party mixture)
+    (lambda v: lccc_synthesize_bipartite(z_mixture(0.5), v, 0), "n_samples",
+     INT_BAD + (0, -1, 2 ** 63)),
+    (lambda v: lccc_synthesize_bipartite(z_mixture(0.5), 10, v), "seed",
+     INT_BAD + (-1,)),
+    (lambda v: standard_noise("amplitude_damping", 3, v), "noise strength p",
+     REAL_BAD),
+    (lambda v: canonical_state("z", n=4, p=v), "mixing weight p", REAL_BAD),
+    # a kind's own parameters are checked too (d was ignored by W)
+    (lambda v: canonical_state("w", d=v), "d", INT_BAD + (0, -1)),
+    # an enumerated argument is one of its names (`_check_choice`)
+    (lambda v: standard_noise(v, 2, 0.1), "kind",
+     ("foo", "Depolarizing", None, 3, ["depolarizing"])),
+    (lambda v: distance(v, z_mixture(0.5), z_mixture(0.5)), "metric",
+     ("foo", "Trace", None, 3, ("trace",))),
+    (lambda v: SystemShape(v), "local_dims", NOT_A_COLLECTION + ((), (0,))),
 ]
 
 

@@ -404,6 +404,10 @@ class TestRandomChannel:
 
 
 class TestComposition:
+    def test_mismatched_dimensions(self):
+        with pytest.raises(InvariantError, match="matching dimensions"):
+            compose(identity_channel(2), identity_channel(3))
+
     def test_composed_equals_sequential(self, rng):
         # (2, 2, 3), then every (d, e_outer, e_inner) with e in {1, d, d^2};
         # the result is a minimal Kraus set, one operator for two unitaries

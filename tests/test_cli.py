@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -194,7 +195,8 @@ class TestCli:
         assert code == 0
         assert len(report["outputs"]["alice_kraus"]) == 2
 
-    @pytest.mark.parametrize("cut", ["0|1,1,2", "0,0|1,2", "0|1", "0,1|2,3"])
+    @pytest.mark.parametrize("cut", ["0|1,1,2", "0,0|1,2", "0|1", "0,1|2,3",
+                                     pytest.param("", id="empty")])
     def test_bad_cut_is_validation_failure(self, tmp_path, capsys, cut):
         # a repeated party used to pass the partition check and then fail
         # inside numpy's transpose with a traceback
@@ -224,6 +226,36 @@ class TestCli:
         code, report = self._run("synthesize", "--target", f, flag, value)
         assert code == 2
         assert report is None
+
+    def test_synthesize_counts_checked_before_scope(self, tmp_path, capsys):
+        # a three-party target is unsupported, but only once the counts
+        # are checked: --samples 0 is a validation failure first
+        f = str(tmp_path / "z.json")
+        assert self._run("state", "--kind", "z", "--out", f)[0] == 0
+        assert main(["synthesize", "--target", f, "--samples", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "n_samples must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("state, verdict, key, value", [
+        (max_entangled(2).density(), "LCCCBipartite", "plan", None),
+        (ghz_state(4).density(), "Unknown", "reason",
+         "no implemented criterion")], ids=["bipartite", "four_parties"])
+    def test_obstruct_report_outside_three_qubits(self, tmp_path, state,
+                                                  verdict, key, value):
+        f = str(tmp_path / "rho.json")
+        serialize.save_state(state, f)
+        code, report = self._run("obstruct", "--in", f)
+        assert code == 0
+        out = report["outputs"]
+        assert set(out) == {"verdict", key} and out["verdict"] == verdict
+        if key == "plan":
+            # the certificate's plan is the synthesis plan of the target
+            assert out["plan"]["target"] == serialize.state_to_dict(state)
+            assert sum(out["plan"]["ensemble"]["probabilities"]) == \
+                pytest.approx(1, abs=1e-12)
+        else:
+            assert out["reason"] == value
 
     def test_obstruct(self, tmp_path):
         f = str(tmp_path / "z.json")
@@ -302,13 +334,71 @@ class TestCli:
     @pytest.mark.parametrize("args, code", [
         (["ghz", "--n", "0"], 2), (["ghz", "--d", "0"], 2),
         (["maxent", "--d", "0"], 2),
-        (["ghz", "--n", "1"], 3), (["maxent", "--d", "1"], 3)])
-    def test_state_counts(self, tmp_path, args, code):
+        (["ghz", "--n", "1"], 3), (["maxent", "--d", "1"], 3),
+        (["w", "--d", "3"], 3), (["w", "--n", "4"], 3), (["z", "--n", "4"], 3),
+        (["z", "--d", "3", "--p", "0.2"], 3),
+        (["maxent", "--n", "5"], 2), (["ghz", "--p", "0.3"], 2),
+        (["w", "--p", "0.5"], 2), (["z", "--n", "4", "--p", "1.5"], 2)])
+    def test_state_counts(self, tmp_path, capsys, args, code):
         # a count of zero is no system at all: a validation failure; a
-        # system too small for the state is an unsupported request
+        # system too small for the state is an unsupported request, and so
+        # is a W state or W/GHZ mixture not of three qubits; an option the
+        # kind does not take, or a bad value, is a validation failure
         out = tmp_path / "s.json"
-        assert self._run("state", "--kind", *args, "--out", str(out))[0] == code
+        assert main(["state", "--kind", *args, "--out", str(out)]) == code
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "Traceback" not in err
         assert not out.exists()
+
+    # sha256 of the file each command writes, recorded before the CLI's
+    # own dispatch of the named states was folded into canonical_state
+    STATE_FILES = {
+        "ghz":
+            "07d125ca6348fa40cd79a4c654985e5713621b2e92a9dde03884a61e08ac9886",
+        "ghz --n 4":
+            "eefaf1b2c961481e89348c87893126e4d38c88d4615a2af586ea0c7b28a6c279",
+        "ghz --d 3":
+            "54ae1ab147f0c6d8b493ade36d2ceb8d3b1339c0e1576bcf8ecb9d21d74eb457",
+        "ghz --n 2 --d 5":
+            "bcb970c785161012fc82d62927bc67ff3f5b88c7bf8bdcf46013fa9fdfaf15ad",
+        "w":
+            "912b481924582d474cdfb0e83375f1f347616c0eb4423a10022043e4d2e2ac4d",
+        "w --n 3 --d 2":
+            "912b481924582d474cdfb0e83375f1f347616c0eb4423a10022043e4d2e2ac4d",
+        "maxent":
+            "a5254cadfb6324906f66fcb112d23a984bccd94d6fce1bb6550690688f199d95",
+        "maxent --d 3":
+            "420fe3da7c198f6ac7ef9910d807896de89df3abb33db4d98fff23f956e46347",
+        "z":
+            "23fcea8a7ed88f51a40fa8172925b3c89787ad0d79bb84f796b3404c833ff863",
+        "z --p 0.3":
+            "3b25b2f253adbb85ff94757f8e0920acdeee0ea1afcaa76b6d66cdc38ff9c21a",
+        "z --p 0":
+            "cfe17270448aad96092adbcc91e2f6ef493029057e8cbefc70e141865b7c18fc",
+        "z --p 1":
+            "98e6504f731d88d869103e497eefce1e22ee254cb5d8b67af354f979d936baab",
+        "z --n 3 --d 2 --p 0.7":
+            "3c8965b2067974a3cdd2e4389d13500465662f94682d4d54b96639d3abbe984c",
+    }
+
+    @pytest.mark.parametrize("args", sorted(STATE_FILES))
+    def test_state_file_bytes_pinned(self, tmp_path, args):
+        out = tmp_path / "s.json"
+        code, report = self._run("state", "--kind", *args.split(),
+                                 "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.STATE_FILES[args]
+        assert report["outputs"]["kind"] == ("density" if args[0] == "z"
+                                             else "pure")
+
+    def test_state_inputs_list_only_given_options(self, tmp_path):
+        out = str(tmp_path / "z.json")
+        for argv, given in ((["--kind", "z"], {}),
+                            (["--kind", "z", "--p", "0.3"], {"p": 0.3}),
+                            (["--kind", "ghz", "--d", "3"], {"d": 3})):
+            code, report = self._run("state", *argv, "--out", out)
+            assert code == 0
+            assert report["inputs"] == {"kind": argv[1], "out": out, **given}
 
     def test_nan_state_is_validation_failure(self, tmp_path):
         f = tmp_path / "nan.json"

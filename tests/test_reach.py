@@ -545,6 +545,12 @@ class TestSearch:
             with pytest.raises(InvariantError):
                 lc_distance_search(z_mixture(0.5), **opts)
 
+    @pytest.mark.parametrize("env_dims", [(4, 4), (4, 4, 4, 4), ()])
+    def test_env_dims_one_per_party(self, env_dims):
+        with pytest.raises(InvariantError, match="^need one environment "
+                           "dimension per party"):
+            lc_distance_search(z_mixture(0.5), env_dims=env_dims)
+
     @pytest.mark.parametrize("opts", [
         {"tol": float("nan")}, {"tol": float("inf")}, {"tol": -1e-9},
         {"tol": 10 ** 400}, {"tol": "1e-9"}, {"tol": True},

@@ -162,6 +162,25 @@ class TestStrictDocuments:
         with pytest.raises(InvariantError):
             serialize.state_from_dict(doc)
 
+    @pytest.mark.parametrize("doc", [
+        None, [], "state", {"kind": "pure", "data": PURE_DATA},
+        {"shape": [2], "data": PURE_DATA}, {"shape": [2], "kind": "pure"}])
+    def test_malformed_state_document(self, doc):
+        with pytest.raises(InvariantError, match="^malformed state document"):
+            serialize.state_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", ["mixed", "Pure", None])
+    def test_unknown_state_kind(self, kind):
+        doc = {"shape": [2], "kind": kind, "data": PURE_DATA}
+        with pytest.raises(InvariantError, match="^unknown state kind"):
+            serialize.state_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [None, [], "channel", {"dim": 2},
+                                     {"kraus": [[[[1.0, 0.0]]]]}])
+    def test_malformed_channel_document(self, doc):
+        with pytest.raises(InvariantError, match="^malformed channel document"):
+            serialize.channel_from_dict(doc)
+
     @pytest.mark.parametrize("dim", ["2", 2.0, 2.5, True, None, [2]])
     def test_channel_dim_must_be_an_integer(self, dim):
         doc = serialize.channel_to_dict(dephasing_channel(2, 0.3))

@@ -51,6 +51,11 @@ class TestInvariants:
         with pytest.raises(InvariantError):
             PureState(Q1, np.array([1.0, 1.0]))
 
+    def test_pure_length_enforced(self):
+        with pytest.raises(InvariantError, match="^amplitude vector has "
+                           "length 3, shape needs 2"):
+            PureState(Q1, np.array([1.0, 0.0, 0.0]))
+
     def test_density_validation(self):
         with pytest.raises(InvariantError):
             DensityMatrix(Q1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
@@ -354,8 +359,45 @@ class TestCanonicalStates:
 
     def test_dispatcher(self):
         assert canonical_state("ghz", n=4).shape.local_dims == (2, 2, 2, 2)
-        with pytest.raises(Exception):
+        with pytest.raises(UnsupportedError):
             canonical_state("w", n=4)
+
+    @pytest.mark.parametrize("kind, params, want", [
+        ("ghz", {}, lambda: ghz_state()),
+        ("GHZ_N", {"n": 4, "d": 3}, lambda: ghz_state(4, 3)),
+        ("w", {"n": 3, "d": 2}, w_state), ("W3", {}, w_state),
+        ("maxent", {}, lambda: max_entangled(2)),
+        ("Max_Entangled", {"d": 3}, lambda: max_entangled(3)),
+        ("maxentangled_d", {"d": 2}, lambda: max_entangled(2)),
+        ("z", {}, lambda: z_mixture(0.5)),
+        ("Z", {"n": 3, "d": 2, "p": 0.3}, lambda: z_mixture(0.3)),
+        ("basis", {"dims": (2, 3), "index": 4},
+         lambda: basis_state(SystemShape((2, 3)), 4))])
+    def test_dispatcher_spellings_and_defaults(self, kind, params, want):
+        # every spelling, case folded, gives its constructor's bits
+        got, want = canonical_state(kind, **params), want()
+        assert type(got) is type(want) and got.shape == want.shape
+        data = "amplitudes" if isinstance(got, PureState) else "entries"
+        assert getattr(got, data).tobytes() == getattr(want, data).tobytes()
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("ghz", {"p": 0.3}, "p"), ("maxent", {"n": 5}, "n"),
+        ("w", {"p": 0.5}, "p"), ("z", {"dims": (2, 2, 2)}, "dims"),
+        ("basis", {"dims": (2,), "index": 0, "d": 2}, "d"),
+        ("ghz", {"index": 0, "p": 0.3}, "index")])
+    def test_dispatcher_kinds_take_only_their_own_parameters(self, kind,
+                                                             params, name):
+        # the first foreign parameter in sorted order is named
+        with pytest.raises(InvariantError, match=f"^{name} must not be given "
+                           f"for a {kind} state"):
+            canonical_state(kind, **params)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("w", {"d": 3}), ("w", {"n": 4}), ("w", {"n": 2, "d": 3}),
+        ("z", {"n": 4}), ("z", {"d": 3, "p": 0.2})])
+    def test_w_and_z_are_three_qubit_states(self, kind, params):
+        with pytest.raises(UnsupportedError, match="only implemented for 3 qubits"):
+            canonical_state(kind, **params)
 
 
 class TestZMixture:
