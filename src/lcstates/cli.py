@@ -4,8 +4,9 @@ Every invocation prints a single JSON report on standard output:
 {"command", "inputs", "outputs", "seed", "elapsed_ms"}.  Diagnostics go to
 standard error.  Exit codes: 0 success (--help included), 1 usage error
 (a missing or unknown command, or bad options, as argparse reports it), 2
-input validation failure (an input file that is not a JSON document and a
-failed linear-algebra routine included), 3 unsupported request.  Given
+input validation failure (an input file that is not a JSON document, a
+failed linear-algebra routine and a `state` kind that `canonical_state`
+does not know included), 3 unsupported request.  Given
 identical inputs and seed the outputs are byte-identical across runs
 (elapsed_ms aside).
 """
@@ -39,8 +40,9 @@ def _parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("state", help="write a canonical state file")
-    sp.add_argument("--kind", required=True, choices=["ghz", "w", "maxent", "z"])
-    # canonical_state decides which of these a kind takes, and their defaults
+    # canonical_state decides the kinds, which options each takes, and
+    # their defaults
+    sp.add_argument("--kind", required=True)
     sp.add_argument("--n", type=int)
     sp.add_argument("--d", type=int)
     sp.add_argument("--p", type=float)
@@ -112,11 +114,8 @@ def _dispatch(args):
     cmd = args.command
     if cmd == "state":
         given = {k: v for k in ("n", "d", "p") if (v := getattr(args, k)) is not None}
-        state = canonical_state(args.kind, **given)
-        serialize.save_state(state, args.out)
-        return {"written": args.out,
-                "shape": list(state.shape.local_dims),
-                "kind": "pure" if isinstance(state, PureState) else "density"}, None
+        doc = serialize.save_state(canonical_state(args.kind, **given), args.out)
+        return {"written": args.out, "shape": doc["shape"], "kind": doc["kind"]}, None
 
     if cmd == "noise-apply":
         rho = _as_density(serialize.load_state(args.infile))

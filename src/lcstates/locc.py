@@ -95,13 +95,17 @@ class ConversionProtocol:
 
     Alice measures with d diagonal Kraus operators; every outcome occurs
     with probability exactly 1/d, and the per-outcome local unitary
-    corrections restore the target with certainty.
+    corrections restore the target with certainty.  target must be a
+    PureState (`_check_type`).
     """
 
     target: PureState
     cut: tuple                     # (left parties, right parties), each sorted
     alice_kraus: np.ndarray        # (d, dl, dl), each diagonal
     corrections: tuple             # d pairs (A_m, B_m) of unitaries
+
+    def __post_init__(self):
+        _check_type("target", self.target, PureState)
 
     @property
     def n_outcomes(self):
@@ -156,7 +160,8 @@ def _outcome_amplitudes(protocols):
     left, right, dl, dr = _cut_permutation(shape, cut)
     post = np.stack([p.alice_kraus for p in protocols]) @ _precursor_matrix(d, dl, dr)
     # each outcome's Frobenius norm, summed as np.linalg.norm sums it (one
-    # real and one imaginary dot product), so the bits match per-outcome calls
+    # real and one imaginary dot product), so seeded synthesis results keep
+    # the bits their tests pin
     flat = post.reshape(-1, 1, dl * dr)
     re, im = flat.real, flat.imag
     norms = np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1)
@@ -279,11 +284,23 @@ def spectral_ensemble(rho):
 
 @dataclass(frozen=True, eq=False)
 class SynthesisPlan:
-    """Ensemble for a bipartite target plus one conversion protocol per element."""
+    """Ensemble for a bipartite target plus one conversion protocol per
+    element: ensemble an Ensemble, target a DensityMatrix and protocols a
+    tuple of ConversionProtocols, one per ensemble state (`_check_type`)."""
 
     ensemble: Ensemble
     protocols: tuple
     target: DensityMatrix
+
+    def __post_init__(self):
+        _check_type("ensemble", self.ensemble, Ensemble)
+        _check_type("target", self.target, DensityMatrix)
+        _check_type("protocols", self.protocols, tuple)
+        for i, proto in enumerate(self.protocols):
+            _check_type(f"protocol {i}", proto, ConversionProtocol)
+        if len(self.protocols) != len(self.ensemble.states):
+            raise InvariantError("protocols must be one per ensemble state, got "
+                                 f"{len(self.protocols)} for {len(self.ensemble.states)}")
 
     def verify(self):
         recon = self.ensemble.mixture()

@@ -3,9 +3,10 @@
 Complex numbers are 2-element arrays [re, im].  A state file is
 {"shape": [d1,...,dn], "kind": "pure"|"density", "data": ...} where pure
 data is a flat amplitude list and density data is a row-major list of
-rows.  A channel file is {"dim": d, "kraus": [matrix, ...]}.  Every file
-is read by `_read_json` and written by `_write_json`.  Writers emit full
-double precision; loaders re-validate every invariant.
+rows; `_STATE_KINDS` maps each kind to its class for reading and writing.
+A channel file is {"dim": d, "kraus": [matrix, ...]}.  Every file is read
+by `_read_json` and written by `_write_json`.  Writers emit full double
+precision; loaders re-validate every invariant.
 """
 
 import dataclasses
@@ -16,7 +17,8 @@ import numpy as np
 
 from .channels import LocalChannel
 from .locc import _stacked_corrections
-from .states import DensityMatrix, InvariantError, PureState, _shape_argument
+from .states import (DensityMatrix, InvariantError, PureState, _check_choice,
+                     _check_type, _shape_argument)
 
 
 def _read_json(path):
@@ -32,9 +34,19 @@ def _read_json(path):
 
 
 def _write_json(doc, path):
-    """Write doc to the file at path as one line of UTF-8 JSON."""
+    """Write doc to the file at path as one line of UTF-8 JSON; returns doc."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))
+    return doc
+
+
+def _fields(doc, names, what):
+    """doc's values under names, in order; a doc that is not a JSON object
+    holding them all is an InvariantError naming what it documents."""
+    try:
+        return [doc[name] for name in names]
+    except (KeyError, TypeError) as exc:
+        raise InvariantError(f"malformed {what} document: {exc}")
 
 
 def _encode(a):
@@ -67,16 +79,20 @@ def _decode(data, rank):
     return pairs.view(complex)[..., 0]
 
 
+# each state document kind: its class, the name of its array, the array's rank
+_STATE_KINDS = {"pure": (PureState, "amplitudes", 1),
+                "density": (DensityMatrix, "entries", 2)}
+
+
 def _state_doc(shape, kind, data):
     return {"shape": list(shape.local_dims), "kind": kind, "data": data}
 
 
 def state_to_dict(state):
-    if isinstance(state, PureState):
-        return _state_doc(state.shape, "pure", _encode(state.amplitudes))
-    if isinstance(state, DensityMatrix):
-        return _state_doc(state.shape, "density", _encode(state.entries))
-    raise InvariantError(f"not a state: {type(state).__name__}")
+    _check_type("state", state, tuple(cls for cls, _, _ in _STATE_KINDS.values()))
+    for kind, (cls, attr, _) in _STATE_KINDS.items():
+        if isinstance(state, cls):
+            return _state_doc(state.shape, kind, _encode(getattr(state, attr)))
 
 
 def _pure_docs(states):
@@ -86,22 +102,15 @@ def _pure_docs(states):
 
 
 def state_from_dict(doc):
-    try:
-        dims = doc["shape"]
-        kind = doc["kind"]
-        data = doc["data"]
-    except (KeyError, TypeError) as exc:
-        raise InvariantError(f"malformed state document: {exc}")
+    dims, kind, data = _fields(doc, ("shape", "kind", "data"), "state")
     shape = _shape_argument("state shape", dims)
-    if kind == "pure":
-        return PureState(shape, _decode(data, 1))
-    if kind == "density":
-        return DensityMatrix(shape, _decode(data, 2))
-    raise InvariantError(f"unknown state kind {kind!r}")
+    cls, _, rank = _STATE_KINDS[_check_choice("state kind", kind, _STATE_KINDS)]
+    return cls(shape, _decode(data, rank))
 
 
 def save_state(state, path):
-    _write_json(state_to_dict(state), path)
+    """Write state's document to path; returns the document."""
+    return _write_json(state_to_dict(state), path)
 
 
 def load_state(path):
@@ -109,15 +118,12 @@ def load_state(path):
 
 
 def channel_to_dict(channel):
+    _check_type("channel", channel, LocalChannel)
     return {"dim": channel.dim, "kraus": _encode(channel.kraus)}
 
 
 def channel_from_dict(doc):
-    try:
-        dim = doc["dim"]
-        kraus = doc["kraus"]
-    except (KeyError, TypeError) as exc:
-        raise InvariantError(f"malformed channel document: {exc}")
+    dim, kraus = _fields(doc, ("dim", "kraus"), "channel")
     return LocalChannel(dim, _decode(kraus, 3))
 
 

@@ -564,14 +564,17 @@ def canonical_state(kind, **params):
     `z_mixture(p)`) or Basis(index) (`basis`: dims and index, no
     defaults).
 
-    kind is one of the spellings in _KIND_ALIASES, case folded
-    (`_check_choice`); a parameter its kind does not take, and a basis
-    state without its dims or index, is an InvariantError naming the
-    parameter.  `w` and `z` check n and d (`_check_int`) and `z` its p
-    (`_check_real`), then (n, d) other than (3, 2) is an UnsupportedError.
+    kind is one of the spellings in _KIND_ALIASES, case folded; any other
+    is an InvariantError naming the value given (`_check_choice`).  A
+    parameter its kind does not take, and a basis state without its dims
+    or index, is an InvariantError naming the parameter.  `w` and `z`
+    check n and d (`_check_int`) and `z` its p (`_check_real`), then
+    (n, d) other than (3, 2) is an UnsupportedError.
     """
-    folded = kind.lower() if isinstance(kind, str) else kind
-    kind = _KIND_ALIASES[_check_choice("kind", folded, _KIND_ALIASES)]
+    # every alias is lower case, so _check_choice sees only a kind that
+    # folds to none of them, and raises
+    kind = (_KIND_ALIASES.get(kind.lower() if isinstance(kind, str) else None)
+            or _check_choice("kind", kind, _KIND_ALIASES))
     extra = sorted(set(params) - set(_KIND_PARAMS[kind]))
     if extra:
         raise InvariantError(f"{extra[0]} must not be given for a {kind} state")

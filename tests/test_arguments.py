@@ -10,9 +10,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from lcstates import (DensityMatrix, Ensemble, InvariantError,
-                      LCConfiguration, LocalChannel, PureState, SystemShape,
-                      UnsupportedError, adjoint_channel,
+from lcstates import (ConversionProtocol, DensityMatrix, Ensemble,
+                      InvariantError, LCConfiguration, LocalChannel,
+                      PureState, SynthesisPlan, SystemShape,
+                      UnsupportedError, adjoint_channel, serialize,
                       apply_product_channel, basis_state, build_conversion,
                       build_synthesis_plan, can_convert, canonical_state,
                       channel_from_environment_gram, classify_three_qubit,
@@ -78,6 +79,9 @@ NOT_A_PURE = (5, None, z_mixture(0.5))
 # not a SystemShape: a number, nothing, a tuple of local dimensions
 NOT_A_SHAPE = (5, None, (2,))
 CUT = ((0,), (1,))
+# a valid plan of one ensemble state, whose parts the plan rows replace
+PLAN = build_synthesis_plan(max_entangled(2).density())
+PROTO = PLAN.protocols[0]
 
 # (entry point of one argument, the name its message gives, malformed values)
 CASES = [
@@ -179,6 +183,23 @@ CASES = [
     (lambda v: distance(v, z_mixture(0.5), z_mixture(0.5)), "metric",
      ("foo", "Trace", None, 3, ("trace",))),
     (lambda v: SystemShape(v), "local_dims", NOT_A_COLLECTION + ((), (0,))),
+    # plan types are checked where they are built, and a channel where it
+    # is written
+    (lambda v: ConversionProtocol(v, CUT, PROTO.alice_kraus, PROTO.corrections),
+     "target", NOT_A_PURE),
+    (lambda v: SynthesisPlan(v, PLAN.protocols, PLAN.target), "ensemble",
+     (5, None, PLAN.ensemble.states)),
+    (lambda v: SynthesisPlan(PLAN.ensemble, PLAN.protocols, v), "target",
+     NOT_A_DENSITY),
+    # not a tuple, or not one protocol per ensemble state
+    (lambda v: SynthesisPlan(PLAN.ensemble, v, PLAN.target), "protocols",
+     (5, None, list(PLAN.protocols), (), PLAN.protocols * 2)),
+    (lambda v: SynthesisPlan(PLAN.ensemble, (v,), PLAN.target), "protocol 0",
+     (5, None, PLAN)),
+    (lambda v: serialize.channel_to_dict(v), "channel",
+     (5, None, identity_channel(2).kraus)),
+    (lambda v: serialize.state_to_dict(v), "state",
+     (5, None, ghz_state().amplitudes, identity_channel(2))),
 ]
 
 

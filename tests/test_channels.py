@@ -22,6 +22,15 @@ class TestLocalChannel:
         with pytest.raises(InvariantError):
             LocalChannel(2, bad)
 
+    @pytest.mark.parametrize("kraus", [np.eye(2), np.eye(3)[None],
+                                       np.zeros((1, 2, 3)), np.zeros((2,))],
+                             ids=["one-matrix", "wrong-dim", "not-square",
+                                  "vector"])
+    def test_kraus_stack_shape(self, kraus):
+        with pytest.raises(InvariantError, match=r"^expected Kraus stack of "
+                           r"shape \(e, 2, 2\)"):
+            LocalChannel(2, kraus)
+
     def test_env_dim_cap(self):
         with pytest.raises(InvariantError):
             LocalChannel(2, np.zeros((5, 2, 2)))

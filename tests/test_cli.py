@@ -391,6 +391,39 @@ class TestCli:
         assert report["outputs"]["kind"] == ("density" if args[0] == "z"
                                              else "pure")
 
+    @pytest.mark.parametrize("kind, message", [
+        ("foo", "kind must be one of 'ghz', 'ghz_n', 'w', 'w3', 'maxent', "
+                "'max_entangled', 'maxentangled_d', 'z', 'basis', got 'foo'"),
+        ("FOO", "got 'FOO'"),
+        ("basis", "dims must be given for a basis state")],
+        ids=["foo", "FOO", "basis"])
+    def test_state_kind_decided_by_canonical_state(self, tmp_path, capsys,
+                                                   kind, message):
+        # argparse keeps no list of kinds: an unknown one, or a basis state
+        # (the CLI has no --dims), is a validation failure with the
+        # library's message
+        out = tmp_path / "s.json"
+        assert main(["state", "--kind", kind, "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "Traceback" not in err
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling, kind", [
+        ("GHZ_n", "ghz"), ("GHZ", "ghz"), ("W3", "w"),
+        ("max_entangled", "maxent"), ("MaxEntangled_d", "maxent"), ("Z", "z")])
+    def test_state_kind_spellings(self, tmp_path, spelling, kind):
+        # every canonical_state spelling writes its kind's bytes, and the
+        # report's shape and kind are the written document's
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        code, report = self._run("state", "--kind", spelling, "--out", str(a))
+        assert code == 0
+        assert self._run("state", "--kind", kind, "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        doc = json.loads(a.read_text())
+        assert report["outputs"] == {"written": str(a), "shape": doc["shape"],
+                                     "kind": doc["kind"]}
+
     def test_state_inputs_list_only_given_options(self, tmp_path):
         out = str(tmp_path / "z.json")
         for argv, given in ((["--kind", "z"], {}),

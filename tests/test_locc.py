@@ -41,6 +41,12 @@ class TestMajorizes:
         with pytest.raises(InvariantError):
             majorizes([1.2, -0.2], [0.5, 0.5])
 
+    @pytest.mark.parametrize("x, y", [([0.5], [1.0]), ([1.0], [0.5, 0.6]),
+                                      ([], [1.0])])
+    def test_not_summing_to_one_rejected(self, x, y):
+        with pytest.raises(InvariantError, match="must sum to 1"):
+            majorizes(x, y)
+
     @pytest.mark.parametrize("x, y", [([np.nan, 1.0], [0.5, 0.5]),
                                       ([0.5, 0.5], [np.nan, 1.0]),
                                       ([np.inf, 1.0], [0.5, 0.5])])
@@ -142,6 +148,25 @@ class TestBuildConversion:
         with pytest.raises(InvariantError, match="complete"):
             broken.verify()
 
+    def test_non_uniform_outcomes_fail(self):
+        # complete, but the outcomes of |Phi+> occur with 3/4 and 1/4
+        proto = build_conversion(max_entangled(2), CUT)
+        kraus = np.stack([np.diag([1, np.sqrt(0.5)]), np.diag([0, np.sqrt(0.5)])])
+        broken = locc.ConversionProtocol(proto.target, proto.cut, kraus,
+                                         proto.corrections)
+        with pytest.raises(InvariantError,
+                           match=r"^outcome 0 has probability 0\.7[0-9]*, not 1/2"):
+            broken.verify()
+
+    def test_wrong_corrections_fail(self, rng):
+        # identity corrections leave each outcome in the Schmidt basis
+        proto = build_conversion(random_pure(SystemShape((2, 2)), rng), CUT)
+        eye = (np.eye(2), np.eye(2))
+        broken = locc.ConversionProtocol(proto.target, proto.cut,
+                                         proto.alice_kraus, (eye, eye))
+        with pytest.raises(InvariantError, match="does not reproduce the target"):
+            broken.verify()
+
     def test_integer_measurement_verifies(self):
         # a hand-built protocol may hold integer Kraus operators; the
         # completeness rule subtracts its cached float identity from them
@@ -224,6 +249,14 @@ class TestSpectralEnsemble:
         with pytest.raises(InvariantError, match="one axis"):
             locc.Ensemble(p, (ghz_state(),))
 
+    @pytest.mark.parametrize("p, states", [
+        ([0.5, 0.5], (ghz_state(),)), ([1.0], (ghz_state(), w_state())),
+        ([0.5, 0.5], (ghz_state(), max_entangled(2)))],
+        ids=["fewer-states", "more-states", "two-shapes"])
+    def test_states_match_probabilities_and_shape(self, p, states):
+        with pytest.raises(InvariantError, match="^ensemble states must match"):
+            locc.Ensemble(p, states)
+
     def test_owns_its_probabilities(self):
         # the caller's array stays writable, and changing it leaves the
         # validated ensemble as it was
@@ -258,6 +291,14 @@ class TestSynthesis:
         rho = random_density(SystemShape((2, 2)), rng)
         plan = build_synthesis_plan(rho)
         plan.verify()
+
+    def test_plan_for_another_target_fails(self, rng):
+        plan = build_synthesis_plan(random_density(SystemShape((2, 2)), rng))
+        other = locc.SynthesisPlan(plan.ensemble, plan.protocols,
+                                   DensityMatrix(SystemShape((2, 2)), np.eye(4) / 4))
+        with pytest.raises(InvariantError,
+                           match="^ensemble does not reconstruct the target"):
+            other.verify()
 
     def test_simulation_deterministic(self, rng):
         rho = random_density(SystemShape((2, 2)), rng)

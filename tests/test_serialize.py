@@ -2,6 +2,7 @@
 validation of the numbers, shapes and dims a document carries."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from lcstates import (ConversionProtocol, DensityMatrix, InvariantError,
                       LocalChannel, PureState, SystemShape, dephasing_channel,
-                      random_local_channel)
+                      ghz_state, random_local_channel)
 from lcstates import serialize
 from conftest import random_density, random_pure
 
@@ -143,6 +144,13 @@ class TestPinnedBytes:
         assert path.read_text() == self.STATE
         assert _same_bits(serialize.load_state(path).amplitudes, psi.amplitudes)
 
+    def test_save_state_returns_its_document(self, tmp_path, rng):
+        path = tmp_path / "s.json"
+        for state in (ghz_state(), random_density(SystemShape((2, 3)), rng)):
+            doc = serialize.save_state(state, path)
+            assert doc == serialize.state_to_dict(state)
+            assert path.read_text() == json.dumps(doc)
+
     def test_channel_file(self, tmp_path):
         path = tmp_path / "chan.json"
         c = dephasing_channel(2, 0.3)
@@ -169,10 +177,12 @@ class TestStrictDocuments:
         with pytest.raises(InvariantError, match="^malformed state document"):
             serialize.state_from_dict(doc)
 
-    @pytest.mark.parametrize("kind", ["mixed", "Pure", None])
+    @pytest.mark.parametrize("kind", ["mixed", "Pure", None, "PURE"])
     def test_unknown_state_kind(self, kind):
+        # the accepted kinds are listed, and the value is given as read
         doc = {"shape": [2], "kind": kind, "data": PURE_DATA}
-        with pytest.raises(InvariantError, match="^unknown state kind"):
+        with pytest.raises(InvariantError, match="^" + re.escape(
+                f"state kind must be one of 'pure', 'density', got {kind!r}")):
             serialize.state_from_dict(doc)
 
     @pytest.mark.parametrize("doc", [None, [], "channel", {"dim": 2},

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lcstates import (InvariantError, PureState, SystemShape,
+from lcstates import (InvariantError, PureState, SloccClass, SystemShape,
                       UnsupportedError, basis_state, classify_three_qubit,
                       ghz_state, marginal_ranks, max_entangled,
                       partial_trace, tensor_product, three_tangle, w_state)
@@ -44,6 +44,12 @@ class TestThreeTangle:
     def test_wrong_shape(self):
         with pytest.raises(UnsupportedError):
             three_tangle(max_entangled(2))
+
+
+@pytest.mark.parametrize("label", ["X", "ghz", None])
+def test_unknown_slocc_label(label):
+    with pytest.raises(InvariantError, match="^unknown SLOCC label"):
+        SloccClass(label)
 
 
 class TestMarginalRanks:

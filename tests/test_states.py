@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,14 @@ class TestInvariants:
         with pytest.raises(InvariantError, match="^amplitude vector has "
                            "length 3, shape needs 2"):
             PureState(Q1, np.array([1.0, 0.0, 0.0]))
+
+    def test_equal_up_to_phase_needs_one_shape(self):
+        # the same amplitudes over another shape are another state
+        a = PureState(SystemShape((2, 2)), [1, 0, 0, 0])
+        b = PureState(SystemShape((4,)), [1, 0, 0, 0])
+        assert not a.equals_up_to_phase(b)
+        assert not ghz_state().equals_up_to_phase(max_entangled(2))
+        assert a.equals_up_to_phase(PureState(a.shape, [1j, 0, 0, 0]))
 
     def test_density_validation(self):
         with pytest.raises(InvariantError):
@@ -379,6 +388,14 @@ class TestCanonicalStates:
         assert type(got) is type(want) and got.shape == want.shape
         data = "amplitudes" if isinstance(got, PureState) else "entries"
         assert getattr(got, data).tobytes() == getattr(want, data).tobytes()
+
+    @pytest.mark.parametrize("kind", ["FOO", "Ghz3", "foo", " ghz"])
+    def test_unknown_kind_named_as_given(self, kind):
+        # the message lists the spellings and quotes the kind unfolded
+        with pytest.raises(InvariantError, match=re.escape(
+                "one of 'ghz', 'ghz_n', 'w', 'w3', 'maxent', 'max_entangled', "
+                f"'maxentangled_d', 'z', 'basis', got {kind!r}")):
+            canonical_state(kind)
 
     @pytest.mark.parametrize("kind, params, name", [
         ("ghz", {"p": 0.3}, "p"), ("maxent", {"n": 5}, "n"),
