@@ -220,7 +220,7 @@ def _to_pairs(mat, dims):
 def _from_pairs(vec, dims):
     """Inverse of `_to_pairs`: (..., D^2) -> (..., D, D)."""
     nb, n, big = vec.ndim - 1, len(dims), math.prod(dims)
-    t = vec.reshape(*vec.shape[:-1], *np.repeat(dims, 2))
+    t = vec.reshape(*vec.shape[:-1], *(d for d in dims for _ in (0, 1)))
     rows_cols = [nb + 2 * k + a for a in (0, 1) for k in range(n)]
     return t.transpose(*range(nb), *rows_cols).reshape(*vec.shape[:-1], big, big)
 

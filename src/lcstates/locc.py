@@ -285,8 +285,9 @@ def spectral_ensemble(rho):
 @dataclass(frozen=True, eq=False)
 class SynthesisPlan:
     """Ensemble for a bipartite target plus one conversion protocol per
-    element: ensemble an Ensemble, target a DensityMatrix and protocols a
-    tuple of ConversionProtocols, one per ensemble state (`_check_type`)."""
+    element: ensemble an Ensemble, target a DensityMatrix of the ensemble
+    states' shape and protocols a tuple of ConversionProtocols, one per
+    ensemble state (`_check_type`)."""
 
     ensemble: Ensemble
     protocols: tuple
@@ -301,12 +302,23 @@ class SynthesisPlan:
         if len(self.protocols) != len(self.ensemble.states):
             raise InvariantError("protocols must be one per ensemble state, got "
                                  f"{len(self.protocols)} for {len(self.ensemble.states)}")
+        shape = self.ensemble.states[0].shape
+        if self.target.shape != shape:
+            raise InvariantError(
+                f"target must be of the ensemble states' shape {shape.local_dims}, "
+                f"got {self.target.shape.local_dims}")
 
     def verify(self):
+        """Raise unless the ensemble reconstructs the target, protocol i
+        converts to ensemble state i (up to phase) and each protocol
+        verifies."""
         recon = self.ensemble.mixture()
         if np.max(np.abs(recon.entries - self.target.entries)) > ATOL:
             raise InvariantError("ensemble does not reconstruct the target")
-        for proto in self.protocols:
+        for i, (proto, state) in enumerate(zip(self.protocols, self.ensemble.states)):
+            if not proto.target.equals_up_to_phase(state):
+                raise InvariantError(
+                    f"protocol {i} does not convert to ensemble state {i}")
             proto.verify()
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
                        _apply_product_channel_matrix, _check_channels,
-                       _column_view, _completeness_residual, _from_pairs,
+                       _column_view, _from_pairs, _identity,
                        _to_pairs, apply_adjoint_product_channel,
                        apply_product_channel, haar_isometry, liouville)
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
@@ -128,9 +128,9 @@ def precursor_optimal_for_channels(channels, target):
 
 def _objective(x, rho_vec):
     """Squared Frobenius distance ||x - rho||^2 of paired vectors, one value
-    per batch element."""
-    r = x - rho_vec
-    return (r.real ** 2 + r.imag ** 2).sum(axis=-1)
+    per batch element: one sum over the float view of x - rho."""
+    r = (x - rho_vec).view(float)
+    return (r * r).sum(axis=-1)
 
 
 def _gram_pair(y, rho_view, dims, k):
@@ -150,9 +150,10 @@ def _gram_pair(y, rho_view, dims, k):
 
 def _gram_objective(s, gram, cross, rho_sq):
     """Party k's objective Re<S, S G - 2 C> + ||rho||^2 from its Gram pair,
-    one value per batch element."""
-    w = s @ gram - 2 * cross
-    return (s.real * w.real + s.imag * w.imag).sum(axis=(-2, -1)) + rho_sq
+    one value per batch element: Re<S, W> is one sum over the product of
+    the float views of S and W."""
+    w = (s @ gram - 2 * cross).view(float)
+    return (s.view(float) * w).sum(axis=(-2, -1)) + rho_sq
 
 
 def _party_gradient(kraus, s, gram, cross):
@@ -179,12 +180,13 @@ def _polar_retract(v):
 
     Leading axes are a batch.  Each result is checked like a LocalChannel's
     Kraus stack: its V^dag V is the stack's sum_m K_m^dag K_m, which must
-    be I to COMPLETENESS_ATOL (NaN fails too).
+    be I to COMPLETENESS_ATOL (NaN fails too).  One maximum over the whole
+    batch decides.
     """
     u, _, wh = np.linalg.svd(v, full_matrices=False)
     iso = u @ wh
-    resid = _completeness_residual(iso[..., None, :, :])   # one-operator stacks
-    if not (resid <= COMPLETENESS_ATOL).all():
+    resid = np.abs(iso.conj().swapaxes(-1, -2) @ iso - _identity(iso.shape[-1]))
+    if not resid.max() <= COMPLETENESS_ATOL:
         raise InvariantError("Kraus operators do not sum to the identity")
     return iso
 
@@ -208,13 +210,13 @@ def _sphere_gradient(phis, resid, sups, dims):
 def _precursor_line(phis, x, rho, sups, dims):
     """What the precursor move needs to score every step along its line.
 
-    Returns (g, v, norms, gram) per row: the direction g
-    (`_sphere_gradient`, from the residual X - rho); v, (..., 4, D^2), the
-    vectors (X - rho, A1, A2, rho), with A1 = Lambda(g Phi^H + Phi g^H) and
-    A2 = Lambda(g g^H) from one product over the stacked pair; norms,
-    (..., 2, 2), and gram, (..., 4, 4), the real Gram matrices
-    Re<u_i, u_j> of u = (Phi, g) and of v, each one product of float
-    views.  x and rho are paired vectors, x with the batch axes.
+    Returns (g, norms, gram) per row: the direction g (`_sphere_gradient`,
+    from the residual X - rho); norms, (..., 2, 2), and gram, (..., 4, 4),
+    the real Gram matrices Re<u_i, u_j> of u = (Phi, g) and of the vectors
+    v = (X - rho, A1, A2, rho), with A1 = Lambda(g Phi^H + Phi g^H) and
+    A2 = Lambda(g g^H) from one product over the stacked pair, each one
+    product of float views.  x and rho are paired vectors, x with the
+    batch axes.
     """
     v = np.empty(x.shape[:-1] + (4, x.shape[-1]), dtype=complex)
     v[..., 3, :] = rho
@@ -225,7 +227,7 @@ def _precursor_line(phis, x, rho, sups, dims):
     v[..., 1:3, :] = _apply_product_channel_matrix(
         [w[..., None, :, :] for w in sups], _to_pairs(s, dims), dims)
     uf, vf = u.view(float), v.view(float)
-    return g, v, uf @ uf.swapaxes(-1, -2), vf @ vf.swapaxes(-1, -2)
+    return g, uf @ uf.swapaxes(-1, -2), vf @ vf.swapaxes(-1, -2)
 
 
 def _line_norm(t, norms):
@@ -329,13 +331,13 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         restart's precursor step halved again and again down to the last
         rung >= STEP_FLOOR (at most floor(log2(STEP_CAP / STEP_FLOOR)) + 1
         rungs), all scored at once in closed form (`_line_objective`):
-        no trial makes a kernel call.  The first rung that does not raise
-        the objective (by more than 1e-15) is taken: Phi and X =
-        (X - t A1 + t^2 A2) / ||Phi - t g||^2 are updated with no kernel
-        call, the objective becomes X's own (`_objective`), and the
-        step becomes the rung taken times STEP_GROWTH, capped at STEP_CAP.
-        If no rung passes, Phi and the step stay as they were and the
-        restart goes on to its channel moves;
+        no trial makes a kernel call.  The first rung t that does not
+        raise the objective (by more than 1e-15) is taken: Phi becomes
+        (Phi - t g) / ||Phi - t g||, the objective becomes the rung's
+        closed-form score, and the step becomes t times STEP_GROWTH,
+        capped at STEP_CAP.  X is not updated: the channel moves rebuild
+        it from the new Phi.  If no rung passes, Phi and the step stay as
+        they were and the restart goes on to its channel moves;
       * per party k, Y_k (the other parties applied to Phi Phi^H, paired
         once per iteration from the working Phi) is computed once and
         reduced to its Gram pair (`_gram_pair`), which gives the gradient
@@ -361,7 +363,8 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     iteration it stops in: its rows are written back to kraus and phis,
     and every working array is compacted by one mask.  So in steady state
     the moves use the working arrays directly, and only a trial round
-    where some row is not pending gathers the pending ones.  Until the
+    where some row is not pending gathers the pending ones (a round where
+    every live row is pending indexes by whole-array slices).  Until the
     first restart stops, the working Kraus stacks and precursors are the
     caller's arrays themselves, updated in place.  Nothing is kept per
     move or per iteration, so the memory a search holds does not grow with
@@ -423,10 +426,10 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
 
         # precursor move: the first rung of the ladder that does not raise
         # the objective, every rung scored in closed form
-        g, v, norms, gram = _precursor_line(ph, x, rho, sups, dims)
+        g, norms, gram = _precursor_line(ph, x, rho, sups, dims)
         t = pstep[:, None] * rungs
-        ok = (_line_objective(t, norms, gram) <= obj[:, None] + 1e-15) \
-            & (t >= STEP_FLOOR)
+        line = _line_objective(t, norms, gram)
+        ok = (line <= obj[:, None] + 1e-15) & (t >= STEP_FLOOR)
         rows = np.arange(len(ids))
         first = ok.argmax(axis=1)
         up = ok[rows, first]
@@ -434,10 +437,8 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             # the rows that move: usually all, then a slice and no gathers
             up = slice(None) if up.all() else up
             tu = t[rows, first][up, None]
-            nu = _line_norm(tu, norms[up])
-            ph[up] = (ph[up] - tu * g[up]) / np.sqrt(nu)
-            x[up] = (x[up] - tu * v[up, 1] + tu * tu * v[up, 2]) / nu
-            obj[up] = _objective(x[up], rho)
+            ph[up] = (ph[up] - tu * g[up]) / np.sqrt(_line_norm(tu, norms[up]))
+            obj[up] = line[rows, first][up]
             pstep[up] = np.minimum(tu[:, 0] * STEP_GROWTH, STEP_CAP)
 
         # channel moves, one party at a time; left is Phi Phi^H with the
@@ -454,15 +455,14 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             # sits out the rest of the iteration
             pend = (step >= STEP_FLOOR).nonzero()[0]
             while pend.size:
-                # pend's rows of v0, g and the Gram pair: gathered only
-                # when some row is not pending
-                v, gp, gr, cr = ((v0, g, gram, cross) if pend.size == len(ids) else
-                                 (v0[pend], g[pend], gram[pend], cross[pend]))
-                cand_k = _polar_retract(v - step[pend, None, None] * gp)
+                # the pending rows: a whole-array slice, so no gathers,
+                # when every live row is pending
+                p = slice(None) if pend.size == len(ids) else pend
+                cand_k = _polar_retract(v0[p] - step[p, None, None] * g[p])
                 cand_k = cand_k.reshape(-1, *ks[k].shape[1:])
                 cand_s = liouville(cand_k)
-                t_obj = _gram_objective(cand_s, gr, cr, rho_sq)
-                ok = t_obj <= obj[pend] + 1e-15
+                t_obj = _gram_objective(cand_s, gram[p], cross[p], rho_sq)
+                ok = t_obj <= obj[p] + 1e-15
                 # accepted: let the step recover so progress stays fast
                 up = pend[ok]
                 ks[k][up], sups[k][up] = cand_k[ok], cand_s[ok]

@@ -200,6 +200,12 @@ CASES = [
      (5, None, identity_channel(2).kraus)),
     (lambda v: serialize.state_to_dict(v), "state",
      (5, None, ghz_state().amplitudes, identity_channel(2))),
+    # a target of another shape than the ensemble's, of another total
+    # dimension (verify's subtraction used to raise numpy's ValueError) or
+    # of the same one
+    (lambda v: SynthesisPlan(PLAN.ensemble, PLAN.protocols, v), "target",
+     (DensityMatrix(SystemShape((3, 3)), np.eye(9) / 9),
+      DensityMatrix(SystemShape((4,)), np.eye(4) / 4))),
 ]
 
 

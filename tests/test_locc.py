@@ -300,6 +300,19 @@ class TestSynthesis:
                            match="^ensemble does not reconstruct the target"):
             other.verify()
 
+    def test_protocol_for_another_state_fails(self):
+        # a Bell plan's ensemble and target with the first protocol of the
+        # plan of I/4: the ensemble reconstructs the target, but protocol 0
+        # converts to another state, so the plan synthesizes something else
+        bell = build_synthesis_plan(max_entangled(2).density())
+        mixed = build_synthesis_plan(DensityMatrix(SystemShape((2, 2)),
+                                                   np.eye(4) / 4))
+        plan = locc.SynthesisPlan(bell.ensemble, mixed.protocols[:1], bell.target)
+        assert simulate_synthesis(plan, 1000, 0)[1] > 0.7
+        with pytest.raises(InvariantError,
+                           match="^protocol 0 does not convert to ensemble state 0"):
+            plan.verify()
+
     def test_simulation_deterministic(self, rng):
         rho = random_density(SystemShape((2, 2)), rng)
         plan = build_synthesis_plan(rho)

@@ -17,7 +17,7 @@ from lcstates.states import deterministic_eigh
 from lcstates import reach
 from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
                             _line_objective, _party_gradient,
-                            _precursor_line, _run_lock_step, _starts,
+                            _polar_retract, _precursor_line, _run_lock_step, _starts,
                             _top_eigenvector, CONVERGED, MAX_ITERS, NOT_LCCC,
                             STEP_UNDERFLOW, LCCC_BIPARTITE, UNKNOWN)
 from lcstates.locc import spectral_ensemble
@@ -170,6 +170,16 @@ class TestPartyGradient:
                                         _to_pairs(rho, dims))
                 assert abs(_gram_objective(s, gram, cross, rho_sq) - full) <= 1e-14
 
+    def test_polar_retract_checks_every_result(self, rng):
+        # the retraction's check is one maximum over the batch: finite rows
+        # give isometries, and one row whose SVD gives NaN fails the batch
+        v = rng.standard_normal((3, 8, 2)) + 1j * rng.standard_normal((3, 8, 2))
+        iso = _polar_retract(v)
+        assert np.abs(iso.conj().swapaxes(-1, -2) @ iso - np.eye(2)).max() <= 1e-12
+        v[1, 0, 0] = np.inf
+        with pytest.raises(InvariantError, match="do not sum to the identity"):
+            _polar_retract(v)
+
 
 class TestPrecursorLine:
     SHAPES = ((2, 2, 2), (2, 3, 2), (3, 3, 3))
@@ -198,7 +208,7 @@ class TestPrecursorLine:
                              ids=["env1", "envd", "envd2"])
     def test_closed_form_matches_direct_evaluation(self, dims, env, rng):
         sups, phis, x, rho = self._line_inputs(dims, env, rng)
-        g, _, norms, gram = _precursor_line(phis, x, rho, sups, dims)
+        g, norms, gram = _precursor_line(phis, x, rho, sups, dims)
         steps = np.array([0.0, 1e-8, 1e-3, 0.1, 1.0, 10.0])
         closed = _line_objective(steps * np.ones((len(phis), 1)), norms, gram)
         for b in range(len(phis)):
@@ -425,6 +435,33 @@ class TestSearch:
         kraus, phis = _starts(rho, env_dims, seeds)
         finals, diags = _run_lock_step(rho, kraus, phis, 30, 1e-14)
         assert diags == large.diagnostics
+        for b, final in enumerate(finals):
+            assert abs(_configuration_objective(rho, kraus, phis, b)
+                       - final) <= 1e-15
+
+    @pytest.mark.parametrize("target", [noisy_ghz, noisy_qutrit_ghz])
+    def test_precursor_objective_from_closed_form(self, target, monkeypatch):
+        # every channel trial is rejected, so the objective a restart ends
+        # with is the one its precursor move took from the closed form
+        # (`_line_objective`): the move updates Phi and no output X.  The
+        # step underflows during party 0, so every restart stops after
+        # iteration 1
+        true_trial_objective = reach._gram_objective
+
+        def rejecting_trial(s, gram, cross, rho_sq):
+            return true_trial_objective(s, gram, cross, rho_sq) + 1
+
+        monkeypatch.setattr(reach, "_gram_objective", rejecting_trial)
+        rho = target()
+        env_dims = tuple(d * d for d in rho.shape.local_dims)
+        kraus, phis = _starts(rho, env_dims, [0, 11, 12, 13])
+        start = [_configuration_objective(rho, kraus, phis, b) for b in range(4)]
+        finals, diags = _run_lock_step(rho, kraus, phis, 10, 1e-14)
+        assert [d.stop_reason for d in diags] == [STEP_UNDERFLOW] * 4
+        assert [d.iterations for d in diags] == [1] * 4
+        assert [d.accepted_steps for d in diags] == [0] * 4
+        # the random restarts' precursor moves moved
+        assert all(f < s for f, s in zip(finals[1:], start[1:]))
         for b, final in enumerate(finals):
             assert abs(_configuration_objective(rho, kraus, phis, b)
                        - final) <= 1e-15
