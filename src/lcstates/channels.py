@@ -9,13 +9,16 @@ constructor, not a storage format.
 Product channels act through one kernel on one operator layout.  A
 channel is applied as its Liouville matrix S = sum_m K_m (x) conj(K_m),
 and a D x D operator as its party-paired vector (`_to_pairs`), in which
-each party's (row, col) index pair sits next to the other.  Party k's S
-acts by one (d^2 x d^2) @ (d^2 x L^2 R^2) product per batch element on
-the vector's column view around k (`_apply_local`): one transposing copy
-in, one product, one transposing copy out (either copy is a view when k
-is the first or the last party).  The operator layout changes
-only at the API boundary: once into pairs and once back to D x D per
-call of `apply_product_channel` or `apply_adjoint_product_channel`.
+each party's (row, col) index pair sits next to the other.  The kernel
+(`_apply_leading`) acts on the leading pair axis only: one product
+T^T S^T per batch element, with T the (d^2, M) view of the vector, which
+reads both transposed operands in place and leaves the party's pair axis
+last.  So the layout rotates by one party per step, and a product
+channel, one step per party in ascending order, ends in the original
+layout without a transposing copy (de Boor's tensor-product algorithm).
+The operator layout changes only at the API boundary: once into pairs
+and once back to D x D per call of `apply_product_channel` or
+`apply_adjoint_product_channel`.
 """
 
 import functools
@@ -238,29 +241,45 @@ def _column_view(vec, dims, k):
     return t.reshape(t.shape[:-3] + (d2, m))
 
 
-def _apply_local(vec, s, dims, k):
-    """Apply the Liouville matrix s of a channel on party k of a paired vector.
+def _leading_view(vec, d2):
+    """A paired vector as the (..., d2, M) matrix whose rows are its leading
+    pair axis, of size d2: a view.  The sizes are explicit, so an empty
+    batch reshapes too."""
+    return vec.reshape(vec.shape[:-1] + (d2, vec.shape[-1] // d2))
 
-    Three steps, the same for every party and shape: party k's pair axis
-    goes to the front (the (..., d^2, L^2 R^2) column view, `_column_view`),
-    one product s @ T per batch element, and the axis goes back between
-    L^2 and R^2.  Leading axes of vec and s are a batch (broadcast against
+
+def _apply_leading(vec, s):
+    """Apply the Liouville matrix s to the leading pair axis of a paired
+    vector, and rotate that axis to the back.
+
+    With T the (..., d^2, M) view of vec (`_leading_view`), the result is
+    T^T S^T = (S T)^T flattened: the product reads both transposed
+    operands in place, so the step makes no copy, and the party's pair axis
+    comes out last.  Applied once per party in ascending order, the steps
+    leave the vector in its original layout (de Boor's tensor-product
+    algorithm).  Leading axes of vec and s are a batch (broadcast against
     each other): element b gets the same arithmetic as the unbatched call
     on vec[b] and s[b].  Method calls rather than numpy functions keep the
     per-call overhead low, which dominates at (2, 2, 2).
     """
-    x = s @ _column_view(vec, dims, k)
-    l2 = math.prod(dims[:k]) ** 2
-    x = x.reshape(x.shape[:-1] + (l2, x.shape[-1] // l2)).swapaxes(-3, -2)
-    return x.reshape(x.shape[:-3] + (vec.shape[-1],))
+    x = _leading_view(vec, s.shape[-1]).swapaxes(-1, -2) @ s.swapaxes(-1, -2)
+    return x.reshape(x.shape[:-2] + (vec.shape[-1],))
 
 
-def _apply_product_channel_matrix(sups, vec, dims):
+def _rotate(vec, d2):
+    """Rotate the leading pair axis, of size d2, of a paired vector to the
+    back without applying anything: the one step of the layout that copies."""
+    return _leading_view(vec, d2).swapaxes(-1, -2).reshape(vec.shape)
+
+
+def _apply_product_channel_matrix(sups, vec):
     """Apply one Liouville matrix per party, in ascending party order, to a
-    raw paired vector (`_to_pairs`).  vec and the Liouville matrices may
-    carry a leading batch axis, as in `_apply_local`."""
-    for k, s in enumerate(sups):
-        vec = _apply_local(vec, s, dims, k)
+    raw paired vector (`_to_pairs`): one `_apply_leading` step per party,
+    so the vector ends in its original layout and no step copies.  vec and
+    the Liouville matrices may carry leading batch axes, as in
+    `_apply_leading`."""
+    for s in sups:
+        vec = _apply_leading(vec, s)
     return vec
 
 
@@ -288,7 +307,7 @@ def apply_product_channel(channels, rho):
     dims = rho.shape.local_dims
     _check_channels(channels, dims)
     out = _apply_product_channel_matrix([liouville(c.kraus) for c in channels],
-                                        _to_pairs(rho.entries, dims), dims)
+                                        _to_pairs(rho.entries, dims))
     return DensityMatrix(rho.shape, _from_pairs(out, dims))
 
 
@@ -302,7 +321,7 @@ def apply_adjoint_product_channel(channels, mat, dims):
     _check_channels(channels, dims)
     sups = [liouville(c.kraus).conj().T for c in channels]
     vec = _to_pairs(_as_square("mat", mat, shape.total_dim), dims)
-    return _from_pairs(_apply_product_channel_matrix(sups, vec, dims), dims)
+    return _from_pairs(_apply_product_channel_matrix(sups, vec), dims)
 
 
 def compose(outer, inner):

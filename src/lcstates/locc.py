@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import _completeness_residual
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
-                     UnsupportedError, _check_int, _check_type,
+                     UnsupportedError, _as_complex, _check_int, _check_type,
                      _check_unit_rows, _cut_permutation, _fold, _unfold,
                      distance, schmidt_decompose)
 
@@ -95,8 +95,13 @@ class ConversionProtocol:
 
     Alice measures with d diagonal Kraus operators; every outcome occurs
     with probability exactly 1/d, and the per-outcome local unitary
-    corrections restore the target with certainty.  target must be a
-    PureState (`_check_type`).
+    corrections restore the target with certainty.  The parts are checked
+    where the protocol is built, in order: target must be a PureState
+    (`_check_type`) and cut a bipartition of its parties
+    (`_cut_permutation`), with sides of dimensions dl and dr; alice_kraus
+    is stored as its own read-only complex copy (`_as_complex`), of shape
+    (d, dl, dl) for some d; corrections are exactly d pairs of shapes
+    (dl, dl) and (dr, dr), read without a copy.
     """
 
     target: PureState
@@ -106,6 +111,21 @@ class ConversionProtocol:
 
     def __post_init__(self):
         _check_type("target", self.target, PureState)
+        _, _, dl, dr = _cut_permutation(self.target.shape, self.cut)
+        kraus = _as_complex(self.alice_kraus)
+        if kraus.ndim != 3 or kraus.shape[1:] != (dl, dl):
+            raise InvariantError(f"alice_kraus must have shape (d, {dl}, {dl}), "
+                                 f"got {kraus.shape}")
+        d = kraus.shape[0]
+        try:
+            shapes = [(np.shape(a), np.shape(b)) for a, b in self.corrections]
+        except (TypeError, ValueError):   # not pairs, or ragged entries
+            shapes = None
+        if shapes != [((dl, dl), (dr, dr))] * d:
+            raise InvariantError(f"corrections must be {d} pairs of shapes "
+                                 f"({dl}, {dl}) and ({dr}, {dr})")
+        kraus.flags.writeable = False
+        object.__setattr__(self, "alice_kraus", kraus)
 
     @property
     def n_outcomes(self):

@@ -23,12 +23,17 @@ alternating two moves on the squared Hilbert-Schmidt objective
 
 The search keeps rho, the output X and every partial output Y_k as
 party-paired vectors (`channels._to_pairs`), the layout the channel kernel
-works in: a channel move does no D x D round trip, and party k's column
-view is one swapaxes of Y_k as the kernel returns it.  The precursor
-states Phi Phi^H are not kept: each iteration's channel moves pair them
-from the working Phi once.  The precursor move leaves the layout once, to
-multiply the adjoint image Lambda^dag(X - rho) with Phi; no step of the
-loop solves an eigenproblem (only the starts do, `_starts`).
+works in: a channel move does no D x D round trip.  The kernel applies a
+party's channel to the leading pair axis and rotates that axis to the
+back (`channels._apply_leading`), so a product of all parties ends in the
+original layout without a copy.  Per iteration the channel moves make
+2n - 3 transposing copies: one rotation that applies nothing for each
+Y_k but the last, and one column view of Y_k for each middle party (3 at
+three parties, 5 at four).  The precursor states Phi Phi^H are not
+kept: each iteration's channel moves pair them from the working Phi
+once.  The precursor move leaves the layout once, to multiply the
+adjoint image Lambda^dag(X - rho) with Phi; no step of the loop solves
+an eigenproblem (only the starts do, `_starts`).
 
 A finite search only gathers evidence: results report residuals and never
 claim impossibility.  The structural certificate lives in
@@ -42,10 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_local,
+from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_leading,
                        _apply_product_channel_matrix, _check_channels,
-                       _column_view, _from_pairs, _identity,
-                       _to_pairs, apply_adjoint_product_channel,
+                       _column_view, _from_pairs, _identity, _leading_view,
+                       _rotate, _to_pairs, apply_adjoint_product_channel,
                        apply_product_channel, haar_isometry, liouville)
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
@@ -133,17 +138,18 @@ def _objective(x, rho_vec):
     return (r * r).sum(axis=-1)
 
 
-def _gram_pair(y, rho_view, dims, k):
+def _gram_pair(t, rho_view):
     """Party k's Gram pair (G, C) = (T T^H, R T^H), each (..., d^2, d^2).
 
-    T and R are the column views (`_column_view`) of the paired vectors Y
-    (the other parties' channels applied to Phi Phi^H, as the kernel returns
-    it) and rho around party k.  The output is X = S T in that view, so
-    for any Liouville matrix S of party k
+    T and R are the (..., d^2, M) column views around party k of the
+    paired vectors Y_k (the other parties' channels applied to Phi Phi^H)
+    and rho, with the other parties' pairs in the same order as columns:
+    `_column_view` of Y_k in the original layout, or the plain
+    `_leading_view` of Y_k when party k's pair axis leads.  The output is
+    X = S T in that view, so for any Liouville matrix S of party k
     ||S T - R||^2 = Re<S, S G - 2 C> + ||rho||^2: party k's objective
-    depends on Y only through G and C.
+    depends on Y_k only through G and C.
     """
-    t = _column_view(y, dims, k)
     th = t.conj().swapaxes(-1, -2)
     return t @ th, rho_view @ th
 
@@ -202,7 +208,7 @@ def _sphere_gradient(phis, resid, sups, dims):
     gradient on the unit sphere divided by 4.  Leading axes are a batch.
     """
     h = _apply_product_channel_matrix(
-        [s.conj().swapaxes(-1, -2) for s in sups], resid, dims)
+        [s.conj().swapaxes(-1, -2) for s in sups], resid)
     mphi = (_from_pairs(h, dims) @ phis[..., None])[..., 0]
     return mphi - (phis.conj() * mphi).real.sum(axis=-1)[..., None] * phis
 
@@ -225,7 +231,7 @@ def _precursor_line(phis, x, rho, sups, dims):
     s = g[..., None, :, None] * u.conj()[..., :, None, :]   # g Phi^H, g g^H
     s[..., 0, :, :] += s[..., 0, :, :].conj().swapaxes(-1, -2)   # + Phi g^H
     v[..., 1:3, :] = _apply_product_channel_matrix(
-        [w[..., None, :, :] for w in sups], _to_pairs(s, dims), dims)
+        [w[..., None, :, :] for w in sups], _to_pairs(s, dims))
     uf, vf = u.view(float), v.view(float)
     return g, uf @ uf.swapaxes(-1, -2), vf @ vf.swapaxes(-1, -2)
 
@@ -343,12 +349,19 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         reduced to its Gram pair (`_gram_pair`), which gives the gradient
         and scores every trial: a trial is a retraction and d^2 x d^2
         products.  Y_k comes from a running prefix, Phi Phi^H with the
-        moved parties 0..k-1 applied: parties k+1..n-1 complete it, in
-        ascending order as in `_apply_product_channel_matrix`, and
-        after the move it is extended by party k's new Liouville matrix,
-        so after the last party it is the next iteration's X: the channel
-        moves make n(n-1)/2 + n kernel calls (`_apply_local`) per
-        iteration rather than n(n-1).  Every restart still pending tries a
+        moved parties 0..k-1 applied, whose layout rotates as the parties
+        move: at party k's move, party k's pair axis leads.  For k < n-1,
+        Y_k is the prefix with that axis rotated to the back without
+        applying anything (`_rotate`, the one copy), then parties
+        k+1..n-1 through the kernel (`_apply_leading`), in ascending order
+        as in `_apply_product_channel_matrix`, which ends in the original
+        layout, read by party k's column view (`_column_view`); the last
+        party's Y_k is the prefix itself, read by a reshape
+        (`_leading_view`).  After the move the prefix is extended by party
+        k's new Liouville matrix, so after the last party it is the next
+        iteration's X, in the original layout: per iteration the channel
+        moves make n(n-1)/2 + n kernel steps rather than n(n-1), and n-1
+        rotations that apply nothing.  Every restart still pending tries a
         step; an accepted one grows its step by STEP_GROWTH (capped at
         STEP_CAP), a rejected one halves it.  A restart whose step falls
         below STEP_FLOOR sits out the iteration's remaining channel moves:
@@ -384,6 +397,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     dims = target.shape.local_dims
     rho = _to_pairs(target.entries, dims)
     rho_views = [_column_view(rho, dims, k) for k in range(len(dims))]
+    last = len(dims) - 1
     rho_sq = np.vdot(rho, rho).real
     n = len(phis)
     # the precursor move's ladder of trial steps, as fractions of its step
@@ -392,7 +406,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     ks, ph = list(kraus), phis
     sups = [liouville(kr) for kr in ks]
     x = _apply_product_channel_matrix(
-        sups, _to_pairs(ph[:, :, None] * ph[:, None, :].conj(), dims), dims)
+        sups, _to_pairs(ph[:, :, None] * ph[:, None, :].conj(), dims))
     obj = _objective(x, rho)
     step, pstep = np.full(n, INITIAL_STEP), np.full(n, INITIAL_STEP)
     accepted, rejected = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
@@ -442,13 +456,17 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             pstep[up] = np.minimum(tu[:, 0] * STEP_GROWTH, STEP_CAP)
 
         # channel moves, one party at a time; left is Phi Phi^H with the
-        # moved parties 0..k-1 applied
+        # moved parties 0..k-1 applied, party k's pair axis leading
         left = _to_pairs(ph[:, :, None] * ph[:, None, :].conj(), dims)
         for k, d in enumerate(dims):
-            y = left
-            for j in range(k + 1, len(dims)):
-                y = _apply_local(y, sups[j], dims, j)
-            gram, cross = _gram_pair(y, rho_views[k], dims, k)
+            if k < last:
+                y = _rotate(left, d * d)
+                for s in sups[k + 1:]:
+                    y = _apply_leading(y, s)
+                t = _column_view(y, dims, k)
+            else:
+                t = _leading_view(left, d * d)
+            gram, cross = _gram_pair(t, rho_views[k])
             v0 = ks[k].reshape(len(ids), -1, d)
             g = _party_gradient(ks[k], sups[k], gram, cross).reshape(v0.shape)
             # rows still trying: a row whose step fell below STEP_FLOOR
@@ -473,7 +491,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
                 step[down] /= 2
                 rejected[down] += 1
                 pend = down[step[down] >= STEP_FLOOR]
-            left = _apply_local(left, sups[k], dims, k)
+            left = _apply_leading(left, sups[k])
         x = left
         # every stop is decided here, once per iteration; underflow wins
         dead = step < STEP_FLOOR

@@ -9,8 +9,8 @@ from lcstates import (DensityMatrix, EnvironmentGram, InvariantError,
                       environment_gram_from_channel, ghz_state,
                       identity_channel, parameter_counts, partial_trace,
                       random_local_channel, standard_noise)
-from lcstates.channels import (_apply_local, _apply_product_channel_matrix,
-                               _from_pairs, _to_pairs,
+from lcstates.channels import (_apply_leading, _apply_product_channel_matrix,
+                               _from_pairs, _rotate, _to_pairs,
                                apply_adjoint_product_channel, liouville)
 from conftest import random_density, random_pure, random_unitary
 
@@ -189,6 +189,14 @@ def _embedded_kraus(kraus, dims, k):
     return [np.kron(np.kron(left, km), right) for km in kraus]
 
 
+def _one_party(vec, s, dims, k):
+    """Party k's Liouville matrix s alone applied to a paired vector: one
+    kernel step at party k, a rotation at every other party."""
+    for j, d in enumerate(dims):
+        vec = _apply_leading(vec, s) if j == k else _rotate(vec, d * d)
+    return vec
+
+
 def _kron_reference(channels, mat, dims, adjoint=False):
     out = mat
     for k, c in enumerate(channels):
@@ -239,7 +247,8 @@ class TestKernel:
 
     def test_batched_equals_per_element(self, rng):
         # a leading batch axis on the operator and the Liouville matrices
-        # gives each element exactly what the unbatched call gives it
+        # gives each element exactly what the unbatched call gives it, at
+        # every step of a product (each party's pair axis leading in turn)
         for dims in KERNEL_SHAPES:
             big = int(np.prod(dims))
             kraus = [np.stack([random_local_channel(d, d, 40 + b).kraus
@@ -247,28 +256,48 @@ class TestKernel:
             sups = [liouville(kr) for kr in kraus]
             mats = _to_pairs(np.stack([random_density(SystemShape(dims), rng).entries
                                        for _ in range(3)]), dims)
+            vec, one, shared = mats, list(mats), mats[0]
             for k, d in enumerate(dims):
                 assert sups[k].shape == (3, d * d, d * d)
-                got = _apply_local(mats, sups[k], dims, k)
-                shared = _apply_local(mats[0], sups[k], dims, k)
-                assert got.shape == shared.shape == (3, big * big)
+                got = _apply_leading(vec, sups[k])
+                shared_got = _apply_leading(shared, sups[k])
+                assert got.shape == shared_got.shape == (3, big * big)
                 for b in range(3):
                     assert np.array_equal(sups[k][b], liouville(kraus[k][b]))
-                    one = _apply_local(mats[b], sups[k][b], dims, k)
-                    assert np.array_equal(got[b], one), (dims, k, b)
-                    assert np.array_equal(shared[b],
-                                          _apply_local(mats[0], sups[k][b], dims, k))
-            full = _apply_product_channel_matrix(sups, mats, dims)
+                    one[b] = _apply_leading(one[b], sups[k][b])
+                    assert np.array_equal(got[b], one[b]), (dims, k, b)
+                    assert np.array_equal(shared_got[b],
+                                          _apply_leading(shared, sups[k][b]))
+                vec, shared = got, shared_got[0]
+            full = _apply_product_channel_matrix(sups, mats)
             for b in range(3):
-                one = _apply_product_channel_matrix([s[b] for s in sups],
-                                                    mats[b], dims)
+                one = _apply_product_channel_matrix([s[b] for s in sups], mats[b])
                 assert np.array_equal(full[b], one), (dims, b)
 
+    def test_broadcast_liouville_stacks(self, rng):
+        # the precursor move's stacked pair: vectors (B, 2, D^2) against
+        # Liouville matrices (B, 1, d^2, d^2), each element bit for bit the
+        # unbatched call
+        for dims in KERNEL_SHAPES:
+            big = int(np.prod(dims))
+            sups = [np.stack([liouville(random_local_channel(d, d, 50 + b).kraus)
+                              for b in range(3)]) for d in dims]
+            x = rng.standard_normal((3, 2, big, big)) \
+                + 1j * rng.standard_normal((3, 2, big, big))
+            vec = _to_pairs(x, dims)
+            got = _apply_product_channel_matrix([s[:, None] for s in sups], vec)
+            assert got.shape == (3, 2, big * big)
+            for b in range(3):
+                for i in range(2):
+                    one = _apply_product_channel_matrix([s[b] for s in sups],
+                                                        vec[b, i])
+                    assert np.array_equal(got[b, i], one), (dims, b, i)
+
     def test_each_party_matches_kronecker_reference(self, rng):
-        # _apply_local alone, per party: unbatched, batched on both sides,
-        # and an unbatched vector against batched Liouville matrices (the
-        # precursor move's adjoint); reference: sum_m K_m X K_m^dag with
-        # K_m embedded by np.kron
+        # one party's Liouville matrix S alone (a kernel step at that party,
+        # a rotation at every other one), forward and adjoint (S^H), against
+        # sum_m K_m X K_m^dag and sum_m K_m^dag X K_m with K_m embedded by
+        # np.kron; batched on both sides
         for dims in KERNEL_SHAPES:
             big = int(np.prod(dims))
             x = rng.standard_normal((3, big, big)) + 1j * rng.standard_normal((3, big, big))
@@ -277,26 +306,49 @@ class TestKernel:
                 kraus = np.stack([random_local_channel(d, d, 60 + b).kraus
                                   for b in range(3)])
                 sups = liouville(kraus)
-                ref = [[sum(op @ x[a] @ op.conj().T
-                            for op in _embedded_kraus(kraus[b], dims, k))
-                        for b in range(3)] for a in range(3)]
-                batched = _from_pairs(_apply_local(vecs, sups, dims, k), dims)
-                shared = _from_pairs(_apply_local(vecs[0], sups, dims, k), dims)
+                forward = _from_pairs(_one_party(vecs, sups, dims, k), dims)
+                adjoint = _from_pairs(_one_party(
+                    vecs, sups.conj().swapaxes(-1, -2), dims, k), dims)
                 for b in range(3):
-                    one = _from_pairs(_apply_local(vecs[b], sups[b], dims, k), dims)
-                    assert np.max(np.abs(one - ref[b][b])) < 1e-12, (dims, k)
-                    assert np.max(np.abs(batched[b] - ref[b][b])) < 1e-12, (dims, k)
-                    assert np.max(np.abs(shared[b] - ref[0][b])) < 1e-12, (dims, k)
+                    ops = _embedded_kraus(kraus[b], dims, k)
+                    ref = sum(op @ x[b] @ op.conj().T for op in ops)
+                    ref_adj = sum(op.conj().T @ x[b] @ op for op in ops)
+                    assert np.max(np.abs(forward[b] - ref)) < 1e-12, (dims, k)
+                    assert np.max(np.abs(adjoint[b] - ref_adj)) < 1e-12, (dims, k)
 
     def test_empty_batch(self):
         # a lock step whose restarts all died applies the kernel to no rows
         for dims in KERNEL_SHAPES:
             big = int(np.prod(dims))
-            for k, d in enumerate(dims):
-                out = _apply_local(np.zeros((0, big * big), dtype=complex),
-                                   np.zeros((0, d * d, d * d), dtype=complex),
-                                   dims, k)
-                assert out.shape == (0, big * big)
+            empty = np.zeros((0, big * big), dtype=complex)
+            sups = [np.zeros((0, d * d, d * d), dtype=complex) for d in dims]
+            for d, s in zip(dims, sups):
+                assert _apply_leading(empty, s).shape == (0, big * big)
+                assert _rotate(empty, d * d).shape == (0, big * big)
+            assert _apply_product_channel_matrix(sups, empty).shape == (0, big * big)
+
+    def test_steps_restore_layout(self, rng):
+        # after j kernel steps the pair axes run j..n-1, 0..j-1, each
+        # applied axis holding its party's channel; after n steps the
+        # layout is the original one, and n rotations give the vector back
+        # bit for bit
+        for dims in KERNEL_SHAPES:
+            n, big = len(dims), int(np.prod(dims))
+            x = rng.standard_normal((2, big, big)) + 1j * rng.standard_normal((2, big, big))
+            vec = _to_pairs(x, dims)
+            sups = [liouville(random_local_channel(d, d, 70 + d).kraus) for d in dims]
+            pairs = tuple(d * d for d in dims)
+            ref = vec.reshape(2, *pairs)
+            out = rotated = vec
+            for j, (d, s) in enumerate(zip(dims, sups)):
+                ref = np.moveaxis(np.tensordot(s, ref, axes=([1], [j + 1])), 0, j + 1)
+                out, rotated = _apply_leading(out, s), _rotate(rotated, d * d)
+                order = [0] + [1 + (j + 1 + a) % n for a in range(n)]
+                want = ref.transpose(order).reshape(2, big * big)
+                assert np.max(np.abs(out - want)) < 1e-12, (dims, j)
+                assert np.array_equal(rotated, vec.reshape(2, *pairs).transpose(
+                    order).reshape(2, big * big)), (dims, j)
+            assert np.array_equal(rotated, vec), dims
 
     def test_pairs_round_trip(self, rng):
         # entry [(i_1, j_1), ..., (i_n, j_n)] of the paired vector is

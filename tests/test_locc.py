@@ -140,13 +140,58 @@ class TestBuildConversion:
                 build_conversion(target, CUT).verify()
 
     def test_nan_measurement_is_incomplete(self):
+        # a NaN Kraus operator is refused where the protocol is built
         proto = build_conversion(max_entangled(2), CUT)
         kraus = proto.alice_kraus.copy()
         kraus[0, 0, 0] = np.nan
-        broken = locc.ConversionProtocol(proto.target, proto.cut, kraus,
-                                         proto.corrections)
-        with pytest.raises(InvariantError, match="complete"):
-            broken.verify()
+        with pytest.raises(InvariantError, match="finite"):
+            locc.ConversionProtocol(proto.target, proto.cut, kraus,
+                                    proto.corrections)
+
+    @staticmethod
+    def _qutrit_protocol():
+        """A conversion to a seeded generic (3, 3) state: d = 3 outcomes."""
+        return build_conversion(random_pure(SystemShape((3, 3)),
+                                            np.random.default_rng(27)), CUT)
+
+    @pytest.mark.parametrize("count", [2, 1], ids=["two", "one"])
+    def test_missing_corrections_refused(self, count):
+        # two pairs for three outcomes raised numpy's broadcast error in
+        # verify(), and one pair was applied to every outcome
+        proto = self._qutrit_protocol()
+        with pytest.raises(InvariantError, match=r"^corrections must be 3 pairs "
+                           r"of shapes \(3, 3\) and \(3, 3\)"):
+            locc.ConversionProtocol(proto.target, proto.cut, proto.alice_kraus,
+                                    proto.corrections[:count])
+
+    def test_correction_shapes_checked(self):
+        proto = self._qutrit_protocol()
+        for bad in ([(a, b[:2]) for a, b in proto.corrections],
+                    [(a,) for a, _ in proto.corrections], 5):
+            with pytest.raises(InvariantError, match="^corrections must be"):
+                locc.ConversionProtocol(proto.target, proto.cut,
+                                        proto.alice_kraus, bad)
+
+    def test_measurement_list_is_converted(self):
+        # a nested list used to raise AttributeError in verify(); it is
+        # stored as a read-only complex array and verifies
+        proto = self._qutrit_protocol()
+        built = locc.ConversionProtocol(proto.target, proto.cut,
+                                        proto.alice_kraus.tolist(),
+                                        proto.corrections)
+        assert isinstance(built.alice_kraus, np.ndarray)
+        assert not built.alice_kraus.flags.writeable
+        assert _same_bits(built.alice_kraus, proto.alice_kraus)
+        built.verify()
+
+    def test_single_kraus_operator_refused(self):
+        # one (3, 3) matrix instead of a (d, 3, 3) stack used to raise
+        # "not enough values to unpack" in verify()
+        proto = self._qutrit_protocol()
+        with pytest.raises(InvariantError, match=r"^alice_kraus must have shape "
+                           r"\(d, 3, 3\), got \(3, 3\)"):
+            locc.ConversionProtocol(proto.target, proto.cut, proto.alice_kraus[0],
+                                    proto.corrections)
 
     def test_non_uniform_outcomes_fail(self):
         # complete, but the outcomes of |Phi+> occur with 3/4 and 1/4

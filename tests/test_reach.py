@@ -10,9 +10,9 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       max_entangled, precursor_optimal_for_channels,
                       random_local_channel, tensor_product, w_state,
                       z_mixture)
-from lcstates.channels import (_apply_local, _apply_product_channel_matrix,
-                               _column_view, _to_pairs, haar_isometry,
-                               liouville)
+from lcstates.channels import (_apply_leading, _apply_product_channel_matrix,
+                               _column_view, _rotate, _to_pairs,
+                               haar_isometry, liouville)
 from lcstates.states import deterministic_eigh
 from lcstates import reach
 from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
@@ -109,21 +109,32 @@ class TestPrecursorStep:
         assert np.stack([_top_eigenvector(m) for m in h]).tobytes() == ref.tobytes()
 
 
+def _steps(sups, vec, dims):
+    """One kernel step per party in ascending order, a rotation that
+    applies nothing where sups holds None: the vector ends in its original
+    layout."""
+    for s, d in zip(sups, dims):
+        vec = _rotate(vec, d * d) if s is None else _apply_leading(vec, s)
+    return vec
+
+
 def _others_applied(sups, sigma, dims, k):
     """Y_k: every party's Liouville matrix but party k's applied to sigma,
     in ascending party order."""
-    y = _to_pairs(sigma, dims)
-    for j, s in enumerate(sups):
-        if j != k:
-            y = _apply_local(y, s, dims, j)
-    return y
+    return _steps([None if j == k else s for j, s in enumerate(sups)],
+                  _to_pairs(sigma, dims), dims)
+
+
+def _party_applied(y, s, dims, k):
+    """Party k's Liouville matrix s alone applied to the paired vector y."""
+    return _steps([s if j == k else None for j in range(len(dims))], y, dims)
 
 
 class TestPartyGradient:
     SHAPES = ((2, 2, 2), (2, 2, 2, 2), (3, 3, 3), (2, 3, 2))
 
     def _objective(self, kraus, k, y, rho, dims):
-        x = _apply_local(y, liouville(kraus), dims, k)
+        x = _party_applied(y, liouville(kraus), dims, k)
         return np.linalg.norm(x - _to_pairs(rho, dims)) ** 2
 
     @staticmethod
@@ -144,8 +155,8 @@ class TestPartyGradient:
             chans, sups, rho, ys = self._party_inputs(dims, rng)
             for k, y in enumerate(ys):
                 kraus = chans[k].kraus
-                gram, cross = _gram_pair(y, _column_view(_to_pairs(rho, dims), dims, k),
-                                         dims, k)
+                gram, cross = _gram_pair(_column_view(y, dims, k),
+                                         _column_view(_to_pairs(rho, dims), dims, k))
                 g = _party_gradient(kraus, sups[k], gram, cross)
                 e = rng.standard_normal(kraus.shape) \
                     + 1j * rng.standard_normal(kraus.shape)
@@ -162,11 +173,11 @@ class TestPartyGradient:
         chans, _, rho, ys = self._party_inputs(dims, rng)
         rho_sq = np.vdot(rho, rho).real
         for k, y in enumerate(ys):
-            gram, cross = _gram_pair(y, _column_view(_to_pairs(rho, dims), dims, k),
-                                     dims, k)
+            gram, cross = _gram_pair(_column_view(y, dims, k),
+                                     _column_view(_to_pairs(rho, dims), dims, k))
             for seed in range(3):
                 s = liouville(random_local_channel(dims[k], 2, seed).kraus)
-                full = reach._objective(_apply_local(y, s, dims, k),
+                full = reach._objective(_party_applied(y, s, dims, k),
                                         _to_pairs(rho, dims))
                 assert abs(_gram_objective(s, gram, cross, rho_sq) - full) <= 1e-14
 
@@ -194,14 +205,14 @@ class TestPrecursorLine:
         phis = np.stack([random_pure(shape, rng).amplitudes for _ in range(batch)])
         sigma = _to_pairs(phis[:, :, None] * phis[:, None, :].conj(), dims)
         rho = _to_pairs(random_density(shape, rng).entries, dims)
-        return sups, phis, _apply_product_channel_matrix(sups, sigma, dims), rho
+        return sups, phis, _apply_product_channel_matrix(sups, sigma), rho
 
     @staticmethod
     def _direct(sups, phi, rho, dims):
         """The objective of one precursor, by the product channel itself."""
         phi = phi / np.linalg.norm(phi)
         sigma = _to_pairs(np.outer(phi, phi.conj()), dims)
-        return reach._objective(_apply_product_channel_matrix(sups, sigma, dims), rho)
+        return reach._objective(_apply_product_channel_matrix(sups, sigma), rho)
 
     @pytest.mark.parametrize("dims", SHAPES)
     @pytest.mark.parametrize("env", [lambda d: 1, lambda d: d, lambda d: d * d],
@@ -258,7 +269,7 @@ def _configuration_objective(rho, kraus, phis, b):
     dims = rho.shape.local_dims
     sups = [liouville(kr[b]) for kr in kraus]
     sigma = np.outer(phis[b], phis[b].conj())
-    out = _apply_product_channel_matrix(sups, _to_pairs(sigma, dims), dims)
+    out = _apply_product_channel_matrix(sups, _to_pairs(sigma, dims))
     return reach._objective(out, _to_pairs(rho.entries, dims))
 
 
@@ -496,48 +507,56 @@ class TestSearch:
     def test_running_prefix_equals_composition(self, dims, monkeypatch, rng):
         # each channel move's Y_k, built from the running prefix of the
         # parties already moved, is bit for bit the other parties' current
-        # Liouville matrices applied to sigma in ascending order; the
-        # moves make n(n-1)/2 + n kernel calls per iteration, the last of
-        # them giving the next precursor move's output X
+        # Liouville matrices applied to sigma in ascending order, compared
+        # in party k's column view (the last party reads it off the rotated
+        # prefix by a reshape); per iteration the moves make n(n-1)/2 + n
+        # kernel steps, the last of them giving the next precursor move's
+        # output X, and n - 1 rotations that apply nothing
         target = random_density(SystemShape(dims), rng)
+        rho = _to_pairs(target.entries, dims)
         kraus, phis = _starts(target, tuple(d * d for d in dims), [0, 11, 12, 13])
-        seen, kernel_calls = [], []
-        true_gram_pair, true_apply_local = reach._gram_pair, reach._apply_local
+        n = len(dims)
+        seen, kernel_steps, rotations = [], [], []
+        true_gram_pair = reach._gram_pair
+        true_apply_leading, true_rotate = reach._apply_leading, reach._rotate
 
-        def checked(y, rho_view, dims_, k):
+        def checked(t, rho_view):
+            k = len(seen) % n
             sups = [liouville(kr) for kr in kraus]   # updated in place
             sigma = phis[:, :, None] * phis[:, None, :].conj()
-            assert np.array_equal(y, _others_applied(sups, sigma, dims, k))
+            y = _others_applied(sups, sigma, dims, k)
+            assert np.array_equal(t, _column_view(y, dims, k))
+            assert np.array_equal(rho_view, _column_view(rho, dims, k))
             seen.append(k)
-            return true_gram_pair(y, rho_view, dims_, k)
+            return true_gram_pair(t, rho_view)
 
         def counted(*args):
-            kernel_calls.append(None)
-            return true_apply_local(*args)
+            kernel_steps.append(None)
+            return true_apply_leading(*args)
+
+        def rotated(*args):
+            rotations.append(None)
+            return true_rotate(*args)
 
         monkeypatch.setattr(reach, "_gram_pair", checked)
-        monkeypatch.setattr(reach, "_apply_local", counted)
+        monkeypatch.setattr(reach, "_apply_leading", counted)
+        monkeypatch.setattr(reach, "_rotate", rotated)
         _, diags = _run_lock_step(target, kraus, phis, 3, 0.0)
-        n = len(dims)
         assert [d.iterations for d in diags] == [3] * 4
         assert seen == list(range(n)) * 3
-        assert len(kernel_calls) == 3 * (n * (n - 1) // 2 + n)
+        assert len(kernel_steps) == 3 * (n * (n - 1) // 2 + n)
+        assert len(rotations) == 3 * (n - 1)
 
     def test_step_underflow_ends_restart(self, monkeypatch):
-        # every objective after the first (full, closed-form line and
-        # Gram-pair alike) is inflated, so every precursor and channel
-        # trial is rejected: the step halves from 0.1 until it falls below
-        # 1e-8 (24 halvings) during party 0 of iteration 1; the dead row
-        # sits out parties 1-2, recording its unchanged objective for
-        # each, and stops at the iteration's end
-        calls, line_calls = [], []
-        true_objective = reach._objective
+        # every trial objective, closed-form line (`_line_objective`) and
+        # Gram-pair (`_gram_objective`) alike, is inflated, so every
+        # precursor and channel trial is rejected: the step halves from 0.1
+        # until it falls below 1e-8 (24 halvings) during party 0 of
+        # iteration 1; the dead row sits out parties 1-2, recording its
+        # unchanged objective for each, and stops at the iteration's end
+        line_calls = []
         true_line_objective = reach._line_objective
         true_trial_objective = reach._gram_objective
-
-        def rejecting(x, rho_mat):
-            calls.append(None)
-            return true_objective(x, rho_mat) + (len(calls) > 1)
 
         def rejecting_line(t, norms, gram):
             line_calls.append(None)
@@ -546,7 +565,6 @@ class TestSearch:
         def rejecting_trial(s, gram, cross, rho_sq):
             return true_trial_objective(s, gram, cross, rho_sq) + 1
 
-        monkeypatch.setattr(reach, "_objective", rejecting)
         monkeypatch.setattr(reach, "_line_objective", rejecting_line)
         monkeypatch.setattr(reach, "_gram_objective", rejecting_trial)
         res = lc_distance_search(noisy_ghz(), restarts=2, max_iters=10,
