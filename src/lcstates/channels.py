@@ -196,13 +196,13 @@ def liouville(kraus):
     With operators flattened row-major, vec(sum_m K_m X K_m^dag) = S vec(X),
     so S[(i,k),(j,l)] = sum_m K_m[i,j] conj(K_m[k,l]).  The adjoint map
     X -> sum_m K_m^dag X K_m has Liouville matrix S^H.  Leading axes are a
-    batch: one S per stack.
+    batch: one S per stack.  The sum over m is one matmul of the stack's
+    (..., e, d^2) reshape, read transposed in place, with its conjugate;
+    only the final [(i,j),(k,l)] -> [(i,k),(j,l)] reorder copies.
     """
     *batch, e, d, _ = kraus.shape
-    nb = len(batch)
-    a = kraus.transpose(*range(nb), nb + 1, nb + 2, nb)         # [i, j, m]
-    a = a.reshape(*batch, d * d, e)
-    s = (a @ a.conj().swapaxes(-1, -2)).reshape(*batch, d, d, d, d)
+    k = kraus.reshape(*batch, e, d * d)
+    s = (k.swapaxes(-1, -2) @ k.conj()).reshape(*batch, d, d, d, d)
     return s.swapaxes(-3, -2).reshape(*batch, d * d, d * d)
 
 

@@ -98,10 +98,13 @@ class ConversionProtocol:
     corrections restore the target with certainty.  The parts are checked
     where the protocol is built, in order: target must be a PureState
     (`_check_type`) and cut a bipartition of its parties
-    (`_cut_permutation`), with sides of dimensions dl and dr; alice_kraus
-    is stored as its own read-only complex copy (`_as_complex`), of shape
-    (d, dl, dl) for some d; corrections are exactly d pairs of shapes
-    (dl, dl) and (dr, dr), read without a copy.
+    (`_cut_permutation`), with sides of dimensions dl and dr, stored as the
+    (left, right) pair of sorted tuples that `_cut_permutation` returns;
+    alice_kraus is stored as its own read-only complex copy
+    (`_as_complex`), of shape (d, dl, dl) with d outcomes in
+    [1, min(dl, dr)] (the precursor |Phi+> has d levels on each side);
+    corrections are exactly d pairs of shapes (dl, dl) and (dr, dr), read
+    without a copy.
     """
 
     target: PureState
@@ -111,12 +114,15 @@ class ConversionProtocol:
 
     def __post_init__(self):
         _check_type("target", self.target, PureState)
-        _, _, dl, dr = _cut_permutation(self.target.shape, self.cut)
+        left, right, dl, dr = _cut_permutation(self.target.shape, self.cut)
         kraus = _as_complex(self.alice_kraus)
         if kraus.ndim != 3 or kraus.shape[1:] != (dl, dl):
             raise InvariantError(f"alice_kraus must have shape (d, {dl}, {dl}), "
                                  f"got {kraus.shape}")
         d = kraus.shape[0]
+        if not 1 <= d <= min(dl, dr):
+            raise InvariantError(f"alice_kraus must hold 1 to {min(dl, dr)} "
+                                 f"operators, one per outcome, got {d}")
         try:
             shapes = [(np.shape(a), np.shape(b)) for a, b in self.corrections]
         except (TypeError, ValueError):   # not pairs, or ragged entries
@@ -125,6 +131,7 @@ class ConversionProtocol:
             raise InvariantError(f"corrections must be {d} pairs of shapes "
                                  f"({dl}, {dl}) and ({dr}, {dr})")
         kraus.flags.writeable = False
+        object.__setattr__(self, "cut", (left, right))
         object.__setattr__(self, "alice_kraus", kraus)
 
     @property

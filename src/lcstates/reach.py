@@ -14,12 +14,13 @@ alternating two moves on the squared Hilbert-Schmidt objective
     kernel call and no eigensolve;
   * channel move - per-party gradient descent over Stinespring isometry
     coordinates with a polar-decomposition retraction, so every iterate is
-    a valid channel.  The output is linear in party k's Liouville matrix
-    S: X = S T in the column view T of Y_k (the other parties' channels
-    applied to the precursor).  So party k's objective, its gradient and
-    every trial step come from the Gram pair G = T T^H and C = R T^H
-    (R the same view of rho), two d^2 x d^2 matrices: a trial step does no
-    D x D work.
+    a valid channel (`_polar_retract`: a d x d eigenproblem per trial, an
+    SVD where that loses digits).  The output is linear in party k's
+    Liouville matrix S: X = S T in the column view T of Y_k (the other
+    parties' channels applied to the precursor).  So party k's objective,
+    its gradient and every trial step come from the Gram pair G = T T^H
+    and C = R T^H (R the same view of rho), two d^2 x d^2 matrices: a
+    trial step does no D x D work.
 
 The search keeps rho, the output X and every partial output Y_k as
 party-paired vectors (`channels._to_pairs`), the layout the channel kernel
@@ -32,8 +33,9 @@ Y_k but the last, and one column view of Y_k for each middle party (3 at
 three parties, 5 at four).  The precursor states Phi Phi^H are not
 kept: each iteration's channel moves pair them from the working Phi
 once.  The precursor move leaves the layout once, to multiply the
-adjoint image Lambda^dag(X - rho) with Phi; no step of the loop solves
-an eigenproblem (only the starts do, `_starts`).
+adjoint image Lambda^dag(X - rho) with Phi, and solves no eigenproblem;
+the only ones the loop solves are the channel trials' d x d ones, and the
+starts' (`_starts`).
 
 A finite search only gathers evidence: results report residuals and never
 claim impossibility.  The structural certificate lives in
@@ -49,9 +51,10 @@ import numpy as np
 
 from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_leading,
                        _apply_product_channel_matrix, _check_channels,
-                       _column_view, _from_pairs, _identity, _leading_view,
-                       _rotate, _to_pairs, apply_adjoint_product_channel,
-                       apply_product_channel, haar_isometry, liouville)
+                       _column_view, _completeness_residual, _from_pairs,
+                       _leading_view, _rotate, _to_pairs,
+                       apply_adjoint_product_channel, apply_product_channel,
+                       haar_isometry, liouville)
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
@@ -182,18 +185,29 @@ def _party_gradient(kraus, s, gram, cross):
 
 
 def _polar_retract(v):
-    """Nearest isometry in Frobenius norm: U W^dag from the thin SVD.
+    """Nearest isometry in Frobenius norm: the polar factor of each (r, d) V.
 
+    The factor is V (V^dag V)^(-1/2) (Higham, SIAM J. Sci. Stat. Comput. 7,
+    1986), so it comes from the eigendecomposition U L U^dag of the d x d
+    Gram matrix V^dag V: the result is V W with W = U L^(-1/2) U^dag.
     Leading axes are a batch.  Each result is checked like a LocalChannel's
-    Kraus stack: its V^dag V is the stack's sum_m K_m^dag K_m, which must
-    be I to COMPLETENESS_ATOL (NaN fails too).  One maximum over the whole
-    batch decides.
+    Kraus stack (`_completeness_residual`): its V^dag V is the stack's
+    sum_m K_m^dag K_m, which must be I to COMPLETENESS_ATOL (NaN fails too).
+    A nearly rank-deficient V (a square Kraus stack at env 1, say) loses
+    digits in L^(-1/2) and fails; the rows that fail, and only they, are
+    retracted again from the thin SVD V = U' S W'^dag as U' W'^dag and
+    checked again, one maximum over them deciding.  Non-finite input is
+    computed without warnings and ends in that check.
     """
-    u, _, wh = np.linalg.svd(v, full_matrices=False)
-    iso = u @ wh
-    resid = np.abs(iso.conj().swapaxes(-1, -2) @ iso - _identity(iso.shape[-1]))
-    if not resid.max() <= COMPLETENESS_ATOL:
-        raise InvariantError("Kraus operators do not sum to the identity")
+    with np.errstate(all="ignore"):
+        lam, u = np.linalg.eigh(v.conj().swapaxes(-1, -2) @ v)
+        iso = v @ ((u / np.sqrt(lam)[..., None, :]) @ u.conj().swapaxes(-1, -2))
+        bad = ~(_completeness_residual(iso[..., None, :, :]) <= COMPLETENESS_ATOL)
+        if bad.any():
+            u, _, wh = np.linalg.svd(v[bad], full_matrices=False)
+            iso[bad] = u @ wh
+            if not _completeness_residual(iso[bad][:, None]).max() <= COMPLETENESS_ATOL:
+                raise InvariantError("Kraus operators do not sum to the identity")
     return iso
 
 
@@ -290,6 +304,9 @@ INITIAL_STEP = 0.1
 STEP_FLOOR = 1e-8
 STEP_GROWTH = 1.3
 STEP_CAP = 10.0
+# a channel trial round scores this many rungs at once, the step halved
+# again for each: the decisions of that many one-trial rounds in one pass
+CHANNEL_RUNGS = 2
 
 # caps on one search's size: a restart at (3,3,3) with env 9 holds about
 # 0.33 MB of stacked arrays, so RESTART_LIMIT restarts stay near 85 MB
@@ -361,11 +378,19 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         k's new Liouville matrix, so after the last party it is the next
         iteration's X, in the original layout: per iteration the channel
         moves make n(n-1)/2 + n kernel steps rather than n(n-1), and n-1
-        rotations that apply nothing.  Every restart still pending tries a
-        step; an accepted one grows its step by STEP_GROWTH (capped at
-        STEP_CAP), a rejected one halves it.  A restart whose step falls
-        below STEP_FLOOR sits out the iteration's remaining channel moves:
-        it takes no more trials and keeps its objective;
+        rotations that apply nothing.  In each trial round every restart
+        still pending tries its step and its step halved, CHANNEL_RUNGS
+        rungs in all, in one retraction (`_polar_retract`), one
+        `liouville` and one `_gram_objective` call, and takes the first
+        rung that does not raise its objective.  The round decides as
+        that many one-trial rounds would, one after another: a rung below
+        STEP_FLOOR is not tried; every rung tried and failed counts as a
+        rejection that halved the step; an accepted rung counts once and
+        sets the step to its own times STEP_GROWTH (capped at STEP_CAP).
+        So decisions, iterates and diagnostics do not depend on
+        CHANNEL_RUNGS.  A restart whose step falls below STEP_FLOOR sits
+        out the iteration's remaining channel moves: it takes no more
+        trials and keeps its objective;
       * every stop is decided once, at the end of an iteration: a restart
         whose step underflowed stops with STEP_UNDERFLOW, else one whose
         objective fell by less than tol over the iteration with CONVERGED;
@@ -402,6 +427,8 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     n = len(phis)
     # the precursor move's ladder of trial steps, as fractions of its step
     rungs = 0.5 ** np.arange(math.floor(math.log2(STEP_CAP / STEP_FLOOR)) + 1)
+    # the rungs of one channel trial round, as fractions of the row's step
+    halvings = 0.5 ** np.arange(CHANNEL_RUNGS)
     # the working set: row i belongs to restart ids[i]
     ks, ph = list(kraus), phis
     sups = [liouville(kr) for kr in ks]
@@ -476,20 +503,32 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
                 # the pending rows: a whole-array slice, so no gathers,
                 # when every live row is pending
                 p = slice(None) if pend.size == len(ids) else pend
-                cand_k = _polar_retract(v0[p] - step[p, None, None] * g[p])
-                cand_k = cand_k.reshape(-1, *ks[k].shape[1:])
+                # each row tries its step and its halvings at once; a rung
+                # below STEP_FLOOR counts as not tried
+                steps = step[p, None] * halvings
+                cand_k = _polar_retract(
+                    v0[p, None] - steps[..., None, None] * g[p, None])
+                cand_k = cand_k.reshape(*steps.shape, *ks[k].shape[1:])
                 cand_s = liouville(cand_k)
-                t_obj = _gram_objective(cand_s, gram[p], cross[p], rho_sq)
-                ok = t_obj <= obj[p] + 1e-15
-                # accepted: let the step recover so progress stays fast
-                up = pend[ok]
-                ks[k][up], sups[k][up] = cand_k[ok], cand_s[ok]
-                obj[up] = np.minimum(obj[up], t_obj[ok])
-                step[up] = np.minimum(step[up] * STEP_GROWTH, STEP_CAP)
+                t_obj = _gram_objective(cand_s, gram[p, None], cross[p, None], rho_sq)
+                tried = steps >= STEP_FLOOR
+                ok = (t_obj <= obj[p, None] + 1e-15) & tried
+                first, hit = ok.argmax(axis=1), ok.any(axis=1)
+                # accepted at rung r, after r rejections: let the step
+                # recover so progress stays fast
+                sel = hit.nonzero()[0]
+                up, r = pend[sel], first[sel]
+                ks[k][up], sups[k][up] = cand_k[sel, r], cand_s[sel, r]
+                obj[up] = np.minimum(obj[up], t_obj[sel, r])
+                step[up] = np.minimum(steps[sel, r] * STEP_GROWTH, STEP_CAP)
                 accepted[up] += 1
-                down = pend[~ok]
-                step[down] /= 2
-                rejected[down] += 1
+                rejected[up] += r
+                if sel.size == pend.size:   # every row accepted: move done
+                    break
+                # rejected at every rung tried: one halving per rung
+                down, n_tried = pend[~hit], tried[~hit].sum(axis=1)
+                step[down] /= 2.0 ** n_tried
+                rejected[down] += n_tried
                 pend = down[step[down] >= STEP_FLOOR]
             left = _apply_leading(left, sups[k])
         x = left

@@ -193,6 +193,18 @@ class TestBuildConversion:
             locc.ConversionProtocol(proto.target, proto.cut, proto.alice_kraus[0],
                                     proto.corrections)
 
+    @pytest.mark.parametrize("count", [3, 0], ids=["three", "zero"])
+    def test_outcome_count_bounded(self, count):
+        # |Phi+> across a (2, 2) cut has two Schmidt terms, so a protocol has
+        # 1 or 2 outcomes: three built and verify() raised an IndexError,
+        # and zero built too
+        proto = build_conversion(max_entangled(2), CUT)
+        kraus = np.tile(np.eye(2) / np.sqrt(3), (count, 1, 1))
+        with pytest.raises(InvariantError, match=r"^alice_kraus must hold 1 to 2 "
+                           rf"operators, one per outcome, got {count}"):
+            locc.ConversionProtocol(proto.target, proto.cut, kraus,
+                                    proto.corrections[:1] * count)
+
     def test_non_uniform_outcomes_fail(self):
         # complete, but the outcomes of |Phi+> occur with 3/4 and 1/4
         proto = build_conversion(max_entangled(2), CUT)
@@ -477,6 +489,22 @@ class TestSynthesis:
                                    ((1,), (0,)))):
             with pytest.raises(InvariantError, match="share one shape"):
                 locc._outcome_amplitudes((a, b))
+
+    def test_protocol_keeps_normalized_cut(self):
+        # a protocol built with the cut as lists keeps the sorted tuples, so
+        # a plan mixing it with build_synthesis_plan's protocols simulates;
+        # it used to keep the lists, verify, and fail in simulate_synthesis
+        plan = build_synthesis_plan(DensityMatrix(SystemShape((2, 2)),
+                                                  np.diag([0.4, 0.3, 0.2, 0.1])))
+        first = plan.protocols[0]
+        listed = locc.ConversionProtocol(first.target, [[0], [1]],
+                                         first.alice_kraus, first.corrections)
+        assert listed.cut == CUT
+        mixed = locc.SynthesisPlan(plan.ensemble, (listed,) + plan.protocols[1:],
+                                   plan.target)
+        mixed.verify()
+        (got, td), (ref, ref_td) = (simulate_synthesis(p, 1000, 3) for p in (mixed, plan))
+        assert _same_bits(got.entries, ref.entries) and td == ref_td
 
     @pytest.mark.parametrize("n", [0, -5, 2 ** 63, 2.5, True, "100"])
     def test_bad_sample_count_rejected(self, n):

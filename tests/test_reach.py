@@ -10,9 +10,9 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       max_entangled, precursor_optimal_for_channels,
                       random_local_channel, tensor_product, w_state,
                       z_mixture)
-from lcstates.channels import (_apply_leading, _apply_product_channel_matrix,
-                               _column_view, _rotate, _to_pairs,
-                               haar_isometry, liouville)
+from lcstates.channels import (COMPLETENESS_ATOL, _apply_leading,
+                               _apply_product_channel_matrix, _column_view,
+                               _rotate, _to_pairs, haar_isometry, liouville)
 from lcstates.states import deterministic_eigh
 from lcstates import reach
 from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
@@ -190,6 +190,29 @@ class TestPartyGradient:
         v[1, 0, 0] = np.inf
         with pytest.raises(InvariantError, match="do not sum to the identity"):
             _polar_retract(v)
+
+    def test_polar_retract_falls_back_to_svd(self, rng):
+        # the Gram route V (V^dag V)^(-1/2) loses the digits of a nearly
+        # rank-deficient V: row 1 has cond(V) = 1e7, row 2 rank 1.  Those
+        # rows fail the completeness check and are retracted again from the
+        # SVD; the other rows keep the Gram route's result.  Each result is
+        # the SVD's polar factor U W^dag
+        v = rng.standard_normal((4, 8, 2)) + 1j * rng.standard_normal((4, 8, 2))
+        q = haar_isometry(8, 2, rng)
+        v[1] = q @ np.diag([1.0, 1e-7]) @ random_unitary(2, rng)
+        v[2] = np.outer(q[:, 0], [1.0, 2j])
+        iso = _polar_retract(v)
+        for b in range(4):
+            u, _, wh = np.linalg.svd(v[b], full_matrices=False)
+            assert np.abs(iso[b] - u @ wh).max() <= 1e-12
+        with np.errstate(all="ignore"):
+            lam, w = np.linalg.eigh(v.conj().swapaxes(-1, -2) @ v)
+            gram_route = v @ ((w / np.sqrt(lam)[..., None, :])
+                              @ w.conj().swapaxes(-1, -2))
+            resid = np.abs(gram_route.conj().swapaxes(-1, -2) @ gram_route
+                           - np.eye(2)).max(axis=(-2, -1))
+        assert not (resid[1:3] <= COMPLETENESS_ATOL).any()
+        assert iso[[0, 3]].tobytes() == gram_route[[0, 3]].tobytes()
 
 
 class TestPrecursorLine:
@@ -487,6 +510,57 @@ class TestSearch:
                                    master_seed=2026)
         assert small.per_restart_log == large.per_restart_log[:3]
         assert small.diagnostics == large.diagnostics[:3]
+
+    @pytest.mark.parametrize("target, threshold", [
+        (noisy_ghz, None), (noisy_qutrit_ghz, None), (noisy_ghz, 0.3)],
+        ids=("222", "333", "222-underflow"))
+    def test_rungs_per_round_change_nothing(self, target, threshold, monkeypatch):
+        # a channel trial round scoring the step and its halvings at once
+        # decides as one-trial rounds do, one after another: iterates,
+        # finals and diagnostics agree bit for bit at 1, 2 and 3 rungs.  With
+        # a threshold, every trial of a row whose Gram matrix's leading
+        # entry exceeds it is rejected, so steps fall through STEP_FLOOR,
+        # where a round's later rungs are not tried
+        true_trial_objective = reach._gram_objective
+
+        def rejecting_some(s, gram, cross, rho_sq):
+            return (true_trial_objective(s, gram, cross, rho_sq)
+                    + (gram[..., 0, 0].real > threshold))
+
+        if threshold is not None:
+            monkeypatch.setattr(reach, "_gram_objective", rejecting_some)
+        rho = target()
+        env_dims = tuple(d * d for d in rho.shape.local_dims)
+        runs = []
+        for rungs in (1, 2, 3):
+            monkeypatch.setattr(reach, "CHANNEL_RUNGS", rungs)
+            kraus, phis = _starts(rho, env_dims, [0, 11, 12, 13, 14, 15])
+            finals, diags = _run_lock_step(rho, kraus, phis, 30, 1e-14)
+            runs.append((b"".join(a.tobytes() for a in (*kraus, phis)), finals, diags))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        reasons = [d.stop_reason for d in runs[0][2]]
+        assert (STEP_UNDERFLOW in reasons) == (threshold is not None)
+
+    # full-rank targets drawn in order from default_rng(0), the shapes in
+    # turn; searched are the first of each shape and every one whose search
+    # at env 1 needs the retraction's SVD fallback
+    ENV_ONE_SHAPES = ((2, 2, 2), (2, 3, 2), (3, 3, 3), (2, 2))
+    ENV_ONE_SEARCHED = (0, 1, 2, 3, 5, 20, 26, 50, 54, 56)
+
+    def test_env_one_searches_complete(self):
+        # at env 1 a party's Kraus stack is one square operator, and a step
+        # can leave it nearly singular, where the Gram route of the polar
+        # retraction loses its digits: without the SVD fallback the
+        # retraction refuses its result and the search raises
+        rng = np.random.default_rng(0)
+        for i in range(max(self.ENV_ONE_SEARCHED) + 1):
+            dims = self.ENV_ONE_SHAPES[i % len(self.ENV_ONE_SHAPES)]
+            rho = random_density(SystemShape(dims), rng)
+            if i in self.ENV_ONE_SEARCHED:
+                res = lc_distance_search(rho, env_dims=(1,) * len(dims),
+                                         restarts=4, max_iters=150, master_seed=i)
+                assert all(c.completeness_residual() <= 1e-9
+                           for c in res.best.channels)
 
     def test_diagnostics_match_traces(self):
         res = lc_distance_search(noisy_ghz(), restarts=4, max_iters=40,

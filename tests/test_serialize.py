@@ -105,7 +105,7 @@ def test_channel_document_round_trip_is_bit_exact(d, e, seed, data):
 
 
 @PROPERTY
-@given(st.integers(1, 3), SEEDS, st.data())
+@given(st.integers(1, 2), SEEDS, st.data())
 def test_protocol_document_round_trip_is_bit_exact(n, seed, data):
     # protocol_to_dict encodes whatever arrays the protocol holds
     target = random_pure(SystemShape((2, 2)), np.random.default_rng(seed))
