@@ -365,19 +365,22 @@ def random_local_channel(d, env_dim, seed):
 
 
 def _weyl_operators(d):
-    """Generalized Pauli (Heisenberg-Weyl) unitaries X^a Z^b, a,b in 0..d-1."""
-    omega = np.exp(2j * np.pi / d)
-    x = np.roll(np.eye(d), 1, axis=0)
-    z = np.diag(omega ** np.arange(d))
-    ops = []
-    xa = np.eye(d, dtype=complex)
-    for _ in range(d):
-        zb = np.eye(d, dtype=complex)
-        for _ in range(d):
-            ops.append(xa @ zb)
-            zb = zb @ z
-        xa = xa @ x
-    return ops
+    """Generalized Pauli (Heisenberg-Weyl) unitaries X^a Z^b, a,b in 0..d-1,
+    in the order a * d + b.
+
+    X^a is the complex identity rolled down a rows, the exact product of a
+    shifts.  Z^b stays the chain of matrix products Z^(b-1) @ Z, because
+    the channels built on these operators are pinned to its bytes: the
+    powers omega^(b k) taken directly, or as a cumulative product of Z's
+    diagonal, differ from it in the last bits (the cumulative product at
+    d = 3, 6 and 7).
+    """
+    z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    zb = [np.eye(d, dtype=complex)]
+    for _ in range(d - 1):
+        zb.append(zb[-1] @ z)
+    return [np.roll(np.eye(d, dtype=complex), a, axis=0) @ z_b
+            for a in range(d) for z_b in zb]
 
 
 def depolarizing_channel(d, p):
@@ -397,12 +400,11 @@ def dephasing_channel(d, p):
     (`_check_int`), and p a finite real in [0, 1] (`_check_real`).
     """
     d, p = _check_int("d", d, 2), _check_real("noise strength p", p, 0, 1)
-    kraus = [np.sqrt(1 - p) * np.eye(d, dtype=complex)]
-    for i in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[i, i] = np.sqrt(p)
-        kraus.append(e)
-    return LocalChannel(d, np.stack(kraus))
+    i = np.arange(d)
+    kraus = np.zeros((d + 1, d, d), dtype=complex)
+    # sqrt(1 - p) I, then sqrt(p) |i><i| for each i
+    kraus[[0 * i, i + 1], i, i] = [[np.sqrt(1 - p)], [np.sqrt(p)]]
+    return LocalChannel(d, kraus)
 
 
 def amplitude_damping_channel(p):

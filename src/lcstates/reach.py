@@ -58,8 +58,9 @@ from .channels import (COMPLETENESS_ATOL, LocalChannel, _apply_leading,
 from .locc import SynthesisPlan, build_synthesis_plan, spectral_ensemble
 from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
-from .states import (DensityMatrix, InvariantError, PureState, _check_int,
-                     _check_real, _check_type, _top_eigenvector, distance)
+from .states import (DensityMatrix, InvariantError, PureState,
+                     UnsupportedError, _check_int, _check_real, _check_type,
+                     _top_eigenvector, distance)
 
 NOT_LCCC = "NotLCCC"
 LCCC_BIPARTITE = "LCCCBipartite"
@@ -308,11 +309,17 @@ STEP_CAP = 10.0
 # again for each: the decisions of that many one-trial rounds in one pass
 CHANNEL_RUNGS = 2
 
-# caps on one search's size: a restart at (3,3,3) with env 9 holds about
-# 0.33 MB of stacked arrays, so RESTART_LIMIT restarts stay near 85 MB
-# whatever max_iters is
+# caps on one search's size, whatever max_iters is.  A restart holds about
+# 10-13 complex D^2-vectors: per added restart (one iteration, noisy GHZ
+# target) the tracemalloc peak rises 2.5, 11 and 46 MB at D = 128, 256 and
+# 512, 0.33 MB at (3,3,3) with env 9.  The precursor move's (B, 4, D^2)
+# line alone would be 8.6 GB at D = 4096 and 8 restarts.  So restarts x D^2
+# may not exceed SEARCH_SIZE_LIMIT, about 2 GB of working set: 8 restarts
+# at D = 1024, 2 at D = 2048, none at D = 4096.  RESTART_LIMIT restarts at
+# D = 27 stay near 85 MB.
 RESTART_LIMIT = 256
 ITERATION_LIMIT = 10 ** 6
+SEARCH_SIZE_LIMIT = 2 ** 23
 
 CONVERGED = "converged"
 STEP_UNDERFLOW = "step_underflow"
@@ -574,7 +581,10 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     [1, RESTART_LIMIT], max_iters in [0, ITERATION_LIMIT], master_seed
     >= 0, every env_dims entry in [1, d^2], and tol a finite real >= 0;
     otherwise an InvariantError that names the option.  Before them,
-    target must be a DensityMatrix (`_check_type`).
+    target must be a DensityMatrix (`_check_type`).  After them, a search
+    whose restarts x D^2 (D the target's total dimension) exceeds
+    SEARCH_SIZE_LIMIT is an UnsupportedError, raised before any restart
+    is built.
     """
     _check_type("target", target, DensityMatrix)
     dims = target.shape.local_dims
@@ -592,6 +602,11 @@ def lc_distance_search(target, env_dims=None, restarts=8, max_iters=2000,
     max_iters = _check_int("max_iters", max_iters, 0, ITERATION_LIMIT)
     master_seed = _check_int("master_seed", master_seed, 0)
     tol = _check_real("tol", tol, 0)
+    dim = target.shape.total_dim
+    if restarts * dim * dim > SEARCH_SIZE_LIMIT:
+        raise UnsupportedError(f"{restarts} restarts at total dimension {dim} "
+                               f"exceed the search size limit: restarts x "
+                               f"D^2 <= {SEARCH_SIZE_LIMIT}")
 
     seeds = [int(np.random.SeedSequence([master_seed, r]).generate_state(1)[0])
              for r in range(restarts)]

@@ -290,25 +290,25 @@ def _fix_phases(vecs):
 def deterministic_eigh(h):
     """eigh with a reproducible choice of basis inside degenerate eigenspaces.
 
-    Within each cluster of eigenvalues closer than DEGENERACY_TOL the
-    eigenvectors are re-diagonalized against the basis-index operator
-    diag(0, 1, ..., D-1), ordered by ascending expectation of that operator,
-    and phase-fixed.  The same input bits always give the same basis.
+    A cluster is a run of ascending eigenvalues whose neighbouring gaps are
+    all at most DEGENERACY_TOL; a gap that is larger or not finite ends it.
+    Within each cluster of two or more the eigenvectors are re-diagonalized
+    against the basis-index operator diag(0, 1, ..., D-1), ordered by
+    ascending expectation of that operator, and phase-fixed.  The
+    operator's matrix in the cluster is (block^H * pos) @ block, pos the
+    float index vector scaling the columns of block^H, so no D x D
+    diagonal matrix is built.  The same input bits always give the same
+    basis.
     """
-    h = np.asarray(h, dtype=complex)
-    w, v = np.linalg.eigh(h)
-    pos = np.diag(np.arange(h.shape[0], dtype=float))
-    i = 0
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and abs(w[j] - w[j - 1]) <= DEGENERACY_TOL:
-            j += 1
+    w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
+    pos = np.arange(len(w), dtype=float)
+    ends = np.flatnonzero(~(np.diff(w) <= DEGENERACY_TOL)) + 1
+    for i, j in zip([0, *ends], [*ends, len(w)]):
         if j - i > 1:
             block = v[:, i:j]
-            b = block.conj().T @ pos @ block
-            bw, bv = np.linalg.eigh((b + b.conj().T) / 2)
-            v[:, i:j] = block @ bv  # ascending <position> within the cluster
-        i = j
+            b = (block.conj().T * pos) @ block
+            # ascending <position> within the cluster
+            v[:, i:j] = block @ np.linalg.eigh((b + b.conj().T) / 2)[1]
     return w, _fix_phases(v)
 
 

@@ -11,6 +11,7 @@ from lcstates import (DensityMatrix, EnvironmentGram, InvariantError,
                       random_local_channel, standard_noise)
 from lcstates.channels import (_apply_leading, _apply_product_channel_matrix,
                                _from_pairs, _rotate, _to_pairs,
+                               _weyl_operators,
                                apply_adjoint_product_channel, liouville)
 from conftest import random_density, random_pure, random_unitary
 
@@ -503,7 +504,49 @@ class TestComposition:
             assert np.all(np.abs(peaks.imag) <= 1e-15 * peaks.real)
 
 
+def _reference_weyl_operators(d):
+    """_weyl_operators as first written: X^a and Z^b both accumulated by
+    matrix products, kept to pin the bytes of the closed form."""
+    omega = np.exp(2j * np.pi / d)
+    x = np.roll(np.eye(d), 1, axis=0)
+    z = np.diag(omega ** np.arange(d))
+    ops = []
+    xa = np.eye(d, dtype=complex)
+    for _ in range(d):
+        zb = np.eye(d, dtype=complex)
+        for _ in range(d):
+            ops.append(xa @ zb)
+            zb = zb @ z
+        xa = xa @ x
+    return ops
+
+
+def _reference_dephasing_kraus(d, p):
+    """dephasing_channel's Kraus stack as first written, one one-hot
+    matrix at a time."""
+    kraus = [np.sqrt(1 - p) * np.eye(d, dtype=complex)]
+    for i in range(d):
+        e = np.zeros((d, d), dtype=complex)
+        e[i, i] = np.sqrt(p)
+        kraus.append(e)
+    return np.stack(kraus)
+
+
 class TestStandardNoise:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_weyl_operators_match_reference_bytes(self, d):
+        ops, ref = _weyl_operators(d), _reference_weyl_operators(d)
+        assert len(ops) == len(ref) == d * d
+        for a, b in zip(ops, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_dephasing_matches_reference_bytes(self, d):
+        for p in (0, 0.3, 0.7, 1):
+            kraus = dephasing_channel(d, p).kraus
+            assert kraus.tobytes() == _reference_dephasing_kraus(d, p).tobytes()
+
     def test_depolarizing_endpoint(self, rng):
         c = standard_noise("depolarizing", 3, 0.0)
         x = random_density(SystemShape((3,)), rng).entries

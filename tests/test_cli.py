@@ -301,6 +301,19 @@ class TestCli:
         for entry, diag in zip(log, diags):
             assert entry["trace_length"] == 1 + diag["iterations"] * 4
 
+    def test_lc_search_too_large_is_unsupported(self, tmp_path, capsys):
+        # 33 restarts at (8, 8, 8) exceed reach.SEARCH_SIZE_LIMIT: exit 3,
+        # refused before any restart is built
+        tf = str(tmp_path / "ghz8.json")
+        serialize.save_state(ghz_state(3, 8), tf)
+        cfg = str(tmp_path / "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"restarts": 33, "max_iters": 1}, fh)
+        assert main(["lc-search", "--target", tf, "--config", cfg]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "search size limit" in err and "Traceback" not in err
+
     def test_linalg_error_is_validation_failure(self, tmp_path, monkeypatch,
                                                 capsys):
         def fail(rho):

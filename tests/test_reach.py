@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
-                      apply_product_channel, basis_state, dephasing_channel,
+                      UnsupportedError, apply_product_channel, basis_state, dephasing_channel,
                       depolarizing_channel, ghz_state, identity_channel,
                       lc_distance_search, lccc_obstruction_check,
                       max_entangled, precursor_optimal_for_channels,
@@ -673,6 +673,31 @@ class TestSearch:
                      {"max_iters": reach.ITERATION_LIMIT + 1}, {"max_iters": -1}):
             with pytest.raises(InvariantError):
                 lc_distance_search(z_mixture(0.5), **opts)
+
+    def test_search_size_limited(self, monkeypatch):
+        # at (8, 8, 8) D^2 = 2^18, so SEARCH_SIZE_LIMIT = 2^23 admits 32
+        # restarts; the check runs after the option checks and before any
+        # restart is built, so no search of this size runs here
+        big = ghz_state(3, 8).density()
+        assert 32 * 512 ** 2 == reach.SEARCH_SIZE_LIMIT
+
+        class Started(Exception):
+            pass
+
+        def starts(*args):
+            raise Started
+
+        monkeypatch.setattr(reach, "_starts", starts)
+        with pytest.raises(UnsupportedError, match="33 restarts at total "
+                           "dimension 512 exceed the search size limit"):
+            lc_distance_search(big, restarts=33, max_iters=1)
+        with pytest.raises(Started):
+            lc_distance_search(big, restarts=32, max_iters=1)
+        # a malformed option is still an InvariantError naming it
+        for opts in ({"tol": float("nan")}, {"master_seed": -1},
+                     {"restarts": reach.RESTART_LIMIT + 1}):
+            with pytest.raises(InvariantError, match=f"^{next(iter(opts))}"):
+                lc_distance_search(big, **{"restarts": 33, **opts})
 
     @pytest.mark.parametrize("env_dims", [(4, 4), (4, 4, 4, 4), ()])
     def test_env_dims_one_per_party(self, env_dims):

@@ -10,8 +10,8 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       deterministic_eigh, distance, ghz_state, max_entangled,
                       partial_trace, purify, schmidt_decompose,
                       spectral_ensemble, tensor_product, w_state, z_mixture)
-from lcstates.states import (ATOL, MAX_TOTAL_DIM, RANK_TOL, _cut_permutation,
-                             _fix_phases, _fold, _unfold)
+from lcstates.states import (ATOL, DEGENERACY_TOL, MAX_TOTAL_DIM, RANK_TOL,
+                             _cut_permutation, _fix_phases, _fold, _unfold)
 from conftest import random_density, random_pure, random_unitary
 
 Q1 = SystemShape((2,))
@@ -504,7 +504,83 @@ class TestEigensystem:
         assert np.array_equal(v, np.eye(4)[:, [1, 0, 2]])
 
 
+def _reference_deterministic_eigh(h):
+    """deterministic_eigh as first written: a scan for the clusters and the
+    D x D position matrix, kept to pin the bytes of the closed form."""
+    h = np.asarray(h, dtype=complex)
+    w, v = np.linalg.eigh(h)
+    pos = np.diag(np.arange(h.shape[0], dtype=float))
+    i = 0
+    while i < len(w):
+        j = i + 1
+        while j < len(w) and abs(w[j] - w[j - 1]) <= DEGENERACY_TOL:
+            j += 1
+        if j - i > 1:
+            block = v[:, i:j]
+            b = block.conj().T @ pos @ block
+            bw, bv = np.linalg.eigh((b + b.conj().T) / 2)
+            v[:, i:j] = block @ bv
+        i = j
+    return w, _fix_phases(v)
+
+
+def _cluster_sizes(w):
+    """The lengths of the runs of ascending w with gaps <= DEGENERACY_TOL."""
+    sizes = [1]
+    for gap in np.diff(w):
+        if gap <= DEGENERACY_TOL:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return sizes
+
+
+def _eigh_corpus():
+    """Seeded Hermitian matrices at D = 1..39, 13 per D: six with a generic
+    spectrum, seven with a spectrum drawn from a few rounded levels, one of
+    them a single level so that a cluster spans the whole space."""
+    rng = np.random.default_rng(29)
+    corpus = []
+    for dim in range(1, 40):
+        for k in range(13):
+            if k < 6:
+                w = rng.standard_normal(dim)
+            else:
+                levels = 1 if k == 6 else int(rng.integers(1, dim + 1))
+                w = rng.choice(np.round(rng.standard_normal(levels), 2), dim)
+            u = random_unitary(dim, rng)
+            corpus.append((u * w) @ u.conj().T)
+    corpus += [np.eye(8) / 8, np.eye(64) / 64, z_mixture(0.5).entries,
+               ghz_state().density().entries,
+               ghz_state(3, 3).density().entries]
+    return corpus
+
+
 class TestDeterministicEigh:
+    def test_matches_reference_bytes(self):
+        corpus = _eigh_corpus()
+        assert len(corpus) >= 500
+        sizes = set()
+        for h in corpus:
+            w, v = deterministic_eigh(h)
+            w_ref, v_ref = _reference_deterministic_eigh(h)
+            assert w.tobytes() == w_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+            sizes.update(_cluster_sizes(w))
+        # clusters of every size up to the largest D occur
+        assert sizes >= set(range(1, 40))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_gap_ends_a_cluster(self, entry):
+        # eigh gives NaN eigenvalues here; a NaN gap is not <=
+        # DEGENERACY_TOL, so it ends a cluster in both forms
+        h = np.diag([entry, 1.0, 1.0, 1.0]).astype(complex)
+        w, v = deterministic_eigh(h)
+        w_ref, v_ref = _reference_deterministic_eigh(h)
+        assert np.isnan(w[0])
+        assert w.tobytes() == w_ref.tobytes()
+        assert v.tobytes() == v_ref.tobytes()
+
     def test_reproducible_on_degenerate_input(self):
         h = z_mixture(0.5).entries
         w1, v1 = deterministic_eigh(h)
