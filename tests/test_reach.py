@@ -12,12 +12,14 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       z_mixture)
 from lcstates.channels import (COMPLETENESS_ATOL, _apply_leading,
                                _apply_product_channel_matrix, _column_view,
-                               _rotate, _to_pairs, haar_isometry, liouville)
+                               _from_pairs, _rotate, _to_pairs, haar_isometry,
+                               liouville)
 from lcstates.states import deterministic_eigh
 from lcstates import reach
 from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
                             _line_objective, _party_gradient,
-                            _polar_retract, _precursor_line, _run_lock_step, _starts,
+                            _polar_retract, _precursor_line,
+                            _precursor_workspace, _run_lock_step, _starts,
                             _top_eigenvector, CONVERGED, MAX_ITERS, NOT_LCCC,
                             STEP_UNDERFLOW, LCCC_BIPARTITE, UNKNOWN)
 from lcstates.locc import spectral_ensemble
@@ -242,7 +244,8 @@ class TestPrecursorLine:
                              ids=["env1", "envd", "envd2"])
     def test_closed_form_matches_direct_evaluation(self, dims, env, rng):
         sups, phis, x, rho = self._line_inputs(dims, env, rng)
-        g, norms, gram = _precursor_line(phis, x, rho, sups, dims)
+        g, norms, gram = _precursor_line(phis, x, rho, sups, dims,
+                                         _precursor_workspace(rho, len(phis)))
         steps = np.array([0.0, 1e-8, 1e-3, 0.1, 1.0, 10.0])
         closed = _line_objective(steps * np.ones((len(phis), 1)), norms, gram)
         for b in range(len(phis)):
@@ -256,7 +259,8 @@ class TestPrecursorLine:
         # direction xi the objective on the sphere changes at rate
         # 4 Re<xi, g>
         sups, phis, x, rho = self._line_inputs(dims, lambda d: d, rng)
-        g = _precursor_line(phis, x, rho, sups, dims)[0]
+        g = _precursor_line(phis, x, rho, sups, dims,
+                            _precursor_workspace(rho, len(phis)))[0]
         eps = 1e-6
         for b in range(len(phis)):
             assert abs(np.vdot(phis[b], g[b]).real) <= 1e-14
@@ -269,6 +273,40 @@ class TestPrecursorLine:
                       - self._direct(own, phis[b] - eps * xi, rho, dims)) / (2 * eps)
                 analytic = 4 * np.vdot(xi, g[b]).real
                 assert abs(fd - analytic) <= 1e-6 * max(1.0, abs(analytic)), (dims, b)
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    @pytest.mark.parametrize("env", [lambda d: 1, lambda d: d, lambda d: d * d],
+                             ids=["env1", "envd", "envd2"])
+    @pytest.mark.parametrize("batch", [1, 2, 6])
+    def test_workspace_matches_reference_bytes(self, dims, env, batch, rng):
+        # in a workspace of its own size, and in the row prefix of a larger
+        # one (as after a compaction) whose every other entry is NaN, so
+        # that a stale read would show
+        sups, phis, x, rho = self._line_inputs(dims, env, rng, batch)
+        ref = _reference_precursor_line(phis, x, rho, sups, dims)
+        lines, fa, fb = larger = _precursor_workspace(rho, batch + 3)
+        lines[:, :3] = fa[...] = fb[...] = np.nan
+        for work in (_precursor_workspace(rho, batch), [a[:batch] for a in larger]):
+            got = _precursor_line(phis, x, rho, sups, dims, work)
+            for r, o in zip(ref, got):
+                assert r.shape == o.shape and r.tobytes() == o.tobytes()
+
+    def test_no_large_array_allocated(self, rng):
+        # at D = 256 every D^2-sized array of the move lives in its
+        # workspace: what one call allocates (numpy's ufunc buffers, which
+        # its buffer size bounds) stays below one (B, D^2) array, where the
+        # allocating move peaked at ten
+        dims = (2,) * 8
+        sups, phis, x, rho = self._line_inputs(dims, lambda d: d, rng)
+        work = _precursor_workspace(rho, len(phis))
+        _precursor_line(phis, x, rho, sups, dims, work)
+        tracemalloc.start()
+        try:
+            _precursor_line(phis, x, rho, sups, dims, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
 
     def test_lc_made_targets_reached(self):
         # four states that local noise makes from a Haar-random pure state
@@ -284,6 +322,24 @@ class TestPrecursorLine:
             res = lc_distance_search(target, restarts=4, max_iters=300,
                                      master_seed=11)
             assert min(obj for _, obj, _ in res.per_restart_log) <= 1e-4
+
+
+def _reference_precursor_line(phis, x, rho, sups, dims):
+    """`_precursor_line` as it was before its workspace: every array
+    allocated per call, the products by `_apply_product_channel_matrix`."""
+    v = np.empty(x.shape[:-1] + (4, x.shape[-1]), dtype=complex)
+    v[..., 3, :] = rho
+    resid = np.subtract(x, rho, out=v[..., 0, :])
+    h = _apply_product_channel_matrix([s.conj().swapaxes(-1, -2) for s in sups], resid)
+    mphi = (_from_pairs(h, dims) @ phis[..., None])[..., 0]
+    g = mphi - (phis.conj() * mphi).real.sum(axis=-1)[..., None] * phis
+    u = np.concatenate([phis[..., None, :], g[..., None, :]], axis=-2)
+    s = g[..., None, :, None] * u.conj()[..., :, None, :]
+    s[..., 0, :, :] += s[..., 0, :, :].conj().swapaxes(-1, -2)
+    v[..., 1:3, :] = _apply_product_channel_matrix(
+        [w[..., None, :, :] for w in sups], _to_pairs(s, dims))
+    uf, vf = u.view(float), v.view(float)
+    return g, uf @ uf.swapaxes(-1, -2), vf @ vf.swapaxes(-1, -2)
 
 
 def _configuration_objective(rho, kraus, phis, b):
@@ -620,6 +676,32 @@ class TestSearch:
         assert seen == list(range(n)) * 3
         assert len(kernel_steps) == 3 * (n * (n - 1) // 2 + n)
         assert len(rotations) == 3 * (n - 1)
+
+    def test_workspace_built_once(self, monkeypatch):
+        # a 6-restart (3, 3, 3) search whose restart 0 stops after
+        # iteration 1: the precursor move's workspace is built once, and
+        # every iteration works in the same memory, in the row prefix that
+        # the compaction leaves
+        built, rows, data = [], [], []
+        true_workspace, true_line = reach._precursor_workspace, reach._precursor_line
+
+        def workspace(*args):
+            built.append(true_workspace(*args))
+            return built[-1]
+
+        def line(phis, x, rho, sups, dims, work):
+            rows.append([len(a) for a in work])
+            data.append([a.__array_interface__["data"][0] for a in work])
+            return true_line(phis, x, rho, sups, dims, work)
+
+        monkeypatch.setattr(reach, "_precursor_workspace", workspace)
+        monkeypatch.setattr(reach, "_precursor_line", line)
+        res = lc_distance_search(noisy_qutrit_ghz(), restarts=6, max_iters=4,
+                                 master_seed=2026)
+        assert [d.iterations for d in res.diagnostics] == [1] + [4] * 5
+        assert len(built) == 1
+        assert rows == [[6] * 3] + [[5] * 3] * 3
+        assert data == [[a.__array_interface__["data"][0] for a in built[0]]] * 4
 
     def test_step_underflow_ends_restart(self, monkeypatch):
         # every trial objective, closed-form line (`_line_objective`) and
