@@ -9,15 +9,15 @@ announces it, and both parties steer the maximally entangled precursor to
 the sampled pure state).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import _completeness_residual
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
                      UnsupportedError, _as_complex, _check_int, _check_type,
-                     _check_unit_rows, _cut_permutation, _fold, _unfold,
-                     distance, schmidt_decompose)
+                     _check_unit_rows, _cut_permutation, _fold, _row_norms,
+                     _unfold, distance, schmidt_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +103,18 @@ class ConversionProtocol:
     alice_kraus is stored as its own read-only complex copy
     (`_as_complex`), of shape (d, dl, dl) with d outcomes in
     [1, min(dl, dr)] (the precursor |Phi+> has d levels on each side);
-    corrections are exactly d pairs of shapes (dl, dl) and (dr, dr), read
-    without a copy.
+    corrections are exactly d pairs of shapes (dl, dl) and (dr, dr) of
+    finite numbers, each side stored as one read-only complex stack of its
+    own and `corrections` as the d pairs of their rows, so changing the
+    caller's arrays afterwards leaves the protocol unchanged.
     """
 
     target: PureState
     cut: tuple                     # (left parties, right parties), each sorted
     alice_kraus: np.ndarray        # (d, dl, dl), each diagonal
     corrections: tuple             # d pairs (A_m, B_m) of unitaries
+    # Alice's and Bob's corrections as (d, dl, dl) and (d, dr, dr) stacks
+    _sides: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_type("target", self.target, PureState)
@@ -124,15 +128,22 @@ class ConversionProtocol:
             raise InvariantError(f"alice_kraus must hold 1 to {min(dl, dr)} "
                                  f"operators, one per outcome, got {d}")
         try:
-            shapes = [(np.shape(a), np.shape(b)) for a, b in self.corrections]
-        except (TypeError, ValueError):   # not pairs, or ragged entries
-            shapes = None
-        if shapes != [((dl, dl), (dr, dr))] * d:
+            alice, bob = zip(*[(a, b) for a, b in self.corrections])
+            alice, bob = np.array(alice, dtype=complex), np.array(bob, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            # no pairs, entries of unequal shapes, or entries not numbers
+            alice = bob = np.empty(0)
+        if (alice.shape, bob.shape) != ((d, dl, dl), (d, dr, dr)):
             raise InvariantError(f"corrections must be {d} pairs of shapes "
                                  f"({dl}, {dl}) and ({dr}, {dr})")
-        kraus.flags.writeable = False
+        if not (np.isfinite(alice).all() and np.isfinite(bob).all()):
+            raise InvariantError("corrections must be finite")
+        for a in (kraus, alice, bob):
+            a.flags.writeable = False
         object.__setattr__(self, "cut", (left, right))
         object.__setattr__(self, "alice_kraus", kraus)
+        object.__setattr__(self, "corrections", tuple(zip(alice, bob)))
+        object.__setattr__(self, "_sides", (alice, bob))
 
     @property
     def n_outcomes(self):
@@ -180,18 +191,14 @@ def _outcome_amplitudes(protocols):
     PureState's checks (`_check_unit_rows`).
     """
     first = protocols[0]
-    shape, cut, d = first.target.shape, first.cut, first.n_outcomes
-    if any(p.target.shape != shape or p.cut != cut or p.n_outcomes != d
-           for p in protocols):
+    shape, cut, d = key = first.target.shape, first.cut, first.n_outcomes
+    if any((p.target.shape, p.cut, p.n_outcomes) != key for p in protocols):
         raise InvariantError("protocols must share one shape, cut and outcome count")
     left, right, dl, dr = _cut_permutation(shape, cut)
-    post = np.stack([p.alice_kraus for p in protocols]) @ _precursor_matrix(d, dl, dr)
-    # each outcome's Frobenius norm, summed as np.linalg.norm sums it (one
-    # real and one imaginary dot product), so seeded synthesis results keep
-    # the bits their tests pin
-    flat = post.reshape(-1, 1, dl * dr)
-    re, im = flat.real, flat.imag
-    norms = np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1)
+    post = np.array([p.alice_kraus for p in protocols]) @ _precursor_matrix(d, dl, dr)
+    # each outcome's Frobenius norm as np.linalg.norm gives it, so seeded
+    # synthesis results keep the bits their tests pin
+    norms = _row_norms(post.reshape(-1, dl * dr))
     a, b = _stacked_corrections(protocols)
     post = a @ (post / norms.reshape(-1, d, 1, 1)) @ np.swapaxes(b, -1, -2)
     amps = _fold(post, shape, left, right).reshape(len(norms), -1)
@@ -203,8 +210,7 @@ def _stacked_corrections(protocols):
     """(A, B): Alice's and Bob's corrections of M protocols that share one
     shape, cut and outcome count d, stacked to (M, d, dl, dl) and
     (M, d, dr, dr)."""
-    return tuple(np.stack([[c[side] for c in p.corrections] for p in protocols])
-                 for side in (0, 1))
+    return tuple(np.array(side) for side in zip(*(p._sides for p in protocols)))
 
 
 def _shifted_columns(w, shift):
@@ -224,7 +230,7 @@ def _build_conversions(targets, cut):
     shape = targets[0].shape
     left, right, dl, dr = _cut_permutation(shape, cut)
     d = min(dl, dr)
-    u, s, vh = np.linalg.svd(_unfold(np.stack([psi.amplitudes for psi in targets]),
+    u, s, vh = np.linalg.svd(_unfold(np.array([psi.amplitudes for psi in targets]),
                                      shape, left, right))
     lam = s ** 2
     lam = lam / lam.sum(axis=-1, keepdims=True)
@@ -304,8 +310,9 @@ def spectral_ensemble(rho):
     """
     _check_type("rho", rho, DensityMatrix)
     w, v = rho.eigensystem()
-    states = tuple(PureState(rho.shape, v[:, i] / np.linalg.norm(v[:, i]))
-                   for i in range(len(w)))
+    # each eigenvector over its own np.linalg.norm, all in one division
+    rows = v.T / _row_norms(v.T)[:, None]
+    states = tuple(PureState(rho.shape, row) for row in rows)
     return Ensemble(w / w.sum(), states)
 
 

@@ -64,7 +64,7 @@ from .slocc import (GHZ_CLASS, TANGLE_TOL, W_CLASS, classify_three_qubit,
                     hyperdeterminant)
 from .states import (DensityMatrix, InvariantError, PureState,
                      UnsupportedError, _check_int, _check_real, _check_type,
-                     _top_eigenvector, distance)
+                     _row_norms, _top_eigenvector, distance)
 
 NOT_LCCC = "NotLCCC"
 LCCC_BIPARTITE = "LCCCBipartite"
@@ -704,12 +704,17 @@ def _zero_tangle_pairs(va, vb):
         pairs, coeffs = [(vb, va)], coeffs[:4]
     pairs += [(va + t * vb, -np.conj(t) * va + vb)
               for t in np.roots(coeffs[::-1])]
-    return [(u1 / np.linalg.norm(u1), u2 / np.linalg.norm(u2)) for u1, u2 in pairs]
+    # u1 and u2 of each pair in turn, each over its own np.linalg.norm
+    u = np.array(pairs, dtype=complex).reshape(-1, 8)
+    u = u / _row_norms(u)[:, None]
+    return list(zip(u[0::2], u[1::2]))
 
 
 def _reconstruction_error(rho, p, a, b):
-    recon = p * np.outer(a, a.conj()) + (1 - p) * np.outer(b, b.conj())
-    return np.max(np.abs(recon - rho.entries))
+    """max |p |a><a| + (1 - p) |b><b| - rho| over the entries; each outer
+    product a broadcast product, as np.outer forms it."""
+    recon = p * (a[:, None] * a.conj()) + (1 - p) * (b[:, None] * b.conj())
+    return np.abs(recon - rho.entries).max()
 
 
 def lccc_obstruction_check(rho):

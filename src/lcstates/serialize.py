@@ -50,9 +50,10 @@ def _fields(doc, names, what):
 
 
 def _encode(a):
-    """Complex array of any rank -> the same nesting of [re, im] pairs."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
+    """Complex array of any rank -> the same nesting of [re, im] pairs: a
+    C-ordered array's float view, the pairs as a last axis of 2."""
+    a = np.asarray(a, dtype=complex, order="C")
+    return a[..., None].view(float).tolist()
 
 
 def _decode(data, rank):
@@ -97,7 +98,7 @@ def state_to_dict(state):
 
 def _pure_docs(states):
     """Documents of pure states over one shape, encoded as one stack."""
-    data = _encode(np.stack([s.amplitudes for s in states]))
+    data = _encode(np.array([s.amplitudes for s in states]))
     return [_state_doc(s.shape, "pure", x) for s, x in zip(states, data)]
 
 
@@ -148,7 +149,7 @@ def _protocol_docs(protocols):
     """Documents of protocols over one shape and outcome count; targets,
     Kraus operators and each side's corrections are encoded as one stack."""
     targets = _pure_docs([p.target for p in protocols])
-    kraus = _encode(np.stack([p.alice_kraus for p in protocols]))
+    kraus = _encode(np.array([p.alice_kraus for p in protocols]))
     alice, bob = map(_encode, _stacked_corrections(protocols))
     return [{"cut": [list(p.cut[0]), list(p.cut[1])],
              "target": t,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import (RANK_TOL, InvariantError, PureState, UnsupportedError,
-                     _check_type, _unfold)
+                     _check_type)
 
 TANGLE_TOL = 1e-10
 
@@ -75,13 +75,15 @@ def marginal_ranks(psi):
     """(r_A, r_B, r_C): ranks of the three single-party marginals.
 
     Party k's marginal has the squared singular values of the 2 x 4
-    unfolding across the cut k|rest (`states._unfold`) for eigenvalues, so
-    the ranks are the counts of s^2 > RANK_TOL over one stacked SVD.
+    unfolding across the cut k|rest for eigenvalues, so the ranks are the
+    counts of s^2 > RANK_TOL over one stacked SVD.  Each unfolding puts
+    party k's axis first and the other two after it in ascending order, as
+    `states._unfold` lays out the cut.
     """
     _require_three_qubits(psi)
-    unfoldings = np.stack([
-        _unfold(psi.amplitudes, psi.shape, (k,), tuple(j for j in range(3) if j != k))
-        for k in range(3)])
+    t = psi.amplitudes.reshape(2, 2, 2)
+    unfoldings = np.array([t.reshape(2, 4), t.transpose(1, 0, 2).reshape(2, 4),
+                           t.transpose(2, 0, 1).reshape(2, 4)])
     s = np.linalg.svd(unfoldings, compute_uv=False)
     return tuple(int(r) for r in (s ** 2 > RANK_TOL).sum(axis=-1))
 

@@ -166,18 +166,34 @@ def _as_square(name, a, d):
 def _check_hermitian_psd(m, atol, what):
     """Raise unless the finite square matrix m is Hermitian and positive
     semidefinite to atol; `what` names it in the message."""
-    if np.max(np.abs(m - m.conj().T)) > atol:
+    h = m.conj().T
+    if np.abs(m - h).max() > atol:
         raise InvariantError(f"{what} is not Hermitian")
-    if np.linalg.eigvalsh((m + m.conj().T) / 2).min() < -atol:
+    if np.linalg.eigvalsh((m + h) / 2).min() < -atol:
         raise InvariantError(f"{what} is not positive semidefinite")
 
 
 def _check_unit_rows(amps):
     """Raise unless each row (last axis) of the complex array amps has unit
-    norm to ATOL; written so that a NaN or infinite entry fails."""
-    norms = np.linalg.norm(amps, axis=-1)
-    if not np.abs(norms - 1.0).max() <= ATOL:
+    norm to ATOL; written so that a NaN or infinite entry fails.  A row's
+    squared norm is one dot product: np.vdot for a single vector, and over
+    each row of the real view for a batch."""
+    if amps.ndim == 1:
+        ok = abs(math.sqrt(np.vdot(amps, amps).real) - 1.0) <= ATOL
+    else:
+        rows = np.ascontiguousarray(amps).view(float)
+        ok = np.abs(np.sqrt(np.einsum("...i,...i->...", rows, rows)) - 1.0).max() <= ATOL
+    if not ok:
         raise InvariantError("state vector is not normalized")
+
+
+def _row_norms(rows):
+    """The Euclidean norm of each row of a (k, n) complex array, summed as
+    np.linalg.norm sums one vector (one real and one imaginary dot product),
+    so each norm has the bits of np.linalg.norm(row)."""
+    flat = rows[:, None, :]
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +249,7 @@ class DensityMatrix:
             # allowed only at construction from external input
             m = (m + m.conj().T) / 2
         _check_hermitian_psd(m, ATOL, "matrix")
-        if abs(np.trace(m).real - 1.0) > ATOL:
+        if abs(m.trace().real - 1.0) > ATOL:
             raise InvariantError("trace is not 1")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
@@ -346,24 +362,25 @@ def tensor_product(a, b):
 
 
 def _check_parties(shape, parties, name="party subset"):
-    """The sorted party indices of a nonempty collection; each must be an
-    integer (`_is_int`) in range and named once.  Anything but a
-    collection is an InvariantError naming the argument as `name`."""
+    """The sorted party indices of a nonempty collection, as Python ints;
+    each must be an integer (`_is_int`) in range and named once.  Anything
+    but a collection is an InvariantError naming the argument as `name`."""
     try:
         parties = list(parties)
     except TypeError:
         raise InvariantError(f"{name} must be a collection of party indices, "
                              f"got {parties!r}") from None
-    if not all(_is_int(p) for p in parties):
+    if not all(map(_is_int, parties)):
         raise InvariantError(f"party indices must be integers, got {parties!r}")
-    if len(set(parties)) != len(parties):
+    # equal integers of any type are equal ints, so duplicates survive int()
+    ints = sorted(map(int, parties))
+    if len(set(ints)) != len(ints):
         raise InvariantError("party subset must list each party once")
-    parties = sorted(int(p) for p in parties)
-    if not parties:
+    if not ints:
         raise InvariantError("party subset must be nonempty")
-    if parties[0] < 0 or parties[-1] >= shape.n_parties:
+    if ints[0] < 0 or ints[-1] >= shape.n_parties:
         raise InvariantError(f"party index out of range for {shape.n_parties} parties")
-    return parties
+    return ints
 
 
 def partial_trace(rho, keep):
@@ -437,17 +454,21 @@ def _cut_permutation(shape, cut):
     that orders a cut; `_unfold` and `_fold` lay amplitudes out by it.
     """
     try:
-        left, right = (list(side) for side in cut)
+        left, right = cut
+        left, right = list(left), list(right)
     except (TypeError, ValueError):   # not a pair, or a side not a collection
         raise InvariantError(
             f"cut must be a pair (left, right) of party collections, got {cut!r}"
         ) from None
-    left, right = (tuple(_check_parties(shape, side)) for side in (left, right))
-    if sorted(left + right) != list(range(shape.n_parties)):
+    left = tuple(_check_parties(shape, left))
+    right = tuple(_check_parties(shape, right))
+    # both sides hold distinct parties in range, so they partition the
+    # parties iff they are disjoint and n in all
+    if len(left) + len(right) != shape.n_parties or not set(left).isdisjoint(right):
         raise InvariantError("cut must partition all parties into two nonempty groups")
     dims = shape.local_dims
-    return (left, right, math.prod(dims[k] for k in left),
-            math.prod(dims[k] for k in right))
+    return (left, right, math.prod([dims[k] for k in left]),
+            math.prod([dims[k] for k in right]))
 
 
 def _unfold(amps, shape, left, right):

@@ -148,6 +148,32 @@ class TestBuildConversion:
             locc.ConversionProtocol(proto.target, proto.cut, kraus,
                                     proto.corrections)
 
+    @pytest.mark.parametrize("side", [0, 1], ids=("alice", "bob"))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_correction_refused(self, side, bad):
+        proto = build_conversion(max_entangled(2), CUT)
+        corrections = [[a.copy(), b.copy()] for a, b in proto.corrections]
+        corrections[1][side][0, 1] = bad
+        with pytest.raises(InvariantError, match="^corrections must be finite$"):
+            locc.ConversionProtocol(proto.target, proto.cut, proto.alice_kraus,
+                                    corrections)
+
+    def test_corrections_are_owned(self):
+        # the protocol keeps read-only complex copies: changing the caller's
+        # arrays afterwards leaves it as it was, and it still verifies
+        proto = self._qutrit_protocol()
+        corrections = [(a.copy(), b.copy()) for a, b in proto.corrections]
+        built = locc.ConversionProtocol(proto.target, proto.cut,
+                                        proto.alice_kraus, corrections)
+        for a, b in corrections:
+            a[:] = 0
+            b[:] = np.nan
+        for (a1, b1), (a2, b2) in zip(built.corrections, proto.corrections,
+                                      strict=True):
+            assert _same_bits(a1, a2) and _same_bits(b1, b2)
+            assert not (a1.flags.writeable or b1.flags.writeable)
+        built.verify()
+
     @staticmethod
     def _qutrit_protocol():
         """A conversion to a seeded generic (3, 3) state: d = 3 outcomes."""
@@ -433,7 +459,9 @@ class TestSynthesis:
          "1767d46f638412970575599ea2724d748124be68d6056784216237543ab9650c"),
         ((2, 4), 72,
          "66a8a8fcbd86f78a1bf6dabc0bbd59a3270b6ddcb6536d8153464353632c8c2e"),
-    ], ids=("3x3", "2x4"))
+        ((4, 4), 73,
+         "7028ee0f44a80f01271875da1992ea09382d4ce6ffd6805cbe1e1943792ebe32"),
+    ], ids=("3x3", "2x4", "4x4"))
     def test_seeded_plan_document_pinned(self, dims, seed, digest):
         # SHA-256 of the plan document's JSON text as the per-protocol
         # builder and per-matrix encoder wrote it; building and encoding

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,7 @@ from lcstates.channels import (COMPLETENESS_ATOL, _apply_leading,
                                _from_pairs, _rotate, _to_pairs, haar_isometry,
                                liouville)
 from lcstates.states import deterministic_eigh
-from lcstates import reach
+from lcstates import reach, serialize
 from lcstates.reach import (LCConfiguration, _gram_objective, _gram_pair,
                             _line_objective, _party_gradient,
                             _polar_retract, _precursor_line,
@@ -889,6 +891,22 @@ class TestObstruction:
             recon = q * psi_a.density().entries + (1 - q) * psi_b.density().entries
             assert np.max(np.abs(recon - rho.entries)) <= 1e-14
             assert abs(q - p) <= 1e-14
+
+    @pytest.mark.parametrize("p, seed, digest", [
+        (0.1, 41, "971505faa5bc86c33ecf2c824c76fc2743c1049cd035d590b303fb6d03a92e14"),
+        (0.5, 42, "92f256c3878e4ea9d3d4c11685c5c791f75a6e87c6f5f1a9e73ee861cddc8b24"),
+        (0.9, 43, "e52495a8a154b15842f34f0efac021c0bb15b0b7737ee66943cd61c020ace715"),
+    ], ids=("p0.1", "p0.5", "p0.9"))
+    def test_certificate_document_pinned(self, p, seed, digest):
+        # SHA-256 of the NotLCCC certificate's JSON text for a seeded
+        # local-unitary rotation of z_mixture(p): the decomposition's
+        # weight and states and the class labels, bit for bit
+        u = tensor_unitary(np.random.default_rng(seed))
+        rho = DensityMatrix(Q3, u @ z_mixture(p).entries @ u.conj().T,
+                            symmetrize=True)
+        doc = serialize.certificate_to_dict(lccc_obstruction_check(rho))
+        assert doc["verdict"] == NOT_LCCC
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
 
     def test_ghz_plus_minus_mixture_unknown(self):
         # span{GHZ+, GHZ-} = span{|000>, |111>}: the quartic's roots are the

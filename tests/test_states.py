@@ -11,7 +11,8 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       partial_trace, purify, schmidt_decompose,
                       spectral_ensemble, tensor_product, w_state, z_mixture)
 from lcstates.states import (ATOL, DEGENERACY_TOL, MAX_TOTAL_DIM, RANK_TOL,
-                             _cut_permutation, _fix_phases, _fold, _unfold)
+                             _check_unit_rows, _cut_permutation, _fix_phases,
+                             _fold, _unfold)
 from conftest import random_density, random_pure, random_unitary
 
 Q1 = SystemShape((2,))
@@ -51,6 +52,34 @@ class TestInvariants:
     def test_pure_norm_enforced(self):
         with pytest.raises(InvariantError):
             PureState(Q1, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("norm, ok", [
+        (1 + 0.5e-9, True), (1 - 0.5e-9, True),
+        (1 + 2e-9, False), (1 - 2e-9, False),
+    ], ids=("+0.5e-9", "-0.5e-9", "+2e-9", "-2e-9"))
+    def test_unit_norm_tolerance(self, norm, ok):
+        # a vector, and one row of a batch, of norm 1 +- 0.5e-9 pass the
+        # ATOL = 1e-9 check and 1 +- 2e-9 fail it
+        vec = np.array([norm, 0.0], dtype=complex)
+        batch = np.array([[1.0, 0.0], [0.0, norm]], dtype=complex)
+        for check in (lambda: PureState(Q1, vec), lambda: _check_unit_rows(batch)):
+            if ok:
+                check()
+            else:
+                with pytest.raises(InvariantError, match="^state vector is not normalized$"):
+                    check()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200],
+                             ids=("nan", "inf", "1e200"))
+    def test_unit_norm_rejects_a_bad_row(self, bad):
+        # a NaN or infinite row fails; so does a finite one whose squared
+        # norm overflows, without an overflow warning (which the suite
+        # raises as an error)
+        batch = np.array([[1.0, 0.0], [bad, 0.0]], dtype=complex)
+        with pytest.raises(InvariantError, match="^state vector is not normalized$"):
+            _check_unit_rows(batch)
+        with pytest.raises(InvariantError, match="^state vector is not normalized$"):
+            _check_unit_rows(batch[1])
 
     def test_pure_length_enforced(self):
         with pytest.raises(InvariantError, match="^amplitude vector has "
@@ -343,6 +372,26 @@ class TestSchmidt:
     def test_party_named_twice_rejected(self, cut):
         with pytest.raises(InvariantError, match="each party once"):
             schmidt_decompose(ghz_state(), cut)
+
+    @pytest.mark.parametrize("cut, message", [
+        (((0,), (True, 2)), r"^party indices must be integers, got \[True, 2\]$"),
+        (((0.0,), (1, 2)), r"^party indices must be integers, got \[0\.0\]$"),
+        (((0,), (1, 3)), r"^party index out of range for 3 parties$"),
+        (((-1, 0), (1, 2)), r"^party index out of range for 3 parties$"),
+        (((0, 1), (1, 2)), r"^cut must partition all parties into two nonempty groups$"),
+        (((0, 1, 2), ()), r"^party subset must be nonempty$"),
+    ], ids=("bool", "float", "too-large", "negative", "both-sides", "empty-side"))
+    def test_cut_permutation_rejects(self, cut, message):
+        with pytest.raises(InvariantError, match=message):
+            _cut_permutation(SystemShape((2, 3, 4)), cut)
+
+    def test_cut_permutation_accepts_numpy_integers(self):
+        # numpy integers name parties; the sides come back sorted, as
+        # tuples of Python ints, with their dimensions
+        cut = ((np.int64(2), np.uint8(0)), [np.int32(1)])
+        left, right, dl, dr = _cut_permutation(SystemShape((2, 3, 4)), cut)
+        assert (left, right, dl, dr) == ((0, 2), (1,), 8, 3)
+        assert all(type(p) is int for p in left + right)
 
 
 class TestCanonicalStates:
