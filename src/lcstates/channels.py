@@ -206,39 +206,26 @@ def liouville(kraus):
     return s.swapaxes(-3, -2).reshape(*batch, d * d, d * d)
 
 
-def _to_pairs(mat, dims, out=None):
+def _to_pairs(mat, dims):
     """A (..., D, D) operator as its (..., D^2) party-paired vector.
 
     Entry [(i_1, j_1), ..., (i_n, j_n)] (big-endian, as everywhere in the
     package) is mat[i, j]: each party's (row, col) index pair sits
     together, so a channel on party k acts on one contiguous middle axis.
-    Leading axes are a batch.  The result is written into out if given
-    (`_copy_into`), else into a new array.
+    Leading axes are a batch.
     """
     nb, n = mat.ndim - 2, len(dims)
     t = mat.reshape(*mat.shape[:-2], *dims, *dims)
     pairs = [nb + a for k in range(n) for a in (k, n + k)]
-    return _copy_into(t.transpose(*range(nb), *pairs), mat.shape[:-2] + (-1,), out)
+    return t.transpose(*range(nb), *pairs).reshape(*mat.shape[:-2], -1)
 
 
-def _from_pairs(vec, dims, out=None):
-    """Inverse of `_to_pairs`: (..., D^2) -> (..., D, D), written into out
-    if given (`_copy_into`)."""
+def _from_pairs(vec, dims):
+    """Inverse of `_to_pairs`: (..., D^2) -> (..., D, D)."""
     nb, n, big = vec.ndim - 1, len(dims), math.prod(dims)
     t = vec.reshape(*vec.shape[:-1], *(d for d in dims for _ in (0, 1)))
     rows_cols = [nb + 2 * k + a for a in (0, 1) for k in range(n)]
-    return _copy_into(t.transpose(*range(nb), *rows_cols),
-                      vec.shape[:-1] + (big, big), out)
-
-
-def _copy_into(t, shape, out):
-    """The transposed view t as an array of shape: a new one (the reshape's
-    copy), or out, an array of that shape not sharing memory with t.  out's
-    view of t's shape only splits axes, so it is a view for any strides."""
-    if out is None:
-        return t.reshape(shape)
-    out.reshape(t.shape)[...] = t
-    return out
+    return t.transpose(*range(nb), *rows_cols).reshape(*vec.shape[:-1], big, big)
 
 
 def _column_view(vec, dims, k):
@@ -261,7 +248,7 @@ def _leading_view(vec, d2):
     return vec.reshape(vec.shape[:-1] + (d2, vec.shape[-1] // d2))
 
 
-def _apply_leading(vec, s, out=None):
+def _apply_leading(vec, s):
     """Apply the Liouville matrix s to the leading pair axis of a paired
     vector, and rotate that axis to the back.
 
@@ -273,16 +260,10 @@ def _apply_leading(vec, s, out=None):
     algorithm).  Leading axes of vec and s are a batch (broadcast against
     each other): element b gets the same arithmetic as the unbatched call
     on vec[b] and s[b].  Method calls rather than numpy functions keep the
-    per-call overhead low, which dominates at (2, 2, 2).  Given out, an
-    array of the result's shape not sharing memory with vec, the product
-    is written into out: the same bytes as the new array.
+    per-call overhead low, which dominates at (2, 2, 2).
     """
-    t = _leading_view(vec, s.shape[-1]).swapaxes(-1, -2)
-    if out is None:
-        x = t @ s.swapaxes(-1, -2)
-        return x.reshape(x.shape[:-2] + (vec.shape[-1],))
-    np.matmul(t, s.swapaxes(-1, -2), out=_leading_view(out, t.shape[-2]))
-    return out
+    x = _leading_view(vec, s.shape[-1]).swapaxes(-1, -2) @ s.swapaxes(-1, -2)
+    return x.reshape(x.shape[:-2] + (vec.shape[-1],))
 
 
 def _rotate(vec, d2):
@@ -291,16 +272,14 @@ def _rotate(vec, d2):
     return _leading_view(vec, d2).swapaxes(-1, -2).reshape(vec.shape)
 
 
-def _apply_product_channel_matrix(sups, vec, outs=None):
+def _apply_product_channel_matrix(sups, vec):
     """Apply one Liouville matrix per party, in ascending party order, to a
     raw paired vector (`_to_pairs`): one `_apply_leading` step per party,
     so the vector ends in its original layout and no step copies.  vec and
     the Liouville matrices may carry leading batch axes, as in
-    `_apply_leading`.  Given outs, one array per party, each step writes
-    into its own (`_apply_leading`'s out), so it must not be the array the
-    step reads."""
-    for s, out in zip(sups, outs or [None] * len(sups)):
-        vec = _apply_leading(vec, s, out)
+    `_apply_leading`."""
+    for s in sups:
+        vec = _apply_leading(vec, s)
     return vec
 
 

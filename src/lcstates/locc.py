@@ -190,16 +190,14 @@ def _outcome_amplitudes(protocols):
     amplitudes, shape (M*d, D), protocol-major.  The amplitudes get
     PureState's checks (`_check_unit_rows`).
     """
+    a, b = _stacked_corrections(protocols)
     first = protocols[0]
-    shape, cut, d = key = first.target.shape, first.cut, first.n_outcomes
-    if any((p.target.shape, p.cut, p.n_outcomes) != key for p in protocols):
-        raise InvariantError("protocols must share one shape, cut and outcome count")
+    shape, cut, d = first.target.shape, first.cut, first.n_outcomes
     left, right, dl, dr = _cut_permutation(shape, cut)
     post = np.array([p.alice_kraus for p in protocols]) @ _precursor_matrix(d, dl, dr)
     # each outcome's Frobenius norm as np.linalg.norm gives it, so seeded
     # synthesis results keep the bits their tests pin
     norms = _row_norms(post.reshape(-1, dl * dr))
-    a, b = _stacked_corrections(protocols)
     post = a @ (post / norms.reshape(-1, d, 1, 1)) @ np.swapaxes(b, -1, -2)
     amps = _fold(post, shape, left, right).reshape(len(norms), -1)
     _check_unit_rows(amps)
@@ -207,9 +205,15 @@ def _outcome_amplitudes(protocols):
 
 
 def _stacked_corrections(protocols):
-    """(A, B): Alice's and Bob's corrections of M protocols that share one
-    shape, cut and outcome count d, stacked to (M, d, dl, dl) and
-    (M, d, dr, dr)."""
+    """(A, B): Alice's and Bob's corrections of M protocols, stacked to
+    (M, d, dl, dl) and (M, d, dr, dr).  The protocols must share one
+    shape, cut and outcome count d, else InvariantError: the check of
+    every stacked pass over protocols (`_outcome_amplitudes`,
+    `serialize._protocol_docs`)."""
+    first = protocols[0]
+    key = first.target.shape, first.cut, first.n_outcomes
+    if any((p.target.shape, p.cut, p.n_outcomes) != key for p in protocols):
+        raise InvariantError("protocols must share one shape, cut and outcome count")
     return tuple(np.array(side) for side in zip(*(p._sides for p in protocols)))
 
 

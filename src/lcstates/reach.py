@@ -35,11 +35,7 @@ kept: each iteration's channel moves pair them from the working Phi
 once.  The precursor move leaves the layout once, to multiply the
 adjoint image Lambda^dag(X - rho) with Phi, and solves no eigenproblem;
 the only ones the loop solves are the channel trials' d x d ones, and the
-starts' (`_starts`).  It works in a workspace allocated once per search
-(`_precursor_workspace`): the line vectors (X - rho, A1, A2, rho), rho's
-row written once, and two buffers that its adjoint and forward products
-alternate between, the outer products g Phi^H and g g^H held in one of
-them.  So the precursor move allocates no D^2-sized array per iteration.
+starts' (`_starts`).
 
 A finite search only gathers evidence: results report residuals and never
 claim impossibility.  The structural certificate lives in
@@ -216,7 +212,7 @@ def _polar_retract(v):
     return iso
 
 
-def _sphere_gradient(phis, resid, sups, dims, spare):
+def _sphere_gradient(phis, resid, sups, dims):
     """Precursor direction g = M Phi - Re<Phi, M Phi> Phi of each row.
 
     M = Lambda^dag(X - rho) as a D x D matrix, from resid = X - rho as
@@ -225,30 +221,24 @@ def _sphere_gradient(phis, resid, sups, dims, spare):
     rho||^2 has the differential df = 4 Re<dPhi, M Phi>, so g, its
     projection on the tangent space at a unit Phi, is the Riemannian
     gradient on the unit sphere divided by 4.  Leading axes are a batch.
-    The product's steps and M alternate between the two arrays of spare,
-    each of resid's shape (`_precursor_line`'s workspace).
     """
-    n = len(sups)
-    h = _apply_product_channel_matrix([s.conj().swapaxes(-1, -2) for s in sups],
-                                      resid, [spare[k % 2] for k in range(n)])
-    m = _from_pairs(h, dims, spare[n % 2].reshape(phis.shape + phis.shape[-1:]))
-    mphi = (m @ phis[..., None])[..., 0]
+    h = _apply_product_channel_matrix(
+        [s.conj().swapaxes(-1, -2) for s in sups], resid)
+    mphi = (_from_pairs(h, dims) @ phis[..., None])[..., 0]
     return mphi - (phis.conj() * mphi).real.sum(axis=-1)[..., None] * phis
 
 
 def _precursor_workspace(rho, rows):
-    """The precursor move's working arrays for rows restarts, allocated once
-    per search (`_run_lock_step`): the line vectors, (rows, 4, D^2), with
-    rho written into row 3 once, and two (rows, 2, D^2) buffers that the
-    products alternate between, the first holding the outer products.  Any
-    row prefix of the three is a workspace for that many rows, so a
+    """The precursor move's line vectors for rows restarts, (rows, 4, D^2),
+    allocated once per search (`_run_lock_step`) with rho written into
+    row 3 once.  Any row prefix is the buffer for that many rows, so a
     compaction keeps it valid."""
-    lines, fa, fb = (np.empty((rows, k, rho.size), dtype=complex) for k in (4, 2, 2))
+    lines = np.empty((rows, 4, rho.size), dtype=complex)
     lines[:, 3] = rho
-    return lines, fa, fb
+    return lines
 
 
-def _precursor_line(phis, x, rho, sups, dims, work):
+def _precursor_line(phis, x, rho, sups, dims, v):
     """What the precursor move needs to score every step along its line.
 
     Returns (g, norms, gram) per row: the direction g (`_sphere_gradient`,
@@ -257,26 +247,16 @@ def _precursor_line(phis, x, rho, sups, dims, work):
     v = (X - rho, A1, A2, rho), with A1 = Lambda(g Phi^H + Phi g^H) and
     A2 = Lambda(g g^H) from one product over the stacked pair, each one
     product of float views.  x and rho are paired vectors, x with the
-    batch axis.  work is a workspace of as many rows as phis
-    (`_precursor_workspace`), and every D^2-sized array lives in it: v is
-    its line vectors; the adjoint product, the outer products g Phi^H and
-    g g^H, their paired copy and the forward product's steps alternate
-    between its two buffers, the last step writing A1 and A2 into rows
-    1:3 of v.  So the move allocates no D^2-sized array: besides arrays of
-    D entries, only numpy's ufunc buffers, which numpy's buffer size
-    bounds.
+    batch axis.  v is the line-vector buffer of as many rows as phis
+    (`_precursor_workspace`), rho in its row 3: X - rho is written into
+    row 0 and A1 and A2 into rows 1:3.
     """
-    v, fa, fb = work
-    g = _sphere_gradient(phis, np.subtract(x, rho, out=v[:, 0]), sups, dims,
-                         (fa[:, 0], fb[:, 0]))
+    g = _sphere_gradient(phis, np.subtract(x, rho, out=v[:, 0]), sups, dims)
     u = np.concatenate([phis[..., None, :], g[..., None, :]], axis=-2)
-    s = np.multiply(g[..., None, :, None], u.conj()[..., :, None, :],
-                    out=fa.reshape(u.shape + u.shape[-1:]))   # g Phi^H, g g^H
-    s0 = s[:, 0]
-    s0 += np.conjugate(s0, out=fb[:, 0].reshape(s0.shape)).swapaxes(-1, -2)   # + Phi g^H
-    _apply_product_channel_matrix(
-        [w[:, None] for w in sups], _to_pairs(s, dims, fb),
-        [(fa, fb)[k % 2] for k in range(len(sups) - 1)] + [v[:, 1:3]])
+    s = g[..., None, :, None] * u.conj()[..., :, None, :]   # g Phi^H, g g^H
+    s[:, 0] += s[:, 0].conj().swapaxes(-1, -2)   # + Phi g^H
+    v[:, 1:3] = _apply_product_channel_matrix(
+        [w[:, None] for w in sups], _to_pairs(s, dims))
     uf, vf = u.view(float), v.view(float)
     return g, uf @ uf.swapaxes(-1, -2), vf @ vf.swapaxes(-1, -2)
 
@@ -340,13 +320,14 @@ STEP_CAP = 10.0
 CHANNEL_RUNGS = 2
 
 # caps on one search's size, whatever max_iters is.  A restart holds about
-# 12 complex D^2-vectors, the precursor move's workspace 8 of them: per
+# 11 complex D^2-vectors, the precursor move's line vectors 4 of them: per
 # added restart (one iteration, noisy GHZ target, qubits) the tracemalloc
-# peak rises 3.0, 12.0 and 48.0 MB at D = 128, 256 and 512, 0.15 MB at
-# (3,3,3) with env 9.  The workspace alone would be 17 GB at D = 4096 and
-# 8 restarts.  So restarts x D^2 may not exceed SEARCH_SIZE_LIMIT, about
-# 2 GB of working set: 8 restarts at D = 1024, 2 at D = 2048, none at
-# D = 4096.  RESTART_LIMIT restarts at D = 27 stay near 85 MB.
+# peak rises 2.8, 11.0 and 44.0 MB at D = 128, 256 and 512, 0.13 MB at
+# (3,3,3) with env 9.  The line vectors alone would be 8.6 GB at D = 4096
+# and 8 restarts.  So restarts x D^2 may not exceed SEARCH_SIZE_LIMIT,
+# about 1.5 GB of working set: 8 restarts at D = 1024, 2 at D = 2048, none
+# at D = 4096.  RESTART_LIMIT restarts at D = 27 peak near 37 MB (82 MB of
+# process RSS over 40 iterations).
 RESTART_LIMIT = 256
 ITERATION_LIMIT = 10 ** 6
 SEARCH_SIZE_LIMIT = 2 ** 23
@@ -387,21 +368,19 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
       * precursor move, a gradient step on the unit sphere: from X, one
         adjoint product gives the direction g (`_sphere_gradient`) and one
         product over a stacked pair the outputs A1 and A2
-        (`_precursor_line`), in the move's workspace: the line vectors
-        (B, 4, D^2), rho's row written once, and two (B, 2, D^2) buffers
-        that the products alternate between (`_precursor_workspace`),
-        allocated once per search.  So the move allocates no D^2-sized
-        array.  The trial steps form a ladder, the
-        restart's precursor step halved again and again down to the last
-        rung >= STEP_FLOOR (at most floor(log2(STEP_CAP / STEP_FLOOR)) + 1
-        rungs), all scored at once in closed form (`_line_objective`):
-        no trial makes a kernel call.  The first rung t that does not
-        raise the objective (by more than 1e-15) is taken: Phi becomes
-        (Phi - t g) / ||Phi - t g||, the objective becomes the rung's
-        closed-form score, and the step becomes t times STEP_GROWTH,
-        capped at STEP_CAP.  X is not updated: the channel moves rebuild
-        it from the new Phi.  If no rung passes, Phi and the step stay as
-        they were and the restart goes on to its channel moves;
+        (`_precursor_line`), written into the move's line vectors
+        (B, 4, D^2), one buffer per search (`_precursor_workspace`).  The
+        trial steps form a ladder, the restart's precursor step halved
+        again and again down to the last rung >= STEP_FLOOR (at most
+        floor(log2(STEP_CAP / STEP_FLOOR)) + 1 rungs), all scored at once
+        in closed form (`_line_objective`): no trial makes a kernel call.
+        The first rung t that does not raise the objective (by more than
+        1e-15) is taken: Phi becomes (Phi - t g) / ||Phi - t g||, the
+        objective becomes the rung's closed-form score, and the step
+        becomes t times STEP_GROWTH, capped at STEP_CAP.  X is not
+        updated: the channel moves rebuild it from the new Phi.  If no
+        rung passes, Phi and the step stay as they were and the restart
+        goes on to its channel moves;
       * per party k, Y_k (the other parties applied to Phi Phi^H, paired
         once per iteration from the working Phi) is computed once and
         reduced to its Gram pair (`_gram_pair`), which gives the gradient
@@ -445,11 +424,11 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     where some row is not pending gathers the pending ones (a round where
     every live row is pending indexes by whole-array slices).  Until the
     first restart stops, the working Kraus stacks and precursors are the
-    caller's arrays themselves, updated in place.  The workspace is not
-    compacted: the live rows use its row prefix, which a compaction leaves
-    valid (rho's rows are all alike, and the other rows are written before
-    they are read).  Nothing is kept per move or per iteration, so the
-    memory a search holds does not grow with max_iters.
+    caller's arrays themselves, updated in place.  The line-vector buffer
+    is not compacted: the live rows use its row prefix, which a compaction
+    leaves valid (rho's rows are all alike, and the other rows are written
+    before they are read).  Nothing is kept per move or per iteration, so
+    the memory a search holds does not grow with max_iters.
 
     No move raises a restart's objective, and element b's arithmetic does
     not depend on the other elements, so a restart's result does not
@@ -503,7 +482,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         ph, x, obj, step, pstep, accepted, rejected, ids = (
             a[keep] for a in (ph, x, obj, step, pstep, accepted, rejected,
                               ids))
-        work = tuple(a[:len(ids)] for a in work)
+        work = work[:len(ids)]
 
     for it in range(1, max_iters + 1):
         if not ids.size:
@@ -513,7 +492,7 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         # precursor move: the first rung of the ladder that does not raise
         # the objective, every rung scored in closed form
         g, norms, gram = _precursor_line(ph, x, rho, sups, dims, work)
-        x = None   # X - rho is in the workspace: X is not needed again
+        x = None   # X - rho is in the buffer: X is not needed again
         t = pstep[:, None] * rungs
         line = _line_objective(t, norms, gram)
         ok = (line <= obj[:, None] + 1e-15) & (t >= STEP_FLOOR)
@@ -577,7 +556,9 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
                 rejected[down] += n_tried
                 pend = down[step[down] >= STEP_FLOOR]
             left = _apply_leading(left, sups[k])
-        x = left
+        # the channel moves' products die here, not under the next
+        # precursor move's temporaries (nor as a compaction's stale X)
+        x, left, y, t = left, None, None, None
         # every stop is decided here, once per iteration; underflow wins
         dead = step < STEP_FLOOR
         done = dead | (prev - obj < tol)

@@ -146,11 +146,12 @@ def ensemble_to_dict(ens):
 
 
 def _protocol_docs(protocols):
-    """Documents of protocols over one shape and outcome count; targets,
-    Kraus operators and each side's corrections are encoded as one stack."""
+    """Documents of protocols over one shape, cut and outcome count
+    (`_stacked_corrections`, else InvariantError); targets, Kraus
+    operators and each side's corrections are encoded as one stack."""
+    alice, bob = map(_encode, _stacked_corrections(protocols))
     targets = _pure_docs([p.target for p in protocols])
     kraus = _encode(np.array([p.alice_kraus for p in protocols]))
-    alice, bob = map(_encode, _stacked_corrections(protocols))
     return [{"cut": [list(p.cut[0]), list(p.cut[1])],
              "target": t,
              "alice_kraus": k,

@@ -366,37 +366,6 @@ class TestKernel:
                                          np.unravel_index(j, dims)) for a in pair]
                 assert np.array_equal(t[(slice(None), *idx)], x[:, i, j]), dims
 
-    def test_out_matches_allocating_call(self, rng):
-        # out= (outs= for a product) writes the allocating call's bytes,
-        # into a contiguous out and into batch-strided rows such as the
-        # precursor workspace's line vectors 1:3 (lines[:, 1:3] of a
-        # (B, 4, D^2) array), and returns out
-        for dims in KERNEL_SHAPES:
-            big = int(np.prod(dims))
-            x = rng.standard_normal((3, 2, big, big)) \
-                + 1j * rng.standard_normal((3, 2, big, big))
-            vec = _to_pairs(x, dims)
-            sups = [np.stack([liouville(random_local_channel(d, d, 80 + b).kraus)
-                              for b in range(3)])[:, None] for d in dims]
-            lines = np.full((3, 4, big * big), np.nan, dtype=complex)
-            mats = np.full((3, 4, big, big), np.nan, dtype=complex)
-            for out, mat_out in ((np.empty_like(vec), np.empty_like(x)),
-                                 (lines[:, 1:3], mats[:, 1:3])):
-                assert _to_pairs(x, dims, out=out) is out
-                assert out.tobytes() == vec.tobytes(), dims
-                assert _from_pairs(vec, dims, out=mat_out) is mat_out
-                assert mat_out.tobytes() == x.tobytes(), dims
-                for s in sups:
-                    assert _apply_leading(vec, s, out=out) is out
-                    assert out.tobytes() == _apply_leading(vec, s).tobytes(), dims
-                # a product whose steps alternate between two buffers, the
-                # last one writing into out
-                spare = [np.empty_like(vec), np.empty_like(vec)]
-                outs = [spare[k % 2] for k in range(len(dims) - 1)] + [out]
-                assert _apply_product_channel_matrix(sups, vec, outs) is out
-                assert out.tobytes() == _apply_product_channel_matrix(sups, vec).tobytes()
-            assert np.isnan(lines[:, [0, 3]]).all() and np.isnan(mats[:, [0, 3]]).all()
-
 
 class TestAdjoint:
     def test_unitary_adjoint(self, rng):

@@ -281,34 +281,37 @@ class TestPrecursorLine:
                              ids=["env1", "envd", "envd2"])
     @pytest.mark.parametrize("batch", [1, 2, 6])
     def test_workspace_matches_reference_bytes(self, dims, env, batch, rng):
-        # in a workspace of its own size, and in the row prefix of a larger
-        # one (as after a compaction) whose every other entry is NaN, so
-        # that a stale read would show
+        # in a buffer of its own size, and in the row prefix of a larger
+        # one (as after a compaction) whose rows 0:3 are NaN, so that a
+        # stale read would show
         sups, phis, x, rho = self._line_inputs(dims, env, rng, batch)
         ref = _reference_precursor_line(phis, x, rho, sups, dims)
-        lines, fa, fb = larger = _precursor_workspace(rho, batch + 3)
-        lines[:, :3] = fa[...] = fb[...] = np.nan
-        for work in (_precursor_workspace(rho, batch), [a[:batch] for a in larger]):
+        larger = _precursor_workspace(rho, batch + 3)
+        larger[:, :3] = np.nan
+        for work in (_precursor_workspace(rho, batch), larger[:batch]):
             got = _precursor_line(phis, x, rho, sups, dims, work)
             for r, o in zip(ref, got):
                 assert r.shape == o.shape and r.tobytes() == o.tobytes()
 
-    def test_no_large_array_allocated(self, rng):
-        # at D = 256 every D^2-sized array of the move lives in its
-        # workspace: what one call allocates (numpy's ufunc buffers, which
-        # its buffer size bounds) stays below one (B, D^2) array, where the
-        # allocating move peaked at ten
+    def test_line_vectors_written_into_buffer(self, rng):
+        # at D = 256 the move's line vectors live in the buffer it is
+        # given: the adjoint and forward products' temporaries peak near
+        # six (B, D^2) arrays in one call, where a move that allocates its
+        # line vectors too peaks near ten
         dims = (2,) * 8
         sups, phis, x, rho = self._line_inputs(dims, lambda d: d, rng)
         work = _precursor_workspace(rho, len(phis))
         _precursor_line(phis, x, rho, sups, dims, work)
+        work[:, :3] = np.nan
         tracemalloc.start()
         try:
             _precursor_line(phis, x, rho, sups, dims, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < x.nbytes
+        assert peak < 8 * x.nbytes
+        assert not np.isnan(work).any()
+        assert np.array_equal(work[:, 0], x - rho)
 
     def test_lc_made_targets_reached(self):
         # four states that local noise makes from a Haar-random pure state
@@ -327,8 +330,8 @@ class TestPrecursorLine:
 
 
 def _reference_precursor_line(phis, x, rho, sups, dims):
-    """`_precursor_line` as it was before its workspace: every array
-    allocated per call, the products by `_apply_product_channel_matrix`."""
+    """`_precursor_line` with every array, its line vectors too, allocated
+    per call, the products by `_apply_product_channel_matrix`."""
     v = np.empty(x.shape[:-1] + (4, x.shape[-1]), dtype=complex)
     v[..., 3, :] = rho
     resid = np.subtract(x, rho, out=v[..., 0, :])
@@ -444,6 +447,26 @@ class TestSearch:
                 tracemalloc.stop()
             assert res.diagnostics[1].iterations == max_iters
         assert peaks[1] - peaks[0] < 4096
+
+    def test_memory_per_restart(self):
+        # the search size limits rest on what one restart holds: on a noisy
+        # 7-qubit GHZ target (D = 128), one iteration, each added restart
+        # raises the peak by under 11.5 complex D^2-vectors; a first search
+        # pays the one-time allocations before measuring
+        chans = [dephasing_channel(2, 0.3), depolarizing_channel(2, 0.2)] \
+            + [identity_channel(2)] * 5
+        target = apply_product_channel(chans, ghz_state(7, 2).density())
+        lc_distance_search(target, restarts=2, max_iters=1, master_seed=3)
+        peaks = []
+        for restarts in (2, 4):
+            tracemalloc.start()
+            try:
+                lc_distance_search(target, restarts=restarts, max_iters=1,
+                                   master_seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 2 < 11.5 * 16 * 128 ** 2
 
     @pytest.mark.parametrize("target, env_dims", [
         (noisy_ghz, (4, 3, 2)), (noisy_qutrit_ghz, (9, 5, 1))])
@@ -681,7 +704,7 @@ class TestSearch:
 
     def test_workspace_built_once(self, monkeypatch):
         # a 6-restart (3, 3, 3) search whose restart 0 stops after
-        # iteration 1: the precursor move's workspace is built once, and
+        # iteration 1: the precursor move's one buffer is built once, and
         # every iteration works in the same memory, in the row prefix that
         # the compaction leaves
         built, rows, data = [], [], []
@@ -692,8 +715,9 @@ class TestSearch:
             return built[-1]
 
         def line(phis, x, rho, sups, dims, work):
-            rows.append([len(a) for a in work])
-            data.append([a.__array_interface__["data"][0] for a in work])
+            assert isinstance(work, np.ndarray) and work.shape[1:] == (4, x.shape[-1])
+            rows.append(len(work))
+            data.append(work.__array_interface__["data"][0])
             return true_line(phis, x, rho, sups, dims, work)
 
         monkeypatch.setattr(reach, "_precursor_workspace", workspace)
@@ -702,8 +726,8 @@ class TestSearch:
                                  master_seed=2026)
         assert [d.iterations for d in res.diagnostics] == [1] + [4] * 5
         assert len(built) == 1
-        assert rows == [[6] * 3] + [[5] * 3] * 3
-        assert data == [[a.__array_interface__["data"][0] for a in built[0]]] * 4
+        assert rows == [6] + [5] * 3
+        assert data == [built[0].__array_interface__["data"][0]] * 4
 
     def test_step_underflow_ends_restart(self, monkeypatch):
         # every trial objective, closed-form line (`_line_objective`) and

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lcstates import (ConversionProtocol, DensityMatrix, InvariantError,
-                      LocalChannel, PureState, SystemShape, dephasing_channel,
-                      ghz_state, random_local_channel)
+from lcstates import (ConversionProtocol, DensityMatrix, Ensemble,
+                      InvariantError, LocalChannel, PureState, SynthesisPlan,
+                      SystemShape, build_conversion, dephasing_channel,
+                      ghz_state, random_local_channel, simulate_synthesis)
 from lcstates import serialize
 from conftest import random_density, random_pure
 
@@ -123,6 +124,29 @@ def test_protocol_document_round_trip_is_bit_exact(n, seed, data):
     for got, (a, b) in zip(doc["corrections"], corrections, strict=True):
         assert _same_bits(serialize._decode(got["alice"], 2), a)
         assert _same_bits(serialize._decode(got["bob"], 2), b)
+
+
+def test_plan_of_unstackable_protocols_refused():
+    # one target at (3, 3) converted by build_conversion's protocol (3
+    # outcomes) and by a hand-built one with 2: each verifies and so does
+    # the plan, but its protocols do not share an outcome count, so
+    # writing the plan is refused as simulating it is
+    lam = np.array([0.7, 0.3])
+    psi = PureState(SystemShape((3, 3)), np.diag(np.append(np.sqrt(lam), 0)).ravel())
+    kraus = [np.diag([*np.sqrt(lam[[m % 2, (1 + m) % 2]]), 2 ** -0.5]) for m in (0, 1)]
+    shifts = [np.eye(3)[:, [m % 2, (1 + m) % 2, 2]] for m in (0, 1)]
+    hand = ConversionProtocol(target=psi, cut=((0,), (1,)), alice_kraus=kraus,
+                              corrections=tuple((p, p) for p in shifts))
+    plan = SynthesisPlan(Ensemble([0.5, 0.5], (psi, psi)),
+                         (build_conversion(psi, ((0,), (1,))), hand), psi.density())
+    for proto in plan.protocols:
+        proto.verify()
+    plan.verify()
+    message = "protocols must share one shape, cut and outcome count"
+    with pytest.raises(InvariantError, match=message):
+        simulate_synthesis(plan, 10, 0)
+    with pytest.raises(InvariantError, match=message):
+        serialize.plan_to_dict(plan)
 
 
 class TestPinnedBytes:
