@@ -7,6 +7,14 @@ synthesis of an arbitrary bipartite density matrix from that protocol plus
 shared randomness (the LCCC route: Alice samples an ensemble element,
 announces it, and both parties steer the maximally entangled precursor to
 the sampled pure state).
+
+A plan's parts are checked once per stack where the plan path builds
+them: `build_synthesis_plan` and `build_conversion` validate the cut
+once, the Kraus and correction stacks once (`_check_parts`) and the
+ensemble's eigenvector rows once (`states._pure_states`), and make every
+ConversionProtocol and ensemble PureState from read-only row views of
+those stacks.  The public constructors keep every check per object, for
+protocols and states built by hand or read from a file.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +24,9 @@ import numpy as np
 from .channels import _completeness_residual
 from .states import (ATOL, DensityMatrix, InvariantError, PureState,
                      UnsupportedError, _as_complex, _check_int, _check_type,
-                     _check_unit_rows, _cut_permutation, _fold, _row_norms,
-                     _unfold, distance, schmidt_decompose)
+                     _check_unit_rows, _cut_permutation, _fold, _pure_states,
+                     _row_norms, _unchecked, _unfold, distance,
+                     schmidt_decompose)
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +110,14 @@ class ConversionProtocol:
     (`_cut_permutation`), with sides of dimensions dl and dr, stored as the
     (left, right) pair of sorted tuples that `_cut_permutation` returns;
     alice_kraus is stored as its own read-only complex copy
-    (`_as_complex`), of shape (d, dl, dl) with d outcomes in
-    [1, min(dl, dr)] (the precursor |Phi+> has d levels on each side);
-    corrections are exactly d pairs of shapes (dl, dl) and (dr, dr) of
-    finite numbers, each side stored as one read-only complex stack of its
-    own and `corrections` as the d pairs of their rows, so changing the
-    caller's arrays afterwards leaves the protocol unchanged.
+    (`_as_complex`), and with it the corrections as `_check_parts` states
+    them: alice_kraus of shape (d, dl, dl) with d outcomes in
+    [1, min(dl, dr)], corrections exactly d pairs of shapes (dl, dl) and
+    (dr, dr) of finite numbers, each side stored as one read-only complex
+    stack of its own and `corrections` as the d pairs of their rows, so
+    changing the caller's arrays afterwards leaves the protocol unchanged.
+    `build_conversion` and `build_synthesis_plan` run the same checks once
+    for all their protocols (`_stacked_protocols`).
     """
 
     target: PureState
@@ -120,26 +131,13 @@ class ConversionProtocol:
         _check_type("target", self.target, PureState)
         left, right, dl, dr = _cut_permutation(self.target.shape, self.cut)
         kraus = _as_complex(self.alice_kraus)
-        if kraus.ndim != 3 or kraus.shape[1:] != (dl, dl):
-            raise InvariantError(f"alice_kraus must have shape (d, {dl}, {dl}), "
-                                 f"got {kraus.shape}")
-        d = kraus.shape[0]
-        if not 1 <= d <= min(dl, dr):
-            raise InvariantError(f"alice_kraus must hold 1 to {min(dl, dr)} "
-                                 f"operators, one per outcome, got {d}")
         try:
             alice, bob = zip(*[(a, b) for a, b in self.corrections])
             alice, bob = np.array(alice, dtype=complex), np.array(bob, dtype=complex)
         except (TypeError, ValueError, OverflowError):
             # no pairs, entries of unequal shapes, or entries not numbers
             alice = bob = np.empty(0)
-        if (alice.shape, bob.shape) != ((d, dl, dl), (d, dr, dr)):
-            raise InvariantError(f"corrections must be {d} pairs of shapes "
-                                 f"({dl}, {dl}) and ({dr}, {dr})")
-        if not (np.isfinite(alice).all() and np.isfinite(bob).all()):
-            raise InvariantError("corrections must be finite")
-        for a in (kraus, alice, bob):
-            a.flags.writeable = False
+        _check_parts((), kraus, alice, bob, dl, dr)
         object.__setattr__(self, "cut", (left, right))
         object.__setattr__(self, "alice_kraus", kraus)
         object.__setattr__(self, "corrections", tuple(zip(alice, bob)))
@@ -180,6 +178,34 @@ class ConversionProtocol:
                 raise InvariantError(f"outcome {m} has probability {prob}, not 1/{d}")
             if abs(abs(state.overlap(self.target)) ** 2 - 1.0) > ATOL:
                 raise InvariantError(f"outcome {m} does not reproduce the target")
+
+
+def _check_parts(lead, kraus, alice, bob, dl, dr):
+    """Raise unless the complex arrays kraus, alice and bob are the parts
+    of protocols across a cut with sides of dimensions dl and dr, stacked
+    over the leading axes `lead` (() for one protocol): kraus of shape
+    lead + (d, dl, dl) with d outcomes in [1, min(dl, dr)] (the precursor
+    |Phi+> has d levels on each side), and alice and bob d corrections
+    each, of shapes lead + (d, dl, dl) and lead + (d, dr, dr), all finite.
+    Then all three are made read-only: the caller passes copies of its
+    own, which the protocols keep.  This is the one rule for a protocol's
+    parts, run per object by ConversionProtocol and once per stack by
+    `_stacked_protocols`."""
+    n = len(lead)
+    if kraus.shape[:n] != lead or kraus.shape[n + 1:] != (dl, dl):
+        raise InvariantError(f"alice_kraus must have shape (d, {dl}, {dl}), "
+                             f"got {kraus.shape[n:]}")
+    d = kraus.shape[n]
+    if not 1 <= d <= min(dl, dr):
+        raise InvariantError(f"alice_kraus must hold 1 to {min(dl, dr)} "
+                             f"operators, one per outcome, got {d}")
+    if (alice.shape, bob.shape) != (lead + (d, dl, dl), lead + (d, dr, dr)):
+        raise InvariantError(f"corrections must be {d} pairs of shapes "
+                             f"({dl}, {dl}) and ({dr}, {dr})")
+    if not (np.isfinite(alice).all() and np.isfinite(bob).all()):
+        raise InvariantError("corrections must be finite")
+    for a in (kraus, alice, bob):
+        a.flags.writeable = False
 
 
 def _outcome_amplitudes(protocols):
@@ -229,8 +255,9 @@ def _shifted_columns(w, shift):
 
 def _build_conversions(targets, cut):
     """build_conversion for every target of a sequence over one shape: the
-    cut is validated and sorted once (`_cut_permutation`), and one SVD of
-    the stacked unfoldings (`_unfold`) serves all targets."""
+    cut is validated and sorted once (`_cut_permutation`), one SVD of the
+    stacked unfoldings (`_unfold`) serves all targets, and the protocols
+    are made from the stacks it gives, checked once (`_stacked_protocols`)."""
     shape = targets[0].shape
     left, right, dl, dr = _cut_permutation(shape, cut)
     d = min(dl, dr)
@@ -246,10 +273,24 @@ def _build_conversions(targets, cut):
     kraus[:, :, np.arange(dl), np.arange(dl)] = diag
     ua = _shifted_columns(u, shift)
     ub = _shifted_columns(np.swapaxes(vh, -1, -2), shift)
-    return tuple(ConversionProtocol(target=psi, cut=(left, right),
-                                    alice_kraus=kraus[j],
-                                    corrections=tuple(zip(ua[j], ub[j])))
-                 for j, psi in enumerate(targets))
+    return _stacked_protocols(targets, (left, right, dl, dr), kraus, ua, ub)
+
+
+def _stacked_protocols(targets, sides, kraus, alice, bob):
+    """ConversionProtocols for PureStates of one shape across one cut,
+    given as sides = (left, right, dl, dr) from `_cut_permutation`, from
+    their parts stacked over the M targets: Kraus operators (M, d, dl, dl)
+    and corrections (M, d, dl, dl) and (M, d, dr, dr).  The protocol's
+    checks of its parts run once for the stacks, on complex copies
+    (`_as_complex`, `_check_parts`) that the protocols share read-only;
+    protocol j holds row j of each as a view (`_unchecked`)."""
+    left, right, dl, dr = sides
+    kraus, alice, bob = map(_as_complex, (kraus, alice, bob))
+    _check_parts((len(targets),), kraus, alice, bob, dl, dr)
+    return tuple(_unchecked(ConversionProtocol, target=psi, cut=(left, right),
+                            alice_kraus=k, corrections=tuple(zip(a, b)),
+                            _sides=(a, b))
+                 for psi, k, a, b in zip(targets, kraus, alice, bob, strict=True))
 
 
 def build_conversion(target, cut):
@@ -309,15 +350,16 @@ def spectral_ensemble(rho):
     Ensemble: eigenvalues above RANK_TOL, largest first.
 
     Degenerate eigenspaces are resolved by the package-wide deterministic
-    disambiguation, so the output depends only on the input bits.  rho
-    must be a DensityMatrix (`_check_type`).
+    disambiguation, so the output depends only on the input bits.  The
+    normalised eigenvectors are checked once as one stack and each state
+    holds a row of it (`_pure_states`).  rho must be a DensityMatrix
+    (`_check_type`).
     """
     _check_type("rho", rho, DensityMatrix)
     w, v = rho.eigensystem()
     # each eigenvector over its own np.linalg.norm, all in one division
     rows = v.T / _row_norms(v.T)[:, None]
-    states = tuple(PureState(rho.shape, row) for row in rows)
-    return Ensemble(w / w.sum(), states)
+    return Ensemble(w / w.sum(), _pure_states(rho.shape, rows))
 
 
 @dataclass(frozen=True, eq=False)

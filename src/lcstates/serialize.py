@@ -145,12 +145,12 @@ def ensemble_to_dict(ens):
             "states": _pure_docs(ens.states)}
 
 
-def _protocol_docs(protocols):
+def _protocol_docs(protocols, targets):
     """Documents of protocols over one shape, cut and outcome count
-    (`_stacked_corrections`, else InvariantError); targets, Kraus
-    operators and each side's corrections are encoded as one stack."""
+    (`_stacked_corrections`, else InvariantError), targets[i] the document
+    of protocol i's target; Kraus operators and each side's corrections
+    are encoded as one stack."""
     alice, bob = map(_encode, _stacked_corrections(protocols))
-    targets = _pure_docs([p.target for p in protocols])
     kraus = _encode(np.array([p.alice_kraus for p in protocols]))
     return [{"cut": [list(p.cut[0]), list(p.cut[1])],
              "target": t,
@@ -160,12 +160,21 @@ def _protocol_docs(protocols):
 
 
 def protocol_to_dict(proto):
-    return _protocol_docs([proto])[0]
+    return _protocol_docs([proto], _pure_docs([proto.target]))[0]
 
 
 def plan_to_dict(plan):
-    return {"ensemble": ensemble_to_dict(plan.ensemble),
-            "protocols": _protocol_docs(plan.protocols),
+    """The plan's document.  Each ensemble state is encoded once: when
+    protocol i's target is ensemble state i, as in every plan
+    `locc.build_synthesis_plan` makes, the protocols reuse the ensemble's
+    state documents; the document still holds both copies."""
+    ensemble = ensemble_to_dict(plan.ensemble)
+    if all(p.target is s for p, s in zip(plan.protocols, plan.ensemble.states)):
+        targets = ensemble["states"]
+    else:
+        targets = _pure_docs([p.target for p in plan.protocols])
+    return {"ensemble": ensemble,
+            "protocols": _protocol_docs(plan.protocols, targets),
             "target": state_to_dict(plan.target)}
 
 

@@ -11,11 +11,16 @@ numbers (`_as_complex`, and `_as_square` for a d x d matrix), unit-norm rows
 (`_check_unit_rows`), Hermitian PSD matrices (`_check_hermitian_psd`),
 the eigenvector phase (`_fix_phases`), the basis inside a degenerate
 eigenspace (`deterministic_eigh`, and `_top_eigenvector`, its normalized
-top column), a density matrix's support (`DensityMatrix.eigensystem`),
+top column), a density matrix's support (`DensityMatrix.eigensystem`,
+which leaves the clusters it discards, all at most RANK_TOL, as eigh
+returns them: `_settled_eigh`),
 integer arguments (`_check_int`), real weights and tolerances
 (`_check_real`), enumerated arguments such as a kind or a metric name
 (`_check_choice`) and the layout of a bipartition (`_cut_permutation`,
-`_unfold`, `_fold`).  Every public entry point of
+`_unfold`, `_fold`).  A stack of states the package builds itself is
+checked once, by the same rules, and its PureStates are made from
+read-only row views of it (`_pure_states`, `_unchecked`); the public
+constructors check every object they are given.  Every public entry point of
 `states`, `channels` and `reach` checks its counts and weights through
 `_check_int` and `_check_real` and keeps the value they return; a
 malformed argument is an InvariantError that names it.  A well-formed
@@ -233,6 +238,21 @@ class PureState:
         return abs(abs(self.overlap(other)) - 1.0) <= ATOL
 
 
+def _pure_states(shape, rows):
+    """PureStates over shape, one per row of a (k, D) stack, with
+    PureState's checks run once for the stack: an owned complex copy
+    (`_as_complex`) of k rows of length D = shape.total_dim and unit norm
+    (`_check_unit_rows`), made read-only; state i holds row i as a view
+    (`_unchecked`)."""
+    rows = _as_complex(rows)
+    if rows.ndim != 2 or rows.shape[1] != shape.total_dim:
+        raise InvariantError(f"amplitude rows have shape {rows.shape}, "
+                             f"shape needs length {shape.total_dim}")
+    _check_unit_rows(rows)
+    rows.flags.writeable = False
+    return tuple(_unchecked(PureState, shape=shape, amplitudes=row) for row in rows)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, positive semidefinite, unit-trace operator over a
@@ -259,8 +279,10 @@ class DensityMatrix:
         largest first, with v's columns their eigenvectors.  Equal
         eigenvalues keep deterministic_eigh's order and basis, so the
         result depends only on the input bits.  This is the one support
-        rule: rank(), purify and locc.spectral_ensemble all read it."""
-        w, v = deterministic_eigh(self.entries)
+        rule: rank(), purify and locc.spectral_ensemble all read it.  A
+        cluster whose eigenvalues are all at most RANK_TOL is discarded, so
+        it is left as eigh returns it (`_settled_eigh`)."""
+        w, v = _settled_eigh(self.entries, RANK_TOL)
         order = np.argsort(-w, kind="stable")  # descending, ties keep their order
         order = order[w[order] > RANK_TOL]
         return w[order], v[:, order]
@@ -280,6 +302,16 @@ def _check_type(name, value, cls):
         names = " or a ".join(c.__name__ for c in classes)
         raise InvariantError(f"{name} must be a {names}, "
                              f"got {type(value).__name__}")
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given,
+    without its __post_init__: for parts whose checks have already run
+    once for a whole stack (`_pure_states`, `locc._stacked_protocols`)."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +348,30 @@ def deterministic_eigh(h):
     diagonal matrix is built.  The same input bits always give the same
     basis.
     """
+    return _settled_eigh(h, -math.inf)
+
+
+def _settled_eigh(h, floor):
+    """eigh with deterministic_eigh's rule applied to every cluster whose
+    largest eigenvalue is above floor (a NaN counts as above).  The
+    columns of the other clusters, all of whose eigenvalues are at most
+    floor, are left as eigh returns them; each column's bits do not depend
+    on them (`_fix_phases` fixes each column alone)."""
     w, v = np.linalg.eigh(np.asarray(h, dtype=complex))
     pos = np.arange(len(w), dtype=float)
     ends = np.flatnonzero(~(np.diff(w) <= DEGENERACY_TOL)) + 1
+    first = len(w)      # the first column of a settled cluster
     for i, j in zip([0, *ends], [*ends, len(w)]):
+        if w[j - 1] <= floor:
+            continue
+        first = min(first, i)
         if j - i > 1:
             block = v[:, i:j]
             b = (block.conj().T * pos) @ block
             # ascending <position> within the cluster
             v[:, i:j] = block @ np.linalg.eigh((b + b.conj().T) / 2)[1]
-    return w, _fix_phases(v)
+    v[:, first:] = _fix_phases(v[:, first:])
+    return w, v
 
 
 def _top_eigenvector(h):

@@ -11,7 +11,7 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       spectral_ensemble, w_state, z_mixture)
 from lcstates import locc, serialize
 from lcstates.locc import build_synthesis_plan, simulate_synthesis
-from lcstates.states import _cut_permutation, _fold
+from lcstates.states import _cut_permutation, _fold, _pure_states
 from conftest import random_density, random_pure
 
 CUT = ((0,), (1,))
@@ -20,6 +20,23 @@ CUT = ((0,), (1,))
 def _same_bits(a, b):
     a, b = (np.ascontiguousarray(x, dtype=complex) for x in (a, b))
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _same_protocol(p, q):
+    """p and q hold the same target bits, cut, Kraus operators and
+    corrections, bit for bit."""
+    return (_same_bits(p.target.amplitudes, q.target.amplitudes)
+            and p.cut == q.cut and _same_bits(p.alice_kraus, q.alice_kraus)
+            and len(p.corrections) == len(q.corrections)
+            and all(_same_bits(a1, a2) and _same_bits(b1, b2)
+                    for (a1, b1), (a2, b2) in zip(p.corrections, q.corrections))
+            and all(map(_same_bits, p._sides, q._sides)))
+
+
+def _stored_arrays(proto):
+    """Every array a protocol stores, its target's amplitudes included."""
+    return [proto.target.amplitudes, proto.alice_kraus, *proto._sides,
+            *(m for pair in proto.corrections for m in pair)]
 
 
 class TestMajorizes:
@@ -209,6 +226,25 @@ class TestBuildConversion:
         assert not built.alice_kraus.flags.writeable
         assert _same_bits(built.alice_kraus, proto.alice_kraus)
         built.verify()
+
+    def test_stacks_checked_once(self):
+        # _stacked_protocols runs the protocol's checks of its parts once
+        # for the stacks: the same refusals as the constructor's
+        proto = self._qutrit_protocol()
+        sides = _cut_permutation(proto.target.shape, CUT)
+        kraus = proto.alice_kraus[None]
+        alice, bob = (s[None] for s in proto._sides)
+        nan = alice.copy()
+        nan[0, 1, 0, 0] = np.nan
+        for args, message in (((kraus, nan, bob), "finite"),
+                              ((kraus, alice[:, :2], bob), "corrections must be 3 pairs"),
+                              ((kraus[:, :, :2], alice, bob), "alice_kraus must have shape"),
+                              ((np.tile(kraus, (1, 2, 1, 1)), alice, bob),
+                               "alice_kraus must hold 1 to 3")):
+            with pytest.raises(InvariantError, match=message):
+                locc._stacked_protocols((proto.target,), sides, *args)
+        built, = locc._stacked_protocols((proto.target,), sides, kraus, alice, bob)
+        assert _same_protocol(built, proto)
 
     def test_single_kraus_operator_refused(self):
         # one (3, 3) matrix instead of a (d, 3, 3) stack used to raise
@@ -508,6 +544,41 @@ class TestSynthesis:
                 for m, (prob, state) in enumerate(one.outcome_states()):
                     assert prob == float(ref_norms[m] ** 2)
                     assert _same_bits(state.amplitudes, ref[m])
+            self._check_stacked_parts(rho, cut, states, stacked)
+
+    @staticmethod
+    def _check_stacked_parts(rho, cut, states, stacked):
+        # parts checked once per stack equal the public constructors' builds
+        # from writable copies, bit for bit; every stored array is
+        # read-only, and writing into the stacks they came from changes
+        # nothing
+        _, v = rho.eigensystem()
+        for i, state in enumerate(states):
+            ref = PureState(rho.shape, v[:, i] / np.linalg.norm(v[:, i]))
+            assert _same_bits(state.amplitudes, ref.amplitudes)
+        for proto in stacked:
+            public = locc.ConversionProtocol(
+                proto.target, cut, proto.alice_kraus.copy(),
+                [(a.copy(), b.copy()) for a, b in proto.corrections])
+            assert _same_protocol(public, proto)
+            assert not any(a.flags.writeable for a in _stored_arrays(proto))
+            with pytest.raises(ValueError, match="read-only"):
+                proto.alice_kraus[0, 0, 0] = 0
+        rows = np.array([s.amplitudes for s in states])
+        kraus = np.array([p.alice_kraus for p in stacked])
+        alice, bob = locc._stacked_corrections(stacked)
+        again_states = _pure_states(rho.shape, rows)
+        again = locc._stacked_protocols(
+            states, _cut_permutation(rho.shape, cut), kraus, alice, bob)
+        for stack in (rows, kraus, alice, bob):
+            stack[...] = np.nan
+        for state, ref in zip(again_states, states, strict=True):
+            assert not state.amplitudes.flags.writeable
+            assert _same_bits(state.amplitudes, ref.amplitudes)
+        for proto, ref in zip(again, stacked, strict=True):
+            assert not any(a.flags.writeable for a in _stored_arrays(proto))
+            assert _same_protocol(proto, ref)
+            proto.verify()
 
     def test_mixed_protocols_rejected(self, rng):
         # one outcome pass needs one shape, cut and outcome count

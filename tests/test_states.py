@@ -12,7 +12,7 @@ from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
                       spectral_ensemble, tensor_product, w_state, z_mixture)
 from lcstates.states import (ATOL, DEGENERACY_TOL, MAX_TOTAL_DIM, RANK_TOL,
                              _check_unit_rows, _cut_permutation, _fix_phases,
-                             _fold, _unfold)
+                             _fold, _pure_states, _unfold)
 from conftest import random_density, random_pure, random_unitary
 
 Q1 = SystemShape((2,))
@@ -551,6 +551,76 @@ class TestEigensystem:
         w, v = rho.eigensystem()
         assert w.tolist() == [0.5, 0.25, 0.25]
         assert np.array_equal(v, np.eye(4)[:, [1, 0, 2]])
+
+    def test_stacked_states_checked(self):
+        # _pure_states runs PureState's checks once for the whole stack
+        rows = np.eye(8, dtype=complex)[:3]
+        states = _pure_states(Q3, rows)
+        assert [s.amplitudes.tolist() for s in states] == rows.tolist()
+        nan = rows.copy()
+        nan[1, 1] = np.nan
+        for bad, message in ((rows * 2, "not normalized"), (nan, "finite"),
+                             (rows[:, :4], "length 8"), (rows[0], "length 8")):
+            with pytest.raises(InvariantError, match=message):
+                _pure_states(Q3, bad)
+
+    @staticmethod
+    def _corpus():
+        """Three-qubit densities: z_mixture(p) under seeded local unitaries
+        (p = 0.5 has a degenerate support), a pure state's density (a
+        7-dimensional null cluster), a rank-3 separable mixture, a
+        full-rank density and one whose cluster straddles RANK_TOL."""
+        rng = np.random.default_rng(33)
+
+        def local_unitary():
+            return np.kron(np.kron(random_unitary(2, rng), random_unitary(2, rng)),
+                           random_unitary(2, rng))
+
+        def rotated(m, u):
+            return DensityMatrix(Q3, u @ m @ u.conj().T, symmetrize=True)
+
+        corpus = [rotated(z_mixture(p).entries, local_unitary())
+                  for p in (0.1, 0.5, 0.9)]
+        corpus.append(random_pure(Q3, rng).density())
+        products = [random_pure(Q1, rng) for _ in range(9)]
+        separable = sum(
+            w * tensor_product(tensor_product(a, b), c).density().entries
+            for w, (a, b, c) in zip((0.5, 0.3, 0.2),
+                                    zip(*[iter(products)] * 3)))
+        corpus.append(DensityMatrix(Q3, separable))
+        corpus.append(random_density(Q3, rng))
+        low = np.array([0.0, 0.0, 5e-11, 1.5e-10, 6e-10])
+        spectrum = np.concatenate([low, [0.3, 0.3, 0.4 - low.sum()]])
+        corpus.append(rotated(np.diag(spectrum), random_unitary(8, rng)))
+        return corpus
+
+    def test_matches_full_settling(self):
+        # the support's eigenpairs, rank() and purify are those of the
+        # rule that settles every cluster (deterministic_eigh, then the
+        # RANK_TOL cut), byte for byte
+        corpus = self._corpus()
+        ranks = [rho.rank() for rho in corpus]
+        assert ranks == [2, 2, 2, 1, 3, 8, 5]
+        straddles = False
+        for rho, rank in zip(corpus, ranks, strict=True):
+            w_all = np.linalg.eigvalsh(rho.entries)
+            ends = np.flatnonzero(np.diff(w_all) > DEGENERACY_TOL) + 1
+            straddles |= any(w_all[i] <= RANK_TOL < w_all[j - 1]
+                             for i, j in zip([0, *ends], [*ends, 8]))
+            w_ref, v_ref = deterministic_eigh(rho.entries)
+            order = np.argsort(-w_ref, kind="stable")
+            order = order[w_ref[order] > RANK_TOL]
+            w_ref, v_ref = w_ref[order], v_ref[:, order]
+            w, v = rho.eigensystem()
+            assert w.tobytes() == w_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+            assert rank == len(w_ref)
+            m = np.zeros((8, 8), dtype=complex)
+            m[:, :rank] = v_ref * np.sqrt(w_ref)
+            psi = m.reshape(-1)
+            assert purify(rho, (8,)).amplitudes.tobytes() == \
+                (psi / np.linalg.norm(psi)).tobytes()
+        assert straddles
 
 
 def _reference_deterministic_eigh(h):
