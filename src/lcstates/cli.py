@@ -9,6 +9,13 @@ failed linear-algebra routine and a `state` kind that `canonical_state`
 does not know included), 3 unsupported request.  Given
 identical inputs and seed the outputs are byte-identical across runs
 (elapsed_ms aside).
+
+Parse rule: an argv whose first item names a command is parsed by that
+command's own parser alone; every other argv (none, -h/--help, an unknown
+command), and a command's argv that its parser leaves unrecognized, by
+the top-level parser.  The result, exit code and messages are what the
+top-level parser alone gives.  An argv item that is not a string is a
+usage error.
 """
 
 import argparse
@@ -35,7 +42,8 @@ EXIT_UNSUPPORTED = 3
 
 
 @functools.cache
-def _parser():
+def _parsers():
+    """The top-level parser and each command's own parser, by name."""
     p = argparse.ArgumentParser(prog="lcstates", add_help=True)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -76,7 +84,20 @@ def _parser():
     sp.add_argument("--target", required=True)
     sp.add_argument("--config", required=True,
                     help="JSON search options file")
-    return p
+    return p, sub.choices
+
+
+def _parse_args(argv):
+    """argv's Namespace by the parse rule (module docstring); exits as
+    argparse does.  `command` is set first, as the top-level parser sets
+    it, so a report's inputs keep their order."""
+    top, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return top.parse_args(argv)
 
 
 def _parse_cut(spec):
@@ -176,8 +197,14 @@ def _dispatch(args):
 
 def run_command(argv):
     """Execute one CLI invocation; returns (exit_code, report dict or None)."""
+    # argv None reads sys.argv, as argparse does
+    bad = sorted({type(a).__name__ for a in argv or () if not isinstance(a, str)})
+    if bad:
+        print(f"lcstates: error: arguments must be strings, got {bad}",
+              file=sys.stderr)
+        return EXIT_USAGE, None
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:   # code 0 after --help, 2 after a usage error
         return (EXIT_OK if exc.code == 0 else EXIT_USAGE), None
 

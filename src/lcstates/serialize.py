@@ -6,7 +6,9 @@ data is a flat amplitude list and density data is a row-major list of
 rows; `_STATE_KINDS` maps each kind to its class for reading and writing.
 A channel file is {"dim": d, "kraus": [matrix, ...]}.  Every file is read
 by `_read_json` and written by `_write_json`.  Writers emit full double
-precision; loaders re-validate every invariant.
+precision; loaders re-validate every invariant.  `_decode` walks a
+document's nested lists once, level by level, into one flat float array;
+other input takes numpy's nested conversion.
 """
 
 import dataclasses
@@ -62,7 +64,26 @@ def _decode(data, rank):
     Every leaf must be a JSON number: numpy would read "1.5" as 1.5 and
     true as 1.0.  The pairs are viewed as complex rather than combined as
     re + 1j*im, which would turn a real part of -0.0 into 0.0.
+
+    A document's lists are walked once: level by level, each level must be
+    lists of one length, the last of length 2, and the leaves ints or
+    floats, which become one flat float array.  Anything else takes
+    numpy's nested conversion: it reads tuples, arrays and number
+    subclasses, and its error, or the shape or leaf check after it, names
+    the fault of malformed input.
     """
+    leaves, shape = [data], []
+    for _ in range(rank + 1):
+        if set(map(type, leaves)) != {list} or len(lengths := set(map(len, leaves))) != 1:
+            break
+        shape += lengths
+        leaves = list(itertools.chain.from_iterable(leaves))
+    else:
+        if shape[-1] == 2 and set(map(type, leaves)) <= {int, float}:
+            try:
+                return np.array(leaves, dtype=float).reshape(shape).view(complex)[..., 0]
+            except OverflowError:   # an int beyond the float range
+                pass
     try:
         pairs = np.ascontiguousarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:

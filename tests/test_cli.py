@@ -556,6 +556,74 @@ class TestCli:
             assert report is None
             assert capsys.readouterr().out.startswith("usage: lcstates")
 
+    @pytest.mark.parametrize("argv", [
+        ["param-count", "--n", 3, "--d", 2],
+        [["x"]],
+        ["obstruct", "--in", None],
+    ], ids=("ints", "list", "none"))
+    def test_argument_not_a_string_is_usage_error(self, capsys, argv):
+        assert run_command(argv) == (1, None)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and "must be strings" in err
+
+    def test_command_parsed_by_its_own_parser(self, monkeypatch):
+        def refuse(argv):
+            raise AssertionError("top-level parser used")
+        monkeypatch.setattr(cli._parsers()[0], "parse_args", refuse)
+        code, report = self._run("param-count", "--n", "3", "--d", "2")
+        assert code == 0
+        assert list(report["inputs"]) == ["n", "d"]
+
+    @staticmethod
+    def _top_level_only(argv):
+        """The reference parse rule: every argv through the top-level parser."""
+        return cli._parsers()[0].parse_args(argv)
+
+    def test_parse_rule_matches_top_level_parse(self, tmp_path, capsys,
+                                                monkeypatch):
+        bell = str(tmp_path / "bell.json")
+        serialize.save_state(max_entangled(2).density(), bell)
+        z = str(tmp_path / "z.json")
+        serialize.save_state(z_mixture(0.5), z)
+        cases = [[], ["-h"], ["--help"], ["frobnicate"], ["frobnicate", "-h"],
+                 ["-h", "obstruct"], ["--", "obstruct", "--in", z],
+                 ["obstruct"], ["obstruct", "--in"],
+                 ["synthesize", "--samples", "100"],
+                 ["obstruct", "--in", z, "extra"],
+                 ["obstruct", "extra", "--in", z],
+                 ["param-count", "--n", "3", "--d", "2", "--bogus"],
+                 ["param-count", "--n", "3", "--d", "2", "-x"],
+                 ["obstruct", "--in=" + z], ["obstruct", "--i", z],
+                 ["param-count", "--n=3", "--d", "2"],
+                 ["synthesize", "--tar", bell, "--sam", "100", "--se", "3"],
+                 ["synthesize", "--target", bell, "--s", "100"],
+                 ["synthesize", "--target", bell, "--samples", "many"],
+                 ["synthesize", "--target", bell, "--samples", "1e3"],
+                 ["synthesize", "--target", bell, "--samples", "-5"],
+                 ["obstruct", "--", "--in", z], ["obstruct", "--in", z, "--"],
+                 ["obstruct", "--in", "--", z], ["obstruct", "obstruct"],
+                 ["obstruct", "--in", z, "--in", bell],
+                 ["state", "--kind", "ghz", "--out", str(tmp_path / "g.json")],
+                 ["state", "--kind", "ghz", "--n", "-3", "--out",
+                  str(tmp_path / "g3.json")]]
+        cases += [[name, "-h"] for name in cli._parsers()[1]]
+
+        def run(argv):
+            code, report = run_command(list(argv))
+            if report is not None:
+                report.pop("elapsed_ms")
+            out, err = capsys.readouterr()
+            return code, report, out, err
+
+        for argv in cases:
+            got = run(argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parse_args", self._top_level_only)
+                want = run(argv)
+            assert got == want, argv
+            assert got[0] in (0, 1, 2, 3), argv
+
     def test_main_prints_one_json_line(self, capsys):
         assert main(["param-count", "--n", "3", "--d", "2"]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """The JSON file formats: exact bytes, bit-exact round trips and strict
 validation of the numbers, shapes and dims a document carries."""
 
+import itertools
 import json
 import re
 
@@ -124,6 +125,95 @@ def test_protocol_document_round_trip_is_bit_exact(n, seed, data):
     for got, (a, b) in zip(doc["corrections"], corrections, strict=True):
         assert _same_bits(serialize._decode(got["alice"], 2), a)
         assert _same_bits(serialize._decode(got["bob"], 2), b)
+
+
+def _decode_reference(data, rank):
+    """The decoder before the one-walk fast path: numpy's nested
+    conversion, then the shape, then a second walk for the leaf types."""
+    try:
+        pairs = np.ascontiguousarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvariantError(f"malformed complex array: {exc}")
+    if pairs.ndim != rank + 1 or pairs.shape[-1] != 2:
+        raise InvariantError(f"expected rank-{rank} [re, im] pairs, "
+                             f"got shape {pairs.shape}")
+    leaves = data
+    for _ in range(rank):
+        leaves = itertools.chain.from_iterable(leaves)
+    bad = sorted(k.__name__ for k in set(map(type, leaves))
+                 if issubclass(k, bool) or not issubclass(k, (int, float)))
+    if bad:
+        raise InvariantError(f"complex array entries must be numbers, got {bad}")
+    return pairs.view(complex)[..., 0]
+
+
+# a JSON number; then numbers mixed with leaves numpy converts but the
+# decoder refuses, and with leaves numpy cannot convert to a float
+NUMBERS = st.one_of(st.floats(), st.integers(-2 ** 70, 2 ** 70))
+CONVERTIBLE = st.one_of(NUMBERS, st.sampled_from(
+    [True, False, None, "1.5", "-0", float("nan"), float("inf"), -0.0, 10 ** 308]))
+UNCONVERTIBLE = st.one_of(NUMBERS, st.sampled_from(
+    ["x", "", 10 ** 400, -10 ** 400, {}, {"re": 1.0}, []]))
+
+
+@st.composite
+def _nestings(draw):
+    """(data, rank): regular nested [re, im] pairs of numbers, or with one
+    kind of fault: other leaves; a level missing, extra or empty; pairs of
+    another length; a bare scalar; a sub-list ragged at any level."""
+    rank = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank)) + [2]
+    fault = draw(st.sampled_from(["none", "leaf", "shape", "ragged"]))
+    leaf = NUMBERS
+    if fault == "leaf":
+        leaf = draw(st.sampled_from([CONVERTIBLE, UNCONVERTIBLE]))
+    elif fault == "shape":
+        level = draw(st.integers(0, rank))
+        shape = draw(st.sampled_from([
+            shape[:level] + shape[level + 1:], shape[:level] + [2] + shape[level:],
+            shape[:level] + [0] + shape[level + 1:], shape[:-1] + [1],
+            shape[:-1] + [3], []]))
+
+    def build(dims):
+        if not dims:
+            return draw(leaf)
+        return [build(dims[1:]) for _ in range(dims[0])]
+
+    data = build(shape)
+    for _ in range(draw(st.integers(1, 2)) if fault == "ragged" else 0):
+        node = data
+        while isinstance(node, list) and node:
+            i = draw(st.integers(0, len(node) - 1))
+            if not isinstance(node[i], list) or draw(st.booleans()):
+                node[i] = build(draw(st.lists(st.integers(0, 3), max_size=3)))
+                break
+            node = node[i]
+    return data, rank
+
+
+def _decodes_as_reference(data, rank):
+    try:
+        want = _decode_reference(data, rank)
+    except InvariantError as exc:
+        with pytest.raises(InvariantError) as got:
+            serialize._decode(data, rank)
+        return str(got.value) == str(exc)
+    return _same_bits(serialize._decode(data, rank), want)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_nestings())
+def test_decode_matches_reference(case):
+    assert _decodes_as_reference(*case)
+
+
+@pytest.mark.parametrize("data", [
+    [[1, 2]], [[10 ** 400, 0.0]], [(1.0, 2.0)], ((1.0, 2.0),), np.ones((1, 2)),
+    [[np.float64(0.5), 1.0]], [[np.int64(1), 1.0]]])
+def test_decode_edge_inputs_match_reference(data):
+    # int leaves, an int beyond the float range, and the tuples, arrays and
+    # numpy scalars a document built in Python may hold
+    assert _decodes_as_reference(data, 1)
 
 
 def test_plan_of_unstackable_protocols_refused():
