@@ -7,8 +7,8 @@ rows; `_STATE_KINDS` maps each kind to its class for reading and writing.
 A channel file is {"dim": d, "kraus": [matrix, ...]}.  Every file is read
 by `_read_json` and written by `_write_json`.  Writers emit full double
 precision; loaders re-validate every invariant.  `_decode` walks a
-document's nested lists once, level by level, into one flat float array;
-other input takes numpy's nested conversion.
+document's nested lists once, level by level, into one flat float array,
+and names the level, shape or leaf type of each malformed one.
 """
 
 import dataclasses
@@ -59,46 +59,47 @@ def _encode(a):
 
 
 def _decode(data, rank):
-    """Nested [re, im] pairs -> complex array of the given rank.
+    """Nested [re, im] pairs -> complex array of the given rank, in one walk.
 
-    Every leaf must be a JSON number: numpy would read "1.5" as 1.5 and
-    true as 1.0.  The pairs are viewed as complex rather than combined as
-    re + 1j*im, which would turn a real part of -0.0 into 0.0.
+    Level k of data holds the entries k indices deep; data is level 0.  The
+    walk goes down while a level's entries are all lists, tuples or numpy
+    arrays (those exact types) of one length; the first level holding none
+    is the leaves, read as one float array.  The pairs are viewed as
+    complex rather than combined as re + 1j*im, which would turn a real
+    part of -0.0 into 0.0.
 
-    A document's lists are walked once: level by level, each level must be
-    lists of one length, the last of length 2, and the leaves ints or
-    floats, which become one flat float array.  Anything else takes
-    numpy's nested conversion: it reads tuples, arrays and number
-    subclasses, and its error, or the shape or leaf check after it, names
-    the fault of malformed input.
+    Each refusal is an InvariantError, in the order checked: a level that
+    mixes lists with other entries, or holds lists of several lengths,
+    named by its level; an int beyond the float range, met by the float
+    conversion before any leaf it cannot read; a nesting that is not
+    rank + 1 deep with a last axis of 2, named by its shape; a leaf that is
+    not an int or float (subclasses included, bool not), named by its type:
+    numpy would read true as 1.0 and "1.5" as 1.5.
     """
-    leaves, shape = [data], []
-    for _ in range(rank + 1):
-        if set(map(type, leaves)) != {list} or len(lengths := set(map(len, leaves))) != 1:
-            break
+    leaves, shape, lists = [data], [], {list, tuple, np.ndarray}
+    while leaves and not (types := set(map(type, leaves))).isdisjoint(lists):
+        try:
+            lengths = set(map(len, leaves)) if types <= lists else ()
+        except TypeError:       # a 0-d array has no length
+            lengths = ()
+        if len(lengths) != 1:
+            raise InvariantError(f"ragged complex array: the entries at level "
+                                 f"{len(shape)} are not lists of one length")
         shape += lengths
         leaves = list(itertools.chain.from_iterable(leaves))
-    else:
-        if shape[-1] == 2 and set(map(type, leaves)) <= {int, float}:
-            try:
-                return np.array(leaves, dtype=float).reshape(shape).view(complex)[..., 0]
-            except OverflowError:   # an int beyond the float range
-                pass
     try:
-        pairs = np.ascontiguousarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvariantError(f"malformed complex array: {exc}")
-    if pairs.ndim != rank + 1 or pairs.shape[-1] != 2:
-        raise InvariantError(f"expected rank-{rank} [re, im] pairs, "
-                             f"got shape {pairs.shape}")
-    leaves = data
-    for _ in range(rank):       # regular nesting, rank + 1 deep, as pairs shows
-        leaves = itertools.chain.from_iterable(leaves)
-    bad = sorted(k.__name__ for k in set(map(type, leaves))
+        pairs = np.array(leaves, dtype=float)
+    except OverflowError as exc:    # an int beyond the float range
+        raise InvariantError(f"malformed complex array: {exc}") from None
+    except (TypeError, ValueError):     # a leaf that is no number: named below
+        pairs = None
+    if len(shape) != rank + 1 or shape[-1] != 2:
+        raise InvariantError(f"expected rank-{rank} [re, im] pairs, got shape {tuple(shape)}")
+    bad = sorted(k.__name__ for k in types
                  if issubclass(k, bool) or not issubclass(k, (int, float)))
     if bad:
         raise InvariantError(f"complex array entries must be numbers, got {bad}")
-    return pairs.view(complex)[..., 0]
+    return pairs.reshape(shape).view(complex)[..., 0]
 
 
 # each state document kind: its class, the name of its array, the array's rank

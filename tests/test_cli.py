@@ -492,6 +492,21 @@ class TestCli:
         assert "invalid input" in err
         assert "Traceback" not in err
 
+    def test_ragged_row_names_its_level(self, tmp_path, capsys):
+        # a two-qubit density matrix whose second row is one pair short:
+        # one line of the package's own words, not numpy's
+        data = [[[0.25, 0.0]] * 4] * 4
+        data[1] = data[1][:3]
+        f = tmp_path / "ragged.json"
+        f.write_text(json.dumps({"shape": [2, 2], "kind": "density",
+                                 "data": data}))
+        assert main(["obstruct", "--in", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "invalid input: ragged complex array: the entries at level 1 "
+            "are not lists of one length"]
+
     NOT_JSON = {
         "not_utf8": b"\xff",
         "deep_nesting": b"[" * 100000 + b"]" * 100000,
