@@ -9,13 +9,21 @@ local-unitarily related, hence of a single class.  The certificate
 checker formalizes this; the numerical search independently fails to
 get anywhere near the target, while a genuinely noisy GHZ state (a
 positive control) is matched to high precision.
+
+How far from LC is the mixture z(p) = p W + (1 - p) GHZ?  Two explicit
+LC states bound its fidelity to the LC set from below: amplitude damping
+on each qubit of W, at fidelity (1 + p)/2, and damping towards |1> on
+party 0 of a weighted GHZ state, at fidelity 1 - 2p/3.  So
+F(z(p), LC) >= max((1 + p)/2, 1 - 2p/3), least 5/7 at p = 3/7.
 """
 
 import numpy as np
 
-from lcstates import (DensityMatrix, apply_product_channel, dephasing_channel,
-                      ghz_state, identity_channel, lc_distance_search,
-                      lccc_obstruction_check, z_mixture)
+from lcstates import (DensityMatrix, LCConfiguration, LocalChannel, PureState,
+                      amplitude_damping_channel, apply_product_channel,
+                      dephasing_channel, distance, ghz_state, identity_channel,
+                      lc_distance_search, lccc_obstruction_check, w_state,
+                      z_mixture)
 from lcstates.channels import haar_isometry
 
 rho = z_mixture(0.5)
@@ -43,3 +51,31 @@ control = apply_product_channel(
     ghz_state().density())
 res = lc_distance_search(control, restarts=4, max_iters=1500, master_seed=0)
 print(f"  dephased GHZ (reachable):   {res.trace_distance:.2e}")
+
+
+def witnesses(p):
+    """The two LC states near z(p): W with every qubit damped by
+    gamma = (1 - p)/(1 + p), and sqrt(1 - b/2)|000> + sqrt(b/2)|111> with
+    party 0 damped towards |1> by gamma = (1 - b)/(1 - b/2),
+    b = 3(1 - p)/(3 - 2p)."""
+    w = LCConfiguration(w_state(),
+                        (amplitude_damping_channel((1 - p) / (1 + p)),) * 3)
+    b = 3 * (1 - p) / (3 - 2 * p)
+    flip = np.array([[0, 1], [1, 0]])
+    damp = amplitude_damping_channel((1 - b) / (1 - b / 2))
+    amps = np.zeros(8)
+    amps[0], amps[7] = np.sqrt(1 - b / 2), np.sqrt(b / 2)
+    g = LCConfiguration(PureState(w_state().shape, amps),
+                        (LocalChannel(2, flip @ damp.kraus @ flip),
+                         identity_channel(2), identity_channel(2)))
+    return w.output(), g.output()
+
+
+print("\nexplicit LC states near z(p) (F fidelity, T trace distance):")
+for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+    z = z_mixture(p)
+    near = [(distance("fidelity", z, s), distance("trace", z, s))
+            for s in witnesses(p)]
+    print(f"  p={p:.1f}  damped W: F={near[0][0]:.4f} T={near[0][1]:.4f}"
+          f"   damped GHZ: F={near[1][0]:.4f} T={near[1][1]:.4f}"
+          f"   F(z, LC) >= {max(f for f, _ in near):.4f}")

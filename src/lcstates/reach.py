@@ -15,7 +15,10 @@ alternating two moves on the squared Hilbert-Schmidt objective
   * channel move - per-party gradient descent over Stinespring isometry
     coordinates with a polar-decomposition retraction, so every iterate is
     a valid channel (`_polar_retract`: a d x d eigenproblem per trial, an
-    SVD where that loses digits).  The output is linear in party k's
+    SVD where that loses digits).  A party's move is one trial round: the
+    step and its half are scored at once, the first that does not raise
+    the objective is taken, and a move that takes neither leaves the
+    channel as it was.  The output is linear in party k's
     Liouville matrix S: X = S T in the column view T of Y_k (the other
     parties' channels applied to the precursor).  So party k's objective,
     its gradient and every trial step come from the Gram pair G = T T^H
@@ -249,16 +252,24 @@ def _precursor_line(phis, x, rho, sups, dims, v):
     product of float views.  x and rho are paired vectors, x with the
     batch axis.  v is the line-vector buffer of as many rows as phis
     (`_precursor_workspace`), rho in its row 3: X - rho is written into
-    row 0 and A1 and A2 into rows 1:3.
+    row 0 and A1 and A2 into rows 1:3.  Neither the D x D operators
+    (`_line_operators`) nor their paired copy is bound here while the
+    forward product runs, so each is freed once read.
     """
     g = _sphere_gradient(phis, np.subtract(x, rho, out=v[:, 0]), sups, dims)
     u = np.concatenate([phis[..., None, :], g[..., None, :]], axis=-2)
-    s = g[..., None, :, None] * u.conj()[..., :, None, :]   # g Phi^H, g g^H
-    s[:, 0] += s[:, 0].conj().swapaxes(-1, -2)   # + Phi g^H
     v[:, 1:3] = _apply_product_channel_matrix(
-        [w[:, None] for w in sups], _to_pairs(s, dims))
+        [w[:, None] for w in sups], _line_operators(u, dims))
     uf, vf = u.view(float), v.view(float)
     return g, uf @ uf.swapaxes(-1, -2), vf @ vf.swapaxes(-1, -2)
+
+
+def _line_operators(u, dims):
+    """g Phi^H + Phi g^H and g g^H of each row's u = (Phi, g), (B, 2, D),
+    as paired vectors (B, 2, D^2): the D x D products die on return."""
+    s = u[:, 1:, :, None] * u.conj()[:, :, None, :]   # g Phi^H, g g^H
+    s[:, 0] += s[:, 0].conj().swapaxes(-1, -2)   # + Phi g^H
+    return _to_pairs(s, dims)
 
 
 def _line_norm(t, norms):
@@ -315,18 +326,18 @@ INITIAL_STEP = 0.1
 STEP_FLOOR = 1e-8
 STEP_GROWTH = 1.3
 STEP_CAP = 10.0
-# a channel trial round scores this many rungs at once, the step halved
-# again for each: the decisions of that many one-trial rounds in one pass
+# a channel move is one trial round of this many rungs, the row's step
+# halved again for each, all scored at once
 CHANNEL_RUNGS = 2
 
 # caps on one search's size, whatever max_iters is.  A restart holds about
-# 11 complex D^2-vectors, the precursor move's line vectors 4 of them: per
+# 9 complex D^2-vectors, the precursor move's line vectors 4 of them: per
 # added restart (one iteration, noisy GHZ target, qubits) the tracemalloc
-# peak rises 2.8, 11.0 and 44.0 MB at D = 128, 256 and 512, 0.13 MB at
+# peak rises 2.3, 9.0 and 36.0 MB at D = 128, 256 and 512, 0.13 MB at
 # (3,3,3) with env 9.  The line vectors alone would be 8.6 GB at D = 4096
 # and 8 restarts.  So restarts x D^2 may not exceed SEARCH_SIZE_LIMIT,
-# about 1.5 GB of working set: 8 restarts at D = 1024, 2 at D = 2048, none
-# at D = 4096.  RESTART_LIMIT restarts at D = 27 peak near 37 MB (82 MB of
+# about 1.2 GB of working set: 8 restarts at D = 1024, 2 at D = 2048, none
+# at D = 4096.  RESTART_LIMIT restarts at D = 27 peak near 32 MB (77 MB of
 # process RSS over 40 iterations).
 RESTART_LIMIT = 256
 ITERATION_LIMIT = 10 ** 6
@@ -346,7 +357,8 @@ class RestartDiagnostics:
     channel move's step fell below STEP_FLOOR during it), else CONVERGED
     (it lowered the objective by less than tol), or MAX_ITERS after the
     last one; accepted_steps / rejected_steps: channel-move trials that
-    were kept / that halved the step.
+    were kept / that halved the step.  A channel move keeps at most one
+    trial and may keep none, so accepted_steps <= iterations x n.
     """
 
     iterations: int
@@ -398,19 +410,18 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
         k's new Liouville matrix, so after the last party it is the next
         iteration's X, in the original layout: per iteration the channel
         moves make n(n-1)/2 + n kernel steps rather than n(n-1), and n-1
-        rotations that apply nothing.  In each trial round every restart
-        still pending tries its step and its step halved, CHANNEL_RUNGS
-        rungs in all, in one retraction (`_polar_retract`), one
-        `liouville` and one `_gram_objective` call, and takes the first
-        rung that does not raise its objective.  The round decides as
-        that many one-trial rounds would, one after another: a rung below
-        STEP_FLOOR is not tried; every rung tried and failed counts as a
-        rejection that halved the step; an accepted rung counts once and
-        sets the step to its own times STEP_GROWTH (capped at STEP_CAP).
-        So decisions, iterates and diagnostics do not depend on
-        CHANNEL_RUNGS.  A restart whose step falls below STEP_FLOOR sits
-        out the iteration's remaining channel moves: it takes no more
-        trials and keeps its objective;
+        rotations that apply nothing.  Party k's move is one trial round
+        on the whole working set: every row scores its step and its step
+        halved, CHANNEL_RUNGS rungs in all, in one retraction
+        (`_polar_retract`), one `liouville` and one `_gram_objective`
+        call.  A rung below STEP_FLOOR is not tried.  A row takes the
+        first rung that does not raise its objective (by more than
+        1e-15), counts one accepted step and as many rejections as rungs
+        before it, and its step becomes that rung times STEP_GROWTH,
+        capped at STEP_CAP.  A row that takes no rung keeps its channel
+        and objective, and its step is halved once per rung tried, each
+        counted as a rejection.  So a restart whose step fell below
+        STEP_FLOOR tries nothing for the rest of the iteration;
       * every stop is decided once, at the end of an iteration: a restart
         whose step underflowed stops with STEP_UNDERFLOW, else one whose
         objective fell by less than tol over the iteration with CONVERGED;
@@ -419,12 +430,10 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
     The working arrays hold only the live restarts' rows, and ids maps
     each row to its restart.  A restart leaves once, at the end of the
     iteration it stops in: its rows are written back to kraus and phis,
-    and every working array is compacted by one mask.  So in steady state
-    the moves use the working arrays directly, and only a trial round
-    where some row is not pending gathers the pending ones (a round where
-    every live row is pending indexes by whole-array slices).  Until the
-    first restart stops, the working Kraus stacks and precursors are the
-    caller's arrays themselves, updated in place.  The line-vector buffer
+    and every working array is compacted by one mask, so the moves use
+    the working arrays directly.  Until the first restart stops, the
+    working Kraus stacks and precursors are the caller's arrays
+    themselves, updated in place.  The line-vector buffer
     is not compacted: the live rows use its row prefix, which a compaction
     leaves valid (rho's rows are all alike, and the other rows are written
     before they are read).  Nothing is kept per move or per iteration, so
@@ -521,40 +530,28 @@ def _run_lock_step(target, kraus, phis, max_iters, tol):
             gram, cross = _gram_pair(t, rho_views[k])
             v0 = ks[k].reshape(len(ids), -1, d)
             g = _party_gradient(ks[k], sups[k], gram, cross).reshape(v0.shape)
-            # rows still trying: a row whose step fell below STEP_FLOOR
-            # sits out the rest of the iteration
-            pend = (step >= STEP_FLOOR).nonzero()[0]
-            while pend.size:
-                # the pending rows: a whole-array slice, so no gathers,
-                # when every live row is pending
-                p = slice(None) if pend.size == len(ids) else pend
-                # each row tries its step and its halvings at once; a rung
-                # below STEP_FLOOR counts as not tried
-                steps = step[p, None] * halvings
-                cand_k = _polar_retract(
-                    v0[p, None] - steps[..., None, None] * g[p, None])
-                cand_k = cand_k.reshape(*steps.shape, *ks[k].shape[1:])
-                cand_s = liouville(cand_k)
-                t_obj = _gram_objective(cand_s, gram[p, None], cross[p, None], rho_sq)
-                tried = steps >= STEP_FLOOR
-                ok = (t_obj <= obj[p, None] + 1e-15) & tried
-                first, hit = ok.argmax(axis=1), ok.any(axis=1)
-                # accepted at rung r, after r rejections: let the step
-                # recover so progress stays fast
-                sel = hit.nonzero()[0]
-                up, r = pend[sel], first[sel]
-                ks[k][up], sups[k][up] = cand_k[sel, r], cand_s[sel, r]
-                obj[up] = np.minimum(obj[up], t_obj[sel, r])
-                step[up] = np.minimum(steps[sel, r] * STEP_GROWTH, STEP_CAP)
-                accepted[up] += 1
-                rejected[up] += r
-                if sel.size == pend.size:   # every row accepted: move done
-                    break
-                # rejected at every rung tried: one halving per rung
-                down, n_tried = pend[~hit], tried[~hit].sum(axis=1)
-                step[down] /= 2.0 ** n_tried
-                rejected[down] += n_tried
-                pend = down[step[down] >= STEP_FLOOR]
+            # one trial round: each row tries its step and its halvings at
+            # once; a rung below STEP_FLOOR counts as not tried, so a row
+            # whose step fell below it sits out the rest of the iteration
+            steps = step[:, None] * halvings
+            cand_k = _polar_retract(v0[:, None] - steps[..., None, None] * g[:, None])
+            cand_k = cand_k.reshape(*steps.shape, *ks[k].shape[1:])
+            cand_s = liouville(cand_k)
+            t_obj = _gram_objective(cand_s, gram[:, None], cross[:, None], rho_sq)
+            tried = steps >= STEP_FLOOR
+            ok = (t_obj <= obj[:, None] + 1e-15) & tried
+            first, hit = ok.argmax(axis=1), ok.any(axis=1)
+            # accepted at rung r, after r rejections: let the step recover
+            # so progress stays fast
+            up, r = hit.nonzero()[0], first[hit]
+            ks[k][up], sups[k][up] = cand_k[up, r], cand_s[up, r]
+            obj[up] = np.minimum(obj[up], t_obj[up, r])
+            step[up] = np.minimum(steps[up, r] * STEP_GROWTH, STEP_CAP)
+            accepted += hit
+            # rejected at every rung tried: one halving per rung
+            n_tried = tried.sum(axis=1)
+            step[~hit] /= 2.0 ** n_tried[~hit]
+            rejected += np.where(hit, first, n_tried)
             left = _apply_leading(left, sups[k])
         # the channel moves' products die here, not under the next
         # precursor move's temporaries (nor as a compaction's stale X)

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lcstates import (DensityMatrix, InvariantError, PureState, SystemShape,
-                      UnsupportedError, apply_product_channel, basis_state, dephasing_channel,
+from lcstates import (DensityMatrix, InvariantError, LocalChannel, PureState,
+                      SystemShape, UnsupportedError, amplitude_damping_channel,
+                      apply_product_channel, basis_state, dephasing_channel,
                       depolarizing_channel, ghz_state, identity_channel,
                       lc_distance_search, lccc_obstruction_check,
                       max_entangled, precursor_optimal_for_channels,
@@ -295,9 +296,11 @@ class TestPrecursorLine:
 
     def test_line_vectors_written_into_buffer(self, rng):
         # at D = 256 the move's line vectors live in the buffer it is
-        # given: the adjoint and forward products' temporaries peak near
-        # six (B, D^2) arrays in one call, where a move that allocates its
-        # line vectors too peaks near ten
+        # given, and the D x D operators g Phi^H + Phi g^H, g g^H and their
+        # paired copy are freed once read: one call peaks near four
+        # (B, D^2) arrays, the forward product's input and output.  Holding
+        # the operators through the forward product peaks near six, and a
+        # move that allocates its line vectors too near ten
         dims = (2,) * 8
         sups, phis, x, rho = self._line_inputs(dims, lambda d: d, rng)
         work = _precursor_workspace(rho, len(phis))
@@ -309,7 +312,7 @@ class TestPrecursorLine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * x.nbytes
+        assert peak < 4.5 * x.nbytes
         assert not np.isnan(work).any()
         assert np.array_equal(work[:, 0], x - rho)
 
@@ -389,15 +392,15 @@ class TestSearch:
         finals = [obj for _, obj, _ in res.per_restart_log]
         lengths = [n for _, _, n in res.per_restart_log]
         assert finals == pytest.approx(
-            [0.10680000000000002, 2.295637454907684e-06,
-             6.027951407028276e-06, 5.265827319522742e-06], rel=1e-8)
+            [0.10680000000000002, 2.3342232011724917e-06,
+             5.862014075486144e-06, 5.347942147237994e-06], rel=1e-8)
         assert lengths == [5, 161, 161, 161]
 
     @pytest.mark.parametrize("target, finals, lengths", [
         (noisy_four_qubit_ghz,
-         [0.10680000000000003, 5.345499925146768e-06,
-          1.0650626767971794e-05, 1.3683800177410887e-05,
-          1.6384775915923022e-05, 3.1378913192270375e-06],
+         [0.10680000000000003, 3.6403388172789874e-06,
+          1.0173926648815446e-05, 1.1683782055516012e-05,
+          1.711099048951059e-05, 3.1761122712969936e-06],
          [6] + [201] * 5),
         (noisy_qutrit_ghz,
          [0.1379555555555554, 0.0003929524163082121, 0.0001296778319878067,
@@ -451,7 +454,7 @@ class TestSearch:
     def test_memory_per_restart(self):
         # the search size limits rest on what one restart holds: on a noisy
         # 7-qubit GHZ target (D = 128), one iteration, each added restart
-        # raises the peak by under 11.5 complex D^2-vectors; a first search
+        # raises the peak by under 9.5 complex D^2-vectors; a first search
         # pays the one-time allocations before measuring
         chans = [dephasing_channel(2, 0.3), depolarizing_channel(2, 0.2)] \
             + [identity_channel(2)] * 5
@@ -466,7 +469,7 @@ class TestSearch:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 2 < 11.5 * 16 * 128 ** 2
+        assert (peaks[1] - peaks[0]) / 2 < 9.5 * 16 * 128 ** 2
 
     @pytest.mark.parametrize("target, env_dims", [
         (noisy_ghz, (4, 3, 2)), (noisy_qutrit_ghz, (9, 5, 1))])
@@ -521,11 +524,11 @@ class TestSearch:
                        - final) <= 1e-15
 
     @pytest.mark.parametrize("target, threshold", [
-        (noisy_ghz, 0.3), (noisy_qutrit_ghz, 0.1)])
+        (noisy_ghz, 0.15), (noisy_qutrit_ghz, 0.05)])
     def test_partial_step_underflow(self, target, threshold, monkeypatch):
         # a party's trials are all rejected where its Gram matrix's leading
-        # entry exceeds threshold, so some restarts underflow mid-iteration
-        # while the others go on: a dead row sits out the rest of its
+        # entry exceeds threshold, so some restarts' steps underflow while
+        # the others go on: a dead row tries no rung for the rest of its
         # iteration in the batch and stops at the iteration's end
         true_trial_objective = reach._gram_objective
 
@@ -557,10 +560,10 @@ class TestSearch:
     @pytest.mark.parametrize("target", [noisy_ghz, noisy_qutrit_ghz])
     def test_precursor_objective_from_closed_form(self, target, monkeypatch):
         # every channel trial is rejected, so the objective a restart ends
-        # with is the one its precursor move took from the closed form
-        # (`_line_objective`): the move updates Phi and no output X.  The
-        # step underflows during party 0, so every restart stops after
-        # iteration 1
+        # with is the one its last precursor move took from the closed form
+        # (`_line_objective`): the move updates Phi and no output X.  Each
+        # channel move halves the step twice, so at tol 0 every restart's
+        # step underflows at the end of iteration 4
         true_trial_objective = reach._gram_objective
 
         def rejecting_trial(s, gram, cross, rho_sq):
@@ -571,10 +574,10 @@ class TestSearch:
         env_dims = tuple(d * d for d in rho.shape.local_dims)
         kraus, phis = _starts(rho, env_dims, [0, 11, 12, 13])
         start = [_configuration_objective(rho, kraus, phis, b) for b in range(4)]
-        finals, diags = _run_lock_step(rho, kraus, phis, 10, 1e-14)
+        finals, diags = _run_lock_step(rho, kraus, phis, 10, 0.0)
         assert [d.stop_reason for d in diags] == [STEP_UNDERFLOW] * 4
-        assert [d.iterations for d in diags] == [1] * 4
-        assert [d.accepted_steps for d in diags] == [0] * 4
+        assert [d.iterations for d in diags] == [4] * 4
+        assert [(d.accepted_steps, d.rejected_steps) for d in diags] == [(0, 24)] * 4
         # the random restarts' precursor moves moved
         assert all(f < s for f, s in zip(finals[1:], start[1:]))
         for b, final in enumerate(finals):
@@ -592,35 +595,28 @@ class TestSearch:
         assert small.per_restart_log == large.per_restart_log[:3]
         assert small.diagnostics == large.diagnostics[:3]
 
-    @pytest.mark.parametrize("target, threshold", [
-        (noisy_ghz, None), (noisy_qutrit_ghz, None), (noisy_ghz, 0.3)],
-        ids=("222", "333", "222-underflow"))
-    def test_rungs_per_round_change_nothing(self, target, threshold, monkeypatch):
-        # a channel trial round scoring the step and its halvings at once
-        # decides as one-trial rounds do, one after another: iterates,
-        # finals and diagnostics agree bit for bit at 1, 2 and 3 rungs.  With
-        # a threshold, every trial of a row whose Gram matrix's leading
-        # entry exceeds it is rejected, so steps fall through STEP_FLOOR,
-        # where a round's later rungs are not tried
-        true_trial_objective = reach._gram_objective
+    @pytest.mark.parametrize("target", [noisy_ghz, noisy_four_qubit_ghz])
+    def test_one_trial_round_per_move(self, target, monkeypatch):
+        # each party's channel move is one retraction over the whole
+        # working set, CHANNEL_RUNGS rungs per row, whatever its trials
+        # decide: n calls per iteration, 6 rows in iteration 1 and 5 after
+        # restart 0 stops
+        shapes = []
+        true_retract = reach._polar_retract
 
-        def rejecting_some(s, gram, cross, rho_sq):
-            return (true_trial_objective(s, gram, cross, rho_sq)
-                    + (gram[..., 0, 0].real > threshold))
+        def counted(v):
+            shapes.append(v.shape[:2])
+            return true_retract(v)
 
-        if threshold is not None:
-            monkeypatch.setattr(reach, "_gram_objective", rejecting_some)
+        monkeypatch.setattr(reach, "_polar_retract", counted)
         rho = target()
-        env_dims = tuple(d * d for d in rho.shape.local_dims)
-        runs = []
-        for rungs in (1, 2, 3):
-            monkeypatch.setattr(reach, "CHANNEL_RUNGS", rungs)
-            kraus, phis = _starts(rho, env_dims, [0, 11, 12, 13, 14, 15])
-            finals, diags = _run_lock_step(rho, kraus, phis, 30, 1e-14)
-            runs.append((b"".join(a.tobytes() for a in (*kraus, phis)), finals, diags))
-        assert runs[1] == runs[0] and runs[2] == runs[0]
-        reasons = [d.stop_reason for d in runs[0][2]]
-        assert (STEP_UNDERFLOW in reasons) == (threshold is not None)
+        n = rho.shape.n_parties
+        res = lc_distance_search(rho, restarts=6, max_iters=40, master_seed=2026)
+        assert [d.iterations for d in res.diagnostics] == [1] + [40] * 5
+        assert shapes == [(6, reach.CHANNEL_RUNGS)] * n \
+            + [(5, reach.CHANNEL_RUNGS)] * (39 * n)
+        # some move kept no trial
+        assert any(d.accepted_steps < d.iterations * n for d in res.diagnostics)
 
     # full-rank targets drawn in order from default_rng(0), the shapes in
     # turn; searched are the first of each shape and every one whose search
@@ -650,10 +646,13 @@ class TestSearch:
         assert len(res.diagnostics) == 4
         for (_, _, length), diag in zip(res.per_restart_log, res.diagnostics):
             assert diag.stop_reason in (CONVERGED, MAX_ITERS)
-            # every party's channel move ends in exactly one accepted trial
+            # every party's channel move is one trial round: it keeps at
+            # most one trial, and tries at most CHANNEL_RUNGS
             assert length == 1 + diag.iterations * (n + 1)
-            assert diag.accepted_steps == diag.iterations * n
+            assert diag.accepted_steps <= diag.iterations * n
             assert diag.rejected_steps >= 0
+            assert (diag.accepted_steps + diag.rejected_steps
+                    <= diag.iterations * n * reach.CHANNEL_RUNGS)
         assert [d.stop_reason for d in res.diagnostics] == \
             [CONVERGED, MAX_ITERS, MAX_ITERS, MAX_ITERS]
         assert [d.iterations for d in res.diagnostics] == [1, 40, 40, 40]
@@ -732,10 +731,10 @@ class TestSearch:
     def test_step_underflow_ends_restart(self, monkeypatch):
         # every trial objective, closed-form line (`_line_objective`) and
         # Gram-pair (`_gram_objective`) alike, is inflated, so every
-        # precursor and channel trial is rejected: the step halves from 0.1
-        # until it falls below 1e-8 (24 halvings) during party 0 of
-        # iteration 1; the dead row sits out parties 1-2, recording its
-        # unchanged objective for each, and stops at the iteration's end
+        # precursor and channel trial is rejected: each channel move halves
+        # the step once per rung, so it falls from 0.1 below 1e-8 (24
+        # halvings) over 12 moves, at the end of iteration 4.  At tol 0 an
+        # unchanged objective does not converge, so underflow stops it
         line_calls = []
         true_line_objective = reach._line_objective
         true_trial_objective = reach._gram_objective
@@ -750,14 +749,14 @@ class TestSearch:
         monkeypatch.setattr(reach, "_line_objective", rejecting_line)
         monkeypatch.setattr(reach, "_gram_objective", rejecting_trial)
         res = lc_distance_search(noisy_ghz(), restarts=2, max_iters=10,
-                                 master_seed=5)
+                                 tol=0.0, master_seed=5)
         for (_, _, length), diag in zip(res.per_restart_log, res.diagnostics):
             assert diag.stop_reason == STEP_UNDERFLOW
-            assert diag.iterations == 1
+            assert diag.iterations == 4
             assert (diag.accepted_steps, diag.rejected_steps) == (0, 24)
-            assert length == 5   # 1 + 1 iteration * (3 parties + 1)
-        # the precursor move of iteration 1 scored its trials, and kept none
-        assert len(line_calls) == 1
+            assert length == 17   # 1 + 4 iterations * (3 parties + 1)
+        # each iteration's precursor move scored its trials, and kept none
+        assert len(line_calls) == 4
 
     def test_total_dimension_one(self):
         # one eigenvalue, so the precursor move has no gap to test
@@ -1026,3 +1025,57 @@ class TestObstruction:
                                      master_seed=0)
             if res.hs_distance ** 2 <= 1e-6:
                 assert lccc_obstruction_check(target).verdict != NOT_LCCC
+
+
+def w_witness(p):
+    """sigma_W(p): amplitude damping with gamma = (1 - p)/(1 + p) on each
+    qubit of W."""
+    damp = amplitude_damping_channel((1 - p) / (1 + p))
+    return LCConfiguration(w_state(), (damp,) * 3)
+
+
+def ghz_witness(p):
+    """sigma_G(p): X AD(gamma) X, damping towards |1>, on party 0 of
+    sqrt(1 - b/2)|000> + sqrt(b/2)|111>, with b = 3(1 - p)/(3 - 2p) and
+    gamma = (1 - b)/(1 - b/2)."""
+    b = 3 * (1 - p) / (3 - 2 * p)
+    flip = np.array([[0, 1], [1, 0]])
+    damp = amplitude_damping_channel((1 - b) / (1 - b / 2))
+    amps = np.zeros(8)
+    amps[0], amps[7] = np.sqrt(1 - b / 2), np.sqrt(b / 2)
+    return LCConfiguration(PureState(Q3, amps),
+                           (LocalChannel(2, flip @ damp.kraus @ flip),
+                            identity_channel(2), identity_channel(2)))
+
+
+class TestZMixtureWitnesses:
+    """Two LC states near z_mixture(p), whose fidelities bound that of
+    z_mixture(p) to the LC set from below: F >= max((1 + p)/2, 1 - 2p/3)."""
+
+    WEIGHTS = (0.1, 0.3, 0.5, 0.7, 0.9)
+
+    @staticmethod
+    def _projector(v):
+        return np.outer(v, v.conj())
+
+    @pytest.mark.parametrize("p", WEIGHTS)
+    def test_outputs_in_closed_form(self, p):
+        # sigma_W = a|W><W| + (1 - a)|000><000|, a = 2p/(1 + p), and
+        # sigma_G = b|GHZ><GHZ| + (1 - b)|100><100|
+        a, b = 2 * p / (1 + p), 3 * (1 - p) / (3 - 2 * p)
+        zero, flipped = np.eye(8)[0], np.eye(8)[4]
+        closed_w = a * self._projector(w_state().amplitudes) \
+            + (1 - a) * self._projector(zero)
+        closed_g = b * self._projector(ghz_state().amplitudes) \
+            + (1 - b) * self._projector(flipped)
+        assert np.abs(w_witness(p).output().entries - closed_w).max() <= 1e-15
+        assert np.abs(ghz_witness(p).output().entries - closed_g).max() <= 1e-15
+
+    @pytest.mark.parametrize("p", WEIGHTS)
+    def test_fidelities(self, p):
+        from lcstates.states import distance
+        rho = z_mixture(p)
+        assert abs(distance("fidelity", rho, w_witness(p).output())
+                   - (1 + p) / 2) <= 1e-12
+        assert abs(distance("fidelity", rho, ghz_witness(p).output())
+                   - (1 - 2 * p / 3)) <= 1e-12
